@@ -20,12 +20,11 @@ from __future__ import annotations
 import csv
 import json
 import os
-import random
 import threading
 import time
 from dataclasses import dataclass, replace
 
-from .core import OpKind, draw_op
+from .core import OpKind, check_mix, draw_op, thread_rng
 from .tree import VARIANT_NAMES, TreeBase, new_tree
 
 # The two standard mixes, in (insert_pct, delete_pct, search_pct) order.
@@ -61,10 +60,7 @@ class WorkloadSpec:
     key_range: int
 
     def __post_init__(self):
-        if min(self.insert_pct, self.delete_pct, self.search_pct) < 0:
-            raise ValueError("mix percentages must be non-negative")
-        if abs(self.insert_pct + self.delete_pct + self.search_pct - 100.0) > 1e-9:
-            raise ValueError("mix percentages must sum to exactly 100")
+        check_mix(self.insert_pct, self.delete_pct, self.search_pct)
         if self.key_range < 2:
             raise ValueError("key_range must be at least 2")
 
@@ -113,35 +109,14 @@ class BenchRecord:
     repeat: int
 
 
-def _thread_rng(seed: int, stream: int) -> random.Random:
-    # Distinct deterministic stream per (seed, stream index).
-    return random.Random(seed * 1_000_003 + stream)
-
 # Stream index reserved for prefill so it never collides with a worker.
 _PREFILL_STREAM = -1
-
-
-def _maybe_pin(tid: int) -> None:
-    # Round-robin the calling thread onto one CPU when CBST_PIN=1; silently
-    # a no-op where affinity control is unavailable.
-    if os.environ.get("CBST_PIN") != "1":
-        return
-    try:
-        cpus = sorted(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return
-    if not cpus:
-        return
-    try:
-        os.sched_setaffinity(0, {cpus[tid % len(cpus)]})
-    except OSError:
-        pass
 
 
 def prefill(tree: TreeBase, workload: WorkloadSpec, seed: int) -> int:
     """Insert uniform-random keys until the set holds key_range // 2 of
     them; returns the number of insert attempts (duplicates included)."""
-    rng = _thread_rng(seed, _PREFILL_STREAM)
+    rng = thread_rng(seed, _PREFILL_STREAM)
     target = workload.key_range // 2
     kr = workload.key_range
     insert = tree.insert
@@ -183,8 +158,7 @@ def run_bench(config: BenchConfig, repeat: int = 0) -> BenchRecord:
 
     def worker(tid: int) -> None:
         try:
-            _maybe_pin(tid)
-            rng = _thread_rng(config.seed, tid)
+            rng = thread_rng(config.seed, tid)
             methods = {
                 OpKind.INSERT: tree.insert,
                 OpKind.DELETE: tree.delete,

@@ -17,6 +17,7 @@ import sys
 
 from . import bench as bench_mod
 from . import model as model_mod
+from .core import check_mix
 from .tree import CONCURRENT_VARIANTS, VARIANT_NAMES
 from .verify import (
     History,
@@ -52,9 +53,14 @@ def _mix(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("mix must be three numbers: insert,delete,search")
     try:
-        return tuple(float(part) for part in parts)
+        mix = tuple(float(part) for part in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"mix values must be numeric, got {text!r}")
+    try:
+        check_mix(*mix)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
+    return mix
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -14,6 +14,7 @@ strictly between ``NEG_SENTINEL`` and ``POS_SENTINEL``.
 from __future__ import annotations
 
 import enum
+import random
 
 # Reserved routing sentinels. Application keys live in the open interval
 # between them.
@@ -99,9 +100,19 @@ class SeqOracle:
         return len(self._keys)
 
 
-def oracle_apply(oracle: SeqOracle, op: OpKind, key: int) -> bool:
-    """Function form of :meth:`SeqOracle.apply`."""
-    return oracle.apply(op, key)
+def check_mix(insert_pct: float, delete_pct: float, search_pct: float) -> None:
+    """Reject a percentage mix that has a negative (or NaN) part or does
+    not sum to 100."""
+    if not min(insert_pct, delete_pct, search_pct) >= 0:
+        raise ValueError("mix percentages must be non-negative")
+    if not abs(insert_pct + delete_pct + search_pct - 100.0) <= 1e-9:
+        raise ValueError("mix percentages must sum to 100")
+
+
+def thread_rng(seed: int, stream: int) -> random.Random:
+    """The generator for one op stream: distinct and deterministic per
+    (seed, stream index), independent of hash seeds."""
+    return random.Random(seed * 1_000_003 + stream)
 
 
 def draw_op(rng, insert_pct: float, delete_pct: float, key_range: int):

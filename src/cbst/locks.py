@@ -54,10 +54,6 @@ class FlagMarkWord(FlagLock):
         super().__init__()
         self.marked = False
 
-    def set_marked(self, value: bool) -> None:
-        # Caller must hold the flag; a single store is atomic under the GIL.
-        self.marked = value
-
 
 class TicketLock:
     """A (ticket, version) counter pair; locked while ticket != version.
@@ -87,10 +83,6 @@ class TicketLock:
             if self.ticket == self.version:
                 raise RuntimeError("release of a TicketLock that is not held")
             self.version += 1
-
-    def version_of(self) -> int:
-        """Current version stamp (a plain atomic read)."""
-        return self.version
 
     def counters(self) -> tuple[int, int]:
         """A consistent (ticket, version) snapshot, for observers."""

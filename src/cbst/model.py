@@ -51,8 +51,7 @@ class ModelParams:
     default to 1, the optimistic limit); the three work terms are abstract
     relative units, so only the ratios snapshot/parallel and
     control/parallel matter and parallel_work is normally left at 1;
-    hardness shapes the alpha(t) curve; sequential_work exists only for the
-    classic law's derivation and stays at 0 for a fully parallel structure.
+    hardness shapes the alpha(t) curve.
     """
 
     processors: int
@@ -63,7 +62,6 @@ class ModelParams:
     snapshot_work: float = 0.0
     control_work: float = 0.0
     hardness: float = 2.0
-    sequential_work: float = 0.0
 
 
 def amdahl_speedup(p_fraction: float, processors: float) -> float:

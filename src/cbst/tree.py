@@ -17,6 +17,14 @@ child pointer to the removed leaf's sibling. Because readers only follow
 child pointers, searches run without any synchronisation in every variant
 except the coarse one.
 
+Every lock-based variant (fn, fe, fem, tn) writes an update as one pass,
+``_insert`` or ``_delete``, in two phases. The snapshot phase is the
+unsynchronised descent. The control phase locks the snapshot's nodes,
+validates them and either commits and returns the operation's result, or
+releases what it took and returns ``_RETRY``. ``TreeBase.insert`` and
+``TreeBase.delete`` are the only retry loops: they rerun the pass until it
+returns a result and count one retry per failed pass.
+
 Variant summary::
 
     name    locks                          validation after locking
@@ -47,6 +55,52 @@ from .core import NEG_SENTINEL, POS_SENTINEL, check_key
 from .locks import FlagLock, FlagMarkWord, TicketLock
 
 RECLAMATION_POLICY = "refcount"
+
+# What a failed pass returns in place of a result.
+_RETRY = object()
+
+
+def _abort(*locks):
+    """Release ``locks`` in the order given and fail the pass."""
+    for lock in locks:
+        lock.release()
+    return _RETRY
+
+
+def _unmark_abort(*locks):
+    """fem rollback: clear each mark strictly before releasing its flag."""
+    for lock in locks:
+        lock.marked = False
+        lock.release()
+    return _RETRY
+
+
+def _link(parent, right, child):
+    """Point ``parent``'s right or left child pointer at ``child``."""
+    if right:
+        parent.right = child
+    else:
+        parent.left = child
+
+
+def _link_settled_sibling(ppred, pright, pred, right):
+    """Point ppred's child pointer at pred's other child, once no insert
+    holds that child's flag (the fe and fem deletes).
+
+    The lock test must come before the link re-read, otherwise a release
+    between the two reads could hand back a sibling that was already
+    replaced. No call may come between the re-read and the store: a call is
+    where CPython may switch threads, and an fe insert into the sibling,
+    which flags only the leaf, could then commit under a detached pred.
+    """
+    sibling = pred.left if right else pred.right
+    while sibling.lock.held or (pred.left if right else pred.right) is not sibling:
+        time.sleep(0)
+        sibling = pred.left if right else pred.right
+    if pright:
+        ppred.right = sibling
+    else:
+        ppred.left = sibling
 
 
 class Node:
@@ -106,7 +160,7 @@ def _no_lock():
 
 
 class TreeBase:
-    """Shared structure, descent, and bookkeeping for all variants."""
+    """Shared structure, descent, retry loops and bookkeeping for all variants."""
 
     variant = "base"
     _fresh_lock = staticmethod(_no_lock)
@@ -152,7 +206,23 @@ class TreeBase:
         check_key(key)
         return self._find(key).curr.key == key
 
-    # -- mutation helpers -------------------------------------------------
+    # -- updates ----------------------------------------------------------
+
+    def insert(self, key: int) -> bool:
+        """Add ``key``; True when it was absent. Reruns ``_insert`` until
+        a pass returns a result."""
+        check_key(key)
+        while (result := self._insert(key)) is _RETRY:
+            self._count_retry()
+        return result
+
+    def delete(self, key: int) -> bool:
+        """Remove ``key``; True when it was present. Reruns ``_delete``
+        until a pass returns a result."""
+        check_key(key)
+        while (result := self._delete(key)) is _RETRY:
+            self._count_retry()
+        return result
 
     def _router_above(self, key, curr):
         """Build the router that replaces leaf ``curr`` when inserting key.
@@ -197,7 +267,10 @@ class TreeBase:
 
 
 class SeqTree(TreeBase):
-    """Unsynchronised baseline; correct only under a single thread."""
+    """Unsynchronised baseline; correct only under a single thread.
+
+    It never retries, so it overrides the retry loops with direct bodies.
+    """
 
     variant = "seq"
 
@@ -206,11 +279,7 @@ class SeqTree(TreeBase):
         _, _, pred, right, curr = self._find(key)
         if curr.key == key:
             return False
-        router = self._router_above(key, curr)
-        if right:
-            pred.right = router
-        else:
-            pred.left = router
+        _link(pred, right, self._router_above(key, curr))
         return True
 
     def delete(self, key: int) -> bool:
@@ -218,11 +287,7 @@ class SeqTree(TreeBase):
         ppred, pright, pred, right, curr = self._find(key)
         if curr.key != key:
             return False
-        sibling = pred.left if right else pred.right
-        if pright:
-            ppred.right = sibling
-        else:
-            ppred.left = sibling
+        _link(ppred, pright, pred.left if right else pred.right)
         return True
 
 
@@ -262,74 +327,46 @@ class FnTree(TreeBase):
     variant = "fn"
     _fresh_lock = staticmethod(FlagLock)
 
-    def insert(self, key: int) -> bool:
-        check_key(key)
-        while True:
-            _, _, pred, right, curr = self._find(key)
-            if curr.key == key:
-                return False
-            plock = pred.lock
-            if not plock.try_acquire():
-                self._count_retry()
-                continue
-            clock = curr.lock
-            if not clock.try_acquire():
-                plock.release()
-                self._count_retry()
-                continue
-            if (pred.right if right else pred.left) is not curr:
-                clock.release()
-                plock.release()
-                self._count_retry()
-                continue
-            router = self._router_above(key, curr)
-            if right:
-                pred.right = router
-            else:
-                pred.left = router
-            clock.release()
-            plock.release()
-            return True
+    def _insert(self, key):
+        _, _, pred, right, curr = self._find(key)
+        if curr.key == key:
+            return False
+        plock = pred.lock
+        if not plock.try_acquire():
+            return _abort()
+        clock = curr.lock
+        if not clock.try_acquire():
+            return _abort(plock)
+        if (pred.right if right else pred.left) is not curr:
+            return _abort(clock, plock)
+        _link(pred, right, self._router_above(key, curr))
+        clock.release()
+        plock.release()
+        return True
 
-    def delete(self, key: int) -> bool:
-        check_key(key)
-        while True:
-            ppred, pright, pred, right, curr = self._find(key)
-            if curr.key != key:
-                return False
-            glock = ppred.lock
-            if not glock.try_acquire():
-                self._count_retry()
-                continue
-            plock = pred.lock
-            if not plock.try_acquire():
-                glock.release()
-                self._count_retry()
-                continue
-            clock = curr.lock
-            if not clock.try_acquire():
-                plock.release()
-                glock.release()
-                self._count_retry()
-                continue
-            if (
-                (ppred.right if pright else ppred.left) is not pred
-                or (pred.right if right else pred.left) is not curr
-            ):
-                clock.release()
-                plock.release()
-                glock.release()
-                self._count_retry()
-                continue
-            sibling = pred.left if right else pred.right
-            if pright:
-                ppred.right = sibling
-            else:
-                ppred.left = sibling
-            glock.release()
-            # pred and curr leave the tree with their flags still held, so
-            # any operation still pointing at them fails its lock and retries.
-            return True
+    def _delete(self, key):
+        ppred, pright, pred, right, curr = self._find(key)
+        if curr.key != key:
+            return False
+        glock = ppred.lock
+        if not glock.try_acquire():
+            return _abort()
+        plock = pred.lock
+        if not plock.try_acquire():
+            return _abort(glock)
+        clock = curr.lock
+        if not clock.try_acquire():
+            return _abort(plock, glock)
+        if (
+            (ppred.right if pright else ppred.left) is not pred
+            or (pred.right if right else pred.left) is not curr
+        ):
+            return _abort(clock, plock, glock)
+        _link(ppred, pright, pred.left if right else pred.right)
+        glock.release()
+        # pred and curr leave the tree with their flags still held, so
+        # any operation still pointing at them fails its lock and retries.
+        return True
 
 
 class FeTree(TreeBase):
@@ -347,68 +384,41 @@ class FeTree(TreeBase):
     variant = "fe"
     _fresh_lock = staticmethod(FlagLock)
 
-    def insert(self, key: int) -> bool:
-        check_key(key)
-        while True:
-            _, _, pred, right, curr = self._find(key)
-            if curr.key == key:
-                return False
-            clock = curr.lock
-            if not clock.try_acquire():
-                self._count_retry()
-                continue
-            fresh = self._find(key)
-            if fresh.pred is not pred or fresh.curr is not curr:
-                clock.release()
-                self._count_retry()
-                continue
-            router = self._router_above(key, curr)
-            if right:
-                pred.right = router
-            else:
-                pred.left = router
-            clock.release()
-            return True
+    def _insert(self, key):
+        _, _, pred, right, curr = self._find(key)
+        if curr.key == key:
+            return False
+        clock = curr.lock
+        if not clock.try_acquire():
+            return _abort()
+        fresh = self._find(key)
+        if fresh.pred is not pred or fresh.curr is not curr:
+            return _abort(clock)
+        _link(pred, right, self._router_above(key, curr))
+        clock.release()
+        return True
 
-    def delete(self, key: int) -> bool:
-        check_key(key)
-        while True:
-            ppred, pright, pred, right, curr = self._find(key)
-            if curr.key != key:
-                return False
-            plock = pred.lock
-            if not plock.try_acquire():
-                self._count_retry()
-                continue
-            clock = curr.lock
-            if not clock.try_acquire():
-                plock.release()
-                self._count_retry()
-                continue
-            fresh = self._find(key)
-            if (
-                fresh.ppred is not ppred
-                or fresh.pred is not pred
-                or fresh.curr is not curr
-            ):
-                clock.release()
-                plock.release()
-                self._count_retry()
-                continue
-            # Wait out any insert holding the sibling: the lock test must
-            # come before the link re-read, otherwise a release between the
-            # two reads could hand back a sibling that was already replaced.
-            sibling = pred.left if right else pred.right
-            while sibling.lock.held or (pred.left if right else pred.right) is not sibling:
-                time.sleep(0)
-                sibling = pred.left if right else pred.right
-            if pright:
-                ppred.right = sibling
-            else:
-                ppred.left = sibling
-            clock.release()
-            plock.release()
-            return True
+    def _delete(self, key):
+        ppred, pright, pred, right, curr = self._find(key)
+        if curr.key != key:
+            return False
+        plock = pred.lock
+        if not plock.try_acquire():
+            return _abort()
+        clock = curr.lock
+        if not clock.try_acquire():
+            return _abort(plock)
+        fresh = self._find(key)
+        if (
+            fresh.ppred is not ppred
+            or fresh.pred is not pred
+            or fresh.curr is not curr
+        ):
+            return _abort(clock, plock)
+        _link_settled_sibling(ppred, pright, pred, right)
+        clock.release()
+        plock.release()
+        return True
 
 
 class FemTree(TreeBase):
@@ -425,78 +435,40 @@ class FemTree(TreeBase):
     variant = "fem"
     _fresh_lock = staticmethod(FlagMarkWord)
 
-    def insert(self, key: int) -> bool:
-        check_key(key)
-        while True:
-            _, _, pred, right, curr = self._find(key)
-            if curr.key == key:
-                return False
-            clock = curr.lock
-            if not clock.try_acquire():
-                self._count_retry()
-                continue
-            if pred.lock.marked:
-                clock.release()
-                self._count_retry()
-                continue
-            if (pred.right if right else pred.left) is not curr:
-                clock.release()
-                self._count_retry()
-                continue
-            router = self._router_above(key, curr)
-            if right:
-                pred.right = router
-            else:
-                pred.left = router
-            clock.release()
-            return True
+    def _insert(self, key):
+        _, _, pred, right, curr = self._find(key)
+        if curr.key == key:
+            return False
+        clock = curr.lock
+        if not clock.try_acquire():
+            return _abort()
+        if pred.lock.marked or (pred.right if right else pred.left) is not curr:
+            return _abort(clock)
+        _link(pred, right, self._router_above(key, curr))
+        clock.release()
+        return True
 
-    def delete(self, key: int) -> bool:
-        check_key(key)
-        while True:
-            ppred, pright, pred, right, curr = self._find(key)
-            if curr.key != key:
-                return False
-            plock = pred.lock
-            if plock.marked or not plock.try_acquire():
-                self._count_retry()
-                continue
-            plock.marked = True
-            glock = ppred.lock
-            if glock.marked or (ppred.right if pright else ppred.left) is not pred:
-                plock.marked = False
-                plock.release()
-                self._count_retry()
-                continue
-            clock = curr.lock
-            if not clock.try_acquire():
-                plock.marked = False
-                plock.release()
-                self._count_retry()
-                continue
-            clock.marked = True
-            if (pred.right if right else pred.left) is not curr:
-                clock.marked = False
-                clock.release()
-                plock.marked = False
-                plock.release()
-                self._count_retry()
-                continue
-            # Wait out any insert holding the sibling: the lock test must
-            # come before the link re-read, otherwise a release between the
-            # two reads could hand back a sibling that was already replaced.
-            sibling = pred.left if right else pred.right
-            while sibling.lock.held or (pred.left if right else pred.right) is not sibling:
-                time.sleep(0)
-                sibling = pred.left if right else pred.right
-            if pright:
-                ppred.right = sibling
-            else:
-                ppred.left = sibling
-            # pred and curr stay flagged and marked forever: the marks make
-            # their retirement visible, and the held flags make every later
-            # try_acquire on them fail.
-            return True
+    def _delete(self, key):
+        ppred, pright, pred, right, curr = self._find(key)
+        if curr.key != key:
+            return False
+        plock = pred.lock
+        if plock.marked or not plock.try_acquire():
+            return _abort()
+        plock.marked = True
+        if ppred.lock.marked or (ppred.right if pright else ppred.left) is not pred:
+            return _unmark_abort(plock)
+        clock = curr.lock
+        if not clock.try_acquire():
+            return _unmark_abort(plock)
+        clock.marked = True
+        if (pred.right if right else pred.left) is not curr:
+            return _unmark_abort(clock, plock)
+        _link_settled_sibling(ppred, pright, pred, right)
+        # pred and curr stay flagged and marked forever: the marks make
+        # their retirement visible, and the held flags make every later
+        # try_acquire on them fail.
+        return True
 
 
 class TnTree(TreeBase):
@@ -540,66 +512,43 @@ class TnTree(TreeBase):
             left = curr.left
         return TnSnapshot(ppred, pright, pred, right, curr, pstamp, gstamp)
 
-    def insert(self, key: int) -> bool:
-        check_key(key)
-        while True:
-            s = self._find_stamped(key)
-            curr = s.curr
-            if curr.key == key:
-                return False
-            pred = s.pred
-            plock = pred.lock
-            if not plock.try_acquire():
-                self._count_retry()
-                continue
-            if plock.version != s.pred_stamp:
-                plock.release()
-                self._count_retry()
-                continue
-            router = self._router_above(key, curr)
-            if s.right:
-                pred.right = router
-            else:
-                pred.left = router
-            plock.release()
-            return True
+    def _insert(self, key):
+        s = self._find_stamped(key)
+        curr = s.curr
+        if curr.key == key:
+            return False
+        pred = s.pred
+        plock = pred.lock
+        if not plock.try_acquire():
+            return _abort()
+        if plock.version != s.pred_stamp:
+            return _abort(plock)
+        _link(pred, s.right, self._router_above(key, curr))
+        plock.release()
+        return True
 
-    def delete(self, key: int) -> bool:
-        check_key(key)
-        while True:
-            s = self._find_stamped(key)
-            curr = s.curr
-            if curr.key != key:
-                return False
-            ppred = s.ppred
-            pred = s.pred
-            glock = ppred.lock
-            if not glock.try_acquire():
-                self._count_retry()
-                continue
-            if glock.version != s.ppred_stamp:
-                glock.release()
-                self._count_retry()
-                continue
-            plock = pred.lock
-            if not plock.try_acquire():
-                glock.release()
-                self._count_retry()
-                continue
-            if plock.version != s.pred_stamp:
-                plock.release()
-                glock.release()
-                self._count_retry()
-                continue
-            sibling = pred.left if s.right else pred.right
-            if s.pright:
-                ppred.right = sibling
-            else:
-                ppred.left = sibling
-            glock.release()
-            # pred's ticket is never released: the retired node stays locked
-            # so any operation that still points at it fails and retries.
-            return True
+    def _delete(self, key):
+        s = self._find_stamped(key)
+        curr = s.curr
+        if curr.key != key:
+            return False
+        ppred = s.ppred
+        pred = s.pred
+        glock = ppred.lock
+        if not glock.try_acquire():
+            return _abort()
+        if glock.version != s.ppred_stamp:
+            return _abort(glock)
+        plock = pred.lock
+        if not plock.try_acquire():
+            return _abort(glock)
+        if plock.version != s.pred_stamp:
+            return _abort(plock, glock)
+        _link(ppred, s.pright, pred.left if s.right else pred.right)
+        glock.release()
+        # pred's ticket is never released: the retired node stays locked
+        # so any operation that still points at it fails and retries.
+        return True
 
 
 _VARIANTS: dict[str, type[TreeBase]] = {

@@ -25,14 +25,13 @@ invocation if the run fails to terminate within its grace period.
 
 from __future__ import annotations
 
-import random
 import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .core import NEG_SENTINEL, POS_SENTINEL, OpKind, draw_op
+from .core import NEG_SENTINEL, POS_SENTINEL, OpKind, check_mix, draw_op, thread_rng
 from .tree import TreeBase, new_tree
 
 INVOKE = "INVOKE"
@@ -540,19 +539,11 @@ class StressConfig:
             raise ValueError("threads must be at least 1")
         if self.key_range < 1:
             raise ValueError("key_range must be at least 1")
-        if min(self.insert_pct, self.delete_pct, self.search_pct) < 0:
-            raise ValueError("mix percentages must be non-negative")
-        if abs(self.insert_pct + self.delete_pct + self.search_pct - 100.0) > 1e-9:
-            raise ValueError("mix percentages must sum to 100")
+        check_mix(self.insert_pct, self.delete_pct, self.search_pct)
         if (self.ops_per_thread is None) == (self.duration_ms is None):
             raise ValueError("set exactly one of ops_per_thread and duration_ms")
         if self.variant == "seq" and self.threads != 1:
             raise ValueError("the seq variant is single-threaded only")
-
-
-def _thread_rng(seed: int, tid: int) -> random.Random:
-    # Distinct deterministic stream per thread; independent of hash seeds.
-    return random.Random(seed * 1_000_003 + tid)
 
 
 def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
@@ -579,7 +570,7 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     now = time.monotonic_ns
 
     def worker(tid: int) -> None:
-        rng = _thread_rng(config.seed, tid)
+        rng = thread_rng(config.seed, tid)
         buf = buffers[tid]
         methods = {
             OpKind.INSERT: tree.insert,

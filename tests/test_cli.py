@@ -180,6 +180,12 @@ class TestBenchCommand:
             main(["bench", "--mix", "10,90"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("mix", ["50,50,10", "nan,50,50"])
+    def test_invalid_mix_is_usage_error(self, mix):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--mix", mix])
+        assert exc.value.code == 2
+
     def test_unknown_variant_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--variant", "avl"])
@@ -266,6 +272,11 @@ class TestCheckLinearizability:
     ARGS = ("check", "--mode", "linearizability", "--variant", "fem",
             "--iterations", "5", "--ops", "4", "--threads", "2",
             "--key-range", "4", "--seed", "3")
+
+    def test_invalid_mix_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGS, "--mix", "50,60,10"])
+        assert exc.value.code == 2
 
     def test_small_batch_passes(self, capsys):
         rc, out, err = run(capsys, *self.ARGS)

@@ -11,7 +11,6 @@ from cbst.core import (
     check_key,
     draw_op,
     is_application_key,
-    oracle_apply,
 )
 
 KEYS = st.integers(min_value=-1000, max_value=1000)
@@ -68,7 +67,7 @@ class TestSeqOracle:
                 OpKind.INSERT: o1.insert,
                 OpKind.DELETE: o1.delete,
             }[op](k)
-            assert oracle_apply(o2, op, k) == direct
+            assert o2.apply(op, k) == direct
         assert o1.contents() == o2.contents()
 
     def test_contents_sorted(self):

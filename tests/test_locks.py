@@ -96,7 +96,7 @@ class TestFlagMarkWord:
     def test_mark_survives_release(self):
         word = FlagMarkWord()
         assert word.try_acquire()
-        word.set_marked(True)
+        word.marked = True
         word.release()
         # Released while marked: retirement is permanent by protocol.
         assert word.marked is True
@@ -105,8 +105,8 @@ class TestFlagMarkWord:
     def test_rollback_unmarks_before_release(self):
         word = FlagMarkWord()
         assert word.try_acquire()
-        word.set_marked(True)
-        word.set_marked(False)
+        word.marked = True
+        word.marked = False
         word.release()
         assert word.marked is False
 
@@ -124,7 +124,7 @@ class TestFlagMarkWord:
         t = threading.Thread(target=observer)
         t.start()
         assert word.try_acquire()
-        word.set_marked(True)
+        word.marked = True
         word.release()
         t.join(30)
         assert seen == [True]
@@ -143,7 +143,7 @@ class TestTicketLock:
             assert lock.try_acquire() is False
             lock.release()
             assert lock.counters() == (i, i)
-        assert lock.version_of() == 5
+        assert lock.version == 5
 
     def test_held_iff_counters_differ(self):
         lock = TicketLock()
@@ -161,11 +161,11 @@ class TestTicketLock:
         # A reader that sampled the version can tell whether any critical
         # section committed since the sample.
         lock = TicketLock()
-        stamp = lock.version_of()
+        stamp = lock.version
         assert lock.try_acquire()
-        assert lock.version_of() == stamp
+        assert lock.version == stamp
         lock.release()
-        assert lock.version_of() == stamp + 1
+        assert lock.version == stamp + 1
 
     def test_gap_stays_in_unit_interval_under_stress(self):
         lock = TicketLock()
