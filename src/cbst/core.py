@@ -31,13 +31,15 @@ class OpKind(enum.Enum):
 
 
 def is_application_key(key: object) -> bool:
-    """True when ``key`` is an int strictly inside the sentinel interval."""
-    return isinstance(key, int) and NEG_SENTINEL < key < POS_SENTINEL
+    """True when ``key`` is an int, not a bool, between the sentinels."""
+    return type(key) is int and NEG_SENTINEL < key < POS_SENTINEL
 
 
 def check_key(key: int) -> None:
-    """Reject sentinels and anything that is not an in-range integer."""
-    if not isinstance(key, int) or not NEG_SENTINEL < key < POS_SENTINEL:
+    """Reject sentinels, bools and anything that is not an in-range int."""
+    # A stored True would be written to a history as a word that
+    # History.from_lines cannot read back, so bools are refused too.
+    if type(key) is not int or not NEG_SENTINEL < key < POS_SENTINEL:
         raise ValueError(
             f"key must be an integer strictly between {NEG_SENTINEL} and "
             f"{POS_SENTINEL}, got {key!r}"

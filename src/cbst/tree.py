@@ -15,7 +15,8 @@ Writers never modify a node's key. An insert builds a fresh router above the
 reached leaf and swings one child pointer; a delete swings the grandparent's
 child pointer to the removed leaf's sibling. Because readers only follow
 child pointers, searches run without any synchronisation in every variant
-except the coarse one.
+except the coarse one. ``search`` is a bare descent that allocates nothing;
+only the public ``find()`` builds a ``Snapshot``.
 
 Every lock-based variant (fn, fe, fem, tn) writes an update as one pass,
 ``_insert`` or ``_delete``, in two phases. The snapshot phase is the
@@ -32,7 +33,7 @@ Variant summary::
     seq     none (single thread only)      none
     coarse  one tree-wide mutex            none
     fn      flags on ppred/pred/curr       child links re-checked
-    fe      flags on pred/curr             fresh root-to-leaf re-traversal
+    fe      flags on pred/curr/sibling     fresh root-to-leaf re-traversal
     fem     flag+mark words on pred/curr   mark checks plus link re-checks
     tn      tickets on internal nodes      version stamps from the descent
 
@@ -85,22 +86,34 @@ def _link(parent, right, child):
 
 def _link_settled_sibling(ppred, pright, pred, right):
     """Point ppred's child pointer at pred's other child, once no insert
-    holds that child's flag (the fe and fem deletes).
+    holds that child's flag (the fem delete).
 
     The lock test must come before the link re-read, otherwise a release
     between the two reads could hand back a sibling that was already
-    replaced. No call may come between the re-read and the store: a call is
-    where CPython may switch threads, and an fe insert into the sibling,
-    which flags only the leaf, could then commit under a detached pred.
+    replaced. An insert that flags the sibling after the test fails its
+    validation on pred's mark, so the test and the store need not be atomic.
     """
     sibling = pred.left if right else pred.right
     while sibling.lock.held or (pred.left if right else pred.right) is not sibling:
         time.sleep(0)
         sibling = pred.left if right else pred.right
-    if pright:
-        ppred.right = sibling
-    else:
-        ppred.left = sibling
+    _link(ppred, pright, sibling)
+
+
+def _link_flagged_sibling(ppred, pright, pred, right):
+    """Point ppred's child pointer at pred's other child while holding that
+    child's flag (the fe delete). An fe insert validates only by descending
+    again, so without the flag it could validate between a test of the
+    sibling and the store, and then commit under a detached pred."""
+    while True:
+        sibling = pred.left if right else pred.right
+        if sibling.lock.try_acquire():
+            if (pred.left if right else pred.right) is sibling:
+                break
+            sibling.lock.release()
+        time.sleep(0)
+    _link(ppred, pright, sibling)
+    sibling.lock.release()
 
 
 class Node:
@@ -138,23 +151,6 @@ class Snapshot(NamedTuple):
     curr: Node
 
 
-class TnSnapshot(NamedTuple):
-    """A descent snapshot extended with version stamps for tn validation.
-
-    Each stamp was sampled before the corresponding node's child pointer was
-    read, so an unchanged stamp under a held ticket proves the pointer is
-    still current.
-    """
-
-    ppred: Node | None
-    pright: bool
-    pred: Node
-    right: bool
-    curr: Node
-    pred_stamp: int
-    ppred_stamp: int
-
-
 def _no_lock():
     return None
 
@@ -176,7 +172,7 @@ class TreeBase:
     # -- descent ---------------------------------------------------------
 
     def _find(self, key):
-        """Descend to the leaf where ``key`` belongs; no locks, no checks."""
+        """Unlocked descent to ``key``'s leaf; ``Snapshot``'s fields as a tuple."""
         ppred = None
         pright = False
         pred = None
@@ -194,17 +190,22 @@ class TreeBase:
                 right = True
                 curr = curr.right
             left = curr.left
-        return Snapshot(ppred, pright, pred, right, curr)
+        return ppred, pright, pred, right, curr
 
     def find(self, key: int) -> Snapshot:
         """Public descent: validates the key, returns the full snapshot."""
         check_key(key)
-        return self._find(key)
+        return Snapshot(*self._find(key))
 
     def search(self, key: int) -> bool:
         """Optimistic membership test; never acquires a lock."""
         check_key(key)
-        return self._find(key).curr.key == key
+        node = self.root
+        # Reading node.left twice per level is safe: a router's children are
+        # never None, and a leaf's never change.
+        while node.left is not None:
+            node = node.left if key < node.key else node.right
+        return node.key == key
 
     # -- updates ----------------------------------------------------------
 
@@ -372,8 +373,8 @@ class FnTree(TreeBase):
 class FeTree(TreeBase):
     """Flag locking on the edges above the reached leaf, no marks.
 
-    Like fem, insert locks only the leaf and delete locks parent plus leaf.
-    Without mark bits a locked-out retired node looks the same as a busy
+    Like fem, insert locks only the leaf and delete locks parent plus leaf,
+    then flags the sibling for the splice itself. Without mark bits a locked-out retired node looks the same as a busy
     one, so after locking, an operation validates by descending again from
     the root and comparing the fresh snapshot node-for-node with the locked
     one; any splice that moved the locked path produces a mismatch because
@@ -391,8 +392,8 @@ class FeTree(TreeBase):
         clock = curr.lock
         if not clock.try_acquire():
             return _abort()
-        fresh = self._find(key)
-        if fresh.pred is not pred or fresh.curr is not curr:
+        _, _, fpred, _, fcurr = self._find(key)
+        if fpred is not pred or fcurr is not curr:
             return _abort(clock)
         _link(pred, right, self._router_above(key, curr))
         clock.release()
@@ -408,14 +409,10 @@ class FeTree(TreeBase):
         clock = curr.lock
         if not clock.try_acquire():
             return _abort(plock)
-        fresh = self._find(key)
-        if (
-            fresh.ppred is not ppred
-            or fresh.pred is not pred
-            or fresh.curr is not curr
-        ):
+        fppred, _, fpred, _, fcurr = self._find(key)
+        if fppred is not ppred or fpred is not pred or fcurr is not curr:
             return _abort(clock, plock)
-        _link_settled_sibling(ppred, pright, pred, right)
+        _link_flagged_sibling(ppred, pright, pred, right)
         clock.release()
         plock.release()
         return True
@@ -487,6 +484,9 @@ class TnTree(TreeBase):
     _fresh_lock = staticmethod(TicketLock)
 
     def _find_stamped(self, key):
+        """``_find``'s tuple plus (pred_stamp, ppred_stamp). Each stamp was
+        sampled before that node's child pointer was read, so an unchanged
+        stamp under a held ticket proves the pointer is still current."""
         ppred = None
         pright = False
         gstamp = 0
@@ -510,41 +510,36 @@ class TnTree(TreeBase):
                 curr = curr.right
             cstamp = curr.lock.version
             left = curr.left
-        return TnSnapshot(ppred, pright, pred, right, curr, pstamp, gstamp)
+        return ppred, pright, pred, right, curr, pstamp, gstamp
 
     def _insert(self, key):
-        s = self._find_stamped(key)
-        curr = s.curr
+        _, _, pred, right, curr, pstamp, _ = self._find_stamped(key)
         if curr.key == key:
             return False
-        pred = s.pred
         plock = pred.lock
         if not plock.try_acquire():
             return _abort()
-        if plock.version != s.pred_stamp:
+        if plock.version != pstamp:
             return _abort(plock)
-        _link(pred, s.right, self._router_above(key, curr))
+        _link(pred, right, self._router_above(key, curr))
         plock.release()
         return True
 
     def _delete(self, key):
-        s = self._find_stamped(key)
-        curr = s.curr
+        ppred, pright, pred, right, curr, pstamp, gstamp = self._find_stamped(key)
         if curr.key != key:
             return False
-        ppred = s.ppred
-        pred = s.pred
         glock = ppred.lock
         if not glock.try_acquire():
             return _abort()
-        if glock.version != s.ppred_stamp:
+        if glock.version != gstamp:
             return _abort(glock)
         plock = pred.lock
         if not plock.try_acquire():
             return _abort(glock)
-        if plock.version != s.pred_stamp:
+        if plock.version != pstamp:
             return _abort(plock, glock)
-        _link(ppred, s.pright, pred.left if s.right else pred.right)
+        _link(ppred, pright, pred.left if right else pred.right)
         glock.release()
         # pred's ticket is never released: the retired node stays locked
         # so any operation that still points at it fails and retries.

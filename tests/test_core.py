@@ -29,8 +29,12 @@ class TestKeyDomain:
         assert not is_application_key(POS_SENTINEL)
         assert not is_application_key("5")
         assert not is_application_key(None)
+        assert not is_application_key(True)
+        assert not is_application_key(False)
 
-    @pytest.mark.parametrize("bad", [NEG_SENTINEL, POS_SENTINEL, "x", 1.5, None])
+    @pytest.mark.parametrize(
+        "bad", [NEG_SENTINEL, POS_SENTINEL, "x", 1.5, None, True, False]
+    )
     def test_check_key_rejects(self, bad):
         with pytest.raises(ValueError):
             check_key(bad)
@@ -79,6 +83,16 @@ class TestSeqOracle:
         o = SeqOracle()
         with pytest.raises(ValueError):
             o.insert(POS_SENTINEL)
+
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_bool_keys_rejected(self, bad):
+        o = SeqOracle()
+        for method in (o.search, o.insert, o.delete):
+            with pytest.raises(ValueError):
+                method(bad)
+        with pytest.raises(ValueError):
+            SeqOracle(initial=[bad])
+        assert len(o) == 0
 
     @given(st.lists(st.tuples(st.sampled_from(list(OpKind)), KEYS), max_size=200))
     def test_result_encodes_state_change(self, ops):

@@ -46,6 +46,21 @@ class TestInitialStructure:
         assert s.right is False
         assert s.curr is t.root.left
 
+    @pytest.mark.parametrize("variant", ALL)
+    def test_search_agrees_with_find(self, variant):
+        # search is its own descent; it must reach the same leaf as find.
+        t = new_tree(variant)
+        for k in random.Random(4).sample(range(200), 100):
+            t.insert(k)
+
+        def agrees():
+            return all(t.search(k) == (t.find(k).curr.key == k) for k in range(200))
+
+        assert agrees()
+        for k in range(0, 200, 2):
+            t.delete(k)
+        assert agrees()
+
     def test_find_routes_ties_right(self):
         t = new_tree("seq")
         t.insert(5)
@@ -105,7 +120,7 @@ class TestInsertDelete:
     @pytest.mark.parametrize("variant", ALL)
     def test_sentinel_keys_rejected(self, variant):
         t = new_tree(variant)
-        for bad in (NEG_SENTINEL, POS_SENTINEL, "7", 2.5):
+        for bad in (NEG_SENTINEL, POS_SENTINEL, "7", 2.5, True, False):
             with pytest.raises(ValueError):
                 t.insert(bad)
             with pytest.raises(ValueError):

@@ -5,7 +5,10 @@ every legal interleaving (structure, balance, linearizability, termination),
 never specific schedules.
 """
 
+import random
+import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -20,6 +23,34 @@ from cbst.verify import (
 )
 
 CONCURRENT = list(CONCURRENT_VARIANTS)
+# The join timeout run_stress gives a run by default.
+JOIN_TIMEOUT_S = StressConfig.timeout_s
+
+
+def _run_threads(targets):
+    """Start one thread per target at a 10 us switch interval, join them
+    within JOIN_TIMEOUT_S and return the exceptions they raised."""
+    errors = []
+
+    def guarded(target):
+        try:
+            target()
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(t,), daemon=True) for t in targets]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + JOIN_TIMEOUT_S
+        for t in threads:
+            t.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads), "a thread did not finish"
+    return errors
 
 
 @pytest.mark.parametrize("variant", CONCURRENT)
@@ -134,6 +165,79 @@ def test_search_never_blocks_on_held_locks():
     finally:
         for node in held:
             node.lock.release()
+
+
+@pytest.mark.parametrize("variant", CONCURRENT)
+def test_search_under_writers(variant):
+    """A search that runs beside writers finds every resident key no writer
+    touches and never finds a key that was never inserted.
+
+    The keys interleave, 3i resident, 3i+1 churned by the writers and 3i+2
+    never inserted, so the routers above the resident leaves are the ones the
+    writers keep splicing in and out.
+    """
+    tree = new_tree(variant)
+    resident = range(0, 300, 3)
+    for k in resident:
+        tree.insert(k)
+    wrong = []
+
+    def writer(seed):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            k = 3 * rng.randrange(100) + 1
+            if rng.random() < 0.5:
+                tree.insert(k)
+            else:
+                tree.delete(k)
+
+    def reader():
+        rng = random.Random(3)
+        for _ in range(4000):
+            k = 3 * rng.randrange(100) + rng.choice((0, 2))
+            if tree.search(k) != (k % 3 == 0):
+                wrong.append(k)
+
+    assert _run_threads([lambda: writer(1), lambda: writer(2), reader]) == []
+    assert wrong == []
+    assert check_structure(tree).ok
+    assert set(resident) <= set(tree.collect_leaf_keys())
+
+
+@pytest.mark.parametrize("variant", CONCURRENT)
+def test_updates_conserve_contents(variant):
+    """The final leaf keys are the prefill plus each key's net successful
+    inserts and deletes, key by key, after 1 s of two 50/50 writers.
+
+    This is a floor for lost or doubled updates, not a search for rare
+    windows: before the fe delete took its sibling's flag for the splice, this
+    test lost an fe insert in only about one run in ten.
+    """
+    tree = new_tree(variant)
+    initial = set(random.Random(5).sample(range(64), 32))
+    for k in initial:
+        tree.insert(k)
+    nets = [{}, {}]
+    deadline = time.monotonic() + 1.0
+
+    def worker(tid):
+        rng = random.Random(10 + tid)
+        net = nets[tid]
+        while time.monotonic() < deadline:
+            k = rng.randrange(64)
+            if rng.random() < 0.5:
+                if tree.insert(k):
+                    net[k] = net.get(k, 0) + 1
+            elif tree.delete(k):
+                net[k] = net.get(k, 0) - 1
+
+    assert _run_threads([lambda: worker(0), lambda: worker(1)]) == []
+    final = set(tree.collect_leaf_keys())
+    assert final <= set(range(64))
+    for k in range(64):
+        expected = (k in initial) + nets[0].get(k, 0) + nets[1].get(k, 0)
+        assert expected == (k in final), k
+    assert check_structure(tree).ok
 
 
 @pytest.mark.parametrize("variant", CONCURRENT)
