@@ -20,34 +20,17 @@ from __future__ import annotations
 import csv
 import json
 import os
-import threading
 import time
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
-from .core import OpKind, check_mix, draw_op, thread_rng
+from .core import OpKind, check_mix, draw_op, run_threads, thread_rng
 from .tree import VARIANT_NAMES, TreeBase, new_tree
 
 # The two standard mixes, in (insert_pct, delete_pct, search_pct) order.
 MIX_LOW = (9, 1, 90)
 MIX_MID = (20, 10, 70)
-
-CSV_FIELDS = (
-    "variant",
-    "threads",
-    "key_range",
-    "insert_pct",
-    "delete_pct",
-    "search_pct",
-    "duration_ms",
-    "ops_completed",
-    "throughput_ops_s",
-    "retries",
-    "contention_rate",
-    "wall_time_ms",
-    "seed",
-    "repeat",
-)
-CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -109,6 +92,10 @@ class BenchRecord:
     repeat: int
 
 
+CSV_FIELDS = tuple(f.name for f in fields(BenchRecord))
+CSV_HEADER = ",".join(CSV_FIELDS)
+
+
 # Stream index reserved for prefill so it never collides with a worker.
 _PREFILL_STREAM = -1
 
@@ -133,79 +120,57 @@ def prefill(tree: TreeBase, workload: WorkloadSpec, seed: int) -> int:
 def run_bench(config: BenchConfig, repeat: int = 0) -> BenchRecord:
     """Run one benchmark point and return its record.
 
-    The tree is prefilled single-threaded, then all workers start behind a
-    barrier, burn the warmup period uncounted, and count completed
-    operations until the deadline. Retries are read off the tree's counter
-    over the measured window only; wall time runs from the end of warmup to
-    the last worker's finish.
+    The tree is prefilled single-threaded, then all workers start together,
+    burn the warmup period uncounted, and count completed operations until
+    the deadline. Retries are read off the tree's counter over the measured
+    window only; wall time runs from the end of warmup to the last worker's
+    finish.
     """
     wl = config.workload
     tree = new_tree(config.variant)
     prefill(tree, wl, config.seed)
 
     nt = config.threads
-    barrier = threading.Barrier(nt + 1)
     counts = [0] * nt
-    finishes = [0] * nt
-    errors: list[BaseException] = []
-    # Fixed before the barrier releases, read by workers after it.
-    marks = {"warm_end": 0, "deadline": 0}
+    spans = [0] * nt  # each worker's finish, in ns after the end of warmup
+    retries_before = [0]
 
     ins_pct = wl.insert_pct
     del_pct = wl.delete_pct
     kr = wl.key_range
+    warmup_ns = config.warmup_ms * 1_000_000
+    duration_ns = config.duration_ms * 1_000_000
     now = time.monotonic_ns
 
-    def worker(tid: int) -> None:
-        try:
-            rng = thread_rng(config.seed, tid)
-            methods = {
-                OpKind.INSERT: tree.insert,
-                OpKind.DELETE: tree.delete,
-                OpKind.SEARCH: tree.search,
-            }
-            barrier.wait()
-            warm_end = marks["warm_end"]
-            deadline = marks["deadline"]
-            while now() < warm_end:
-                op, key = draw_op(rng, ins_pct, del_pct, kr)
-                methods[op](key)
-            done = 0
-            while now() < deadline:
-                op, key = draw_op(rng, ins_pct, del_pct, kr)
-                methods[op](key)
-                done += 1
-            counts[tid] = done
-            finishes[tid] = now()
-        except BaseException as exc:
-            errors.append(exc)
-            barrier.abort()
+    def worker(tid: int, start_ns: int) -> None:
+        rng = thread_rng(config.seed, tid)
+        methods = {
+            OpKind.INSERT: tree.insert,
+            OpKind.DELETE: tree.delete,
+            OpKind.SEARCH: tree.search,
+        }
+        warm_end = start_ns + warmup_ns
+        deadline = warm_end + duration_ns
+        while now() < warm_end:
+            op, key = draw_op(rng, ins_pct, del_pct, kr)
+            methods[op](key)
+        if tid == 0:
+            retries_before[0] = tree.retry_count()
+        done = 0
+        while now() < deadline:
+            op, key = draw_op(rng, ins_pct, del_pct, kr)
+            methods[op](key)
+            done += 1
+        counts[tid] = done
+        spans[tid] = now() - warm_end
 
-    threads = [
-        threading.Thread(target=worker, args=(tid,), daemon=True, name=f"bench-{tid}")
-        for tid in range(nt)
-    ]
-    for t in threads:
-        t.start()
-    start = now()
-    marks["warm_end"] = start + config.warmup_ms * 1_000_000
-    marks["deadline"] = marks["warm_end"] + config.duration_ms * 1_000_000
-    barrier.wait()
-    # Sleep out the warmup, snapshot the retry counter, sleep out the run.
-    time.sleep(config.warmup_ms / 1000.0)
-    retries_before = tree.retry_count()
-    time.sleep(config.duration_ms / 1000.0)
-    join_deadline = time.monotonic() + 30.0
-    for t in threads:
-        t.join(max(0.0, join_deadline - time.monotonic()))
-    if errors:
-        raise RuntimeError(f"benchmark worker failed: {errors[0]!r}") from errors[0]
-    if any(t.is_alive() for t in threads):
+    budget = 30.0 + (config.warmup_ms + config.duration_ms) / 1000.0
+    if run_threads(worker, nt, budget):
         raise RuntimeError("benchmark workers failed to stop at the deadline")
 
-    retries = tree.retry_count() - retries_before
+    retries = tree.retry_count() - retries_before[0]
     ops_completed = sum(counts)
-    wall_ms = (max(finishes) - marks["warm_end"]) / 1e6
+    wall_ms = max(spans) / 1e6
     throughput = ops_completed / (wall_ms / 1000.0) if wall_ms > 0 else 0.0
     attempts = retries + ops_completed
     return BenchRecord(
@@ -254,75 +219,50 @@ def sweep(
 
 # -- serialization -----------------------------------------------------------
 
-_INT_FIELDS = {"threads", "key_range", "duration_ms", "ops_completed", "retries", "seed", "repeat"}
-_FLOAT_FIELDS = {
-    "insert_pct",
-    "delete_pct",
-    "search_pct",
-    "throughput_ops_s",
-    "contention_rate",
-    "wall_time_ms",
-}
+# Each column's parser: the field's own type (int, float or str).
+_FIELD_TYPES = get_type_hints(BenchRecord)
+
+
+@contextmanager
+def open_text(target, mode: str):
+    """Yield ``target`` when it is an open text file, else open the path it
+    names as ASCII text and close it on exit."""
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, mode, newline="", encoding="ascii") as fp:
+            yield fp
+    else:
+        yield target
 
 
 def _record_from_row(row: dict) -> BenchRecord:
-    kwargs = {}
-    for name in CSV_FIELDS:
-        value = row[name]
-        if name in _INT_FIELDS:
-            kwargs[name] = int(value)
-        elif name in _FLOAT_FIELDS:
-            kwargs[name] = float(value)
-        else:
-            kwargs[name] = value
-    return BenchRecord(**kwargs)
+    return BenchRecord(**{name: _FIELD_TYPES[name](row[name]) for name in CSV_FIELDS})
 
 
 def write_csv(records: list[BenchRecord], dest) -> None:
     """Write records as CSV to a path or text file object."""
-    own = isinstance(dest, (str, os.PathLike))
-    fp = open(dest, "w", newline="", encoding="ascii") if own else dest
-    try:
+    with open_text(dest, "w") as fp:
         writer = csv.DictWriter(fp, fieldnames=CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
         for rec in records:
             writer.writerow({name: getattr(rec, name) for name in CSV_FIELDS})
-    finally:
-        if own:
-            fp.close()
 
 
 def read_csv(src) -> list[BenchRecord]:
     """Read records from a path or text file object."""
-    own = isinstance(src, (str, os.PathLike))
-    fp = open(src, "r", newline="", encoding="ascii") if own else src
-    try:
+    with open_text(src, "r") as fp:
         return [_record_from_row(row) for row in csv.DictReader(fp)]
-    finally:
-        if own:
-            fp.close()
 
 
 def write_json(records: list[BenchRecord], dest) -> None:
     """Write records as a JSON array of flat objects, same field names."""
     payload = [{name: getattr(rec, name) for name in CSV_FIELDS} for rec in records]
-    own = isinstance(dest, (str, os.PathLike))
-    fp = open(dest, "w", encoding="ascii") if own else dest
-    try:
+    with open_text(dest, "w") as fp:
         json.dump(payload, fp, indent=2)
         fp.write("\n")
-    finally:
-        if own:
-            fp.close()
 
 
 def read_json(src) -> list[BenchRecord]:
     """Read records from a path or text file object."""
-    own = isinstance(src, (str, os.PathLike))
-    fp = open(src, "r", encoding="ascii") if own else src
-    try:
+    with open_text(src, "r") as fp:
         payload = json.load(fp)
-    finally:
-        if own:
-            fp.close()
     return [BenchRecord(**obj) for obj in payload]

@@ -38,13 +38,29 @@ _PRESET_BUCKETS = [10000, 100000]
 _PRESET_THREADS = [1, 2, 4, 8, 16, 32]
 
 
-def _int_list(text: str) -> list[int]:
+def _at_least(minimum: int):
+    """An argparse type for an integer count or duration of at least
+    ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _thread_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("list must be non-empty")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"thread counts must be at least 1, got {text!r}")
     return values
 
 
@@ -73,16 +89,16 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run throughput benchmarks")
     b.add_argument("--variant", choices=VARIANT_NAMES, default=None,
                    help="tree variant to benchmark (default fem, or the preset grid)")
-    b.add_argument("--threads", type=_int_list, default=None, metavar="N,N,...",
+    b.add_argument("--threads", type=_thread_list, default=None, metavar="N,N,...",
                    help="thread counts to sweep (default 1)")
-    b.add_argument("--duration-ms", type=int, default=1000, metavar="MS")
-    b.add_argument("--key-range", type=int, default=None, metavar="N",
+    b.add_argument("--duration-ms", type=_at_least(1), default=1000, metavar="MS")
+    b.add_argument("--key-range", type=_at_least(2), default=None, metavar="N",
                    help="key range aka bucket size (default 10000)")
     b.add_argument("--mix", type=_mix, default=None, metavar="I,D,S",
                    help="insert,delete,search percentages (default 20,10,70)")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--repeats", type=int, default=3)
-    b.add_argument("--warmup-ms", type=int, default=500, metavar="MS")
+    b.add_argument("--repeats", type=_at_least(1), default=3)
+    b.add_argument("--warmup-ms", type=_at_least(0), default=500, metavar="MS")
     b.add_argument("--format", choices=("csv", "json"), default="csv")
     b.add_argument("--out", default=None, metavar="PATH")
     b.add_argument("--preset", choices=sorted(_PRESETS), default=None,
@@ -91,14 +107,15 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="run correctness checks")
     c.add_argument("--mode", choices=("invariants", "linearizability", "replay"), required=True)
     c.add_argument("--variant", choices=VARIANT_NAMES, default="fem")
-    c.add_argument("--threads", type=int, default=None,
+    c.add_argument("--threads", type=_at_least(1), default=None,
                    help="worker threads (default: 8 for invariants, 3 for linearizability)")
-    c.add_argument("--ops", type=int, default=5, help="operations per thread (linearizability)")
-    c.add_argument("--iterations", type=int, default=100,
+    c.add_argument("--ops", type=_at_least(0), default=5,
+                   help="operations per thread (linearizability)")
+    c.add_argument("--iterations", type=_at_least(1), default=100,
                    help="number of randomized histories (linearizability)")
-    c.add_argument("--duration-ms", type=int, default=1000, metavar="MS",
+    c.add_argument("--duration-ms", type=_at_least(1), default=1000, metavar="MS",
                    help="stress run length (invariants)")
-    c.add_argument("--key-range", type=int, default=None,
+    c.add_argument("--key-range", type=_at_least(1), default=None,
                    help="key range (default: 10000 for invariants, 4 for linearizability)")
     c.add_argument("--mix", type=_mix, default=(20.0, 10.0, 70.0), metavar="I,D,S")
     c.add_argument("--seed", type=int, default=0)

@@ -1,10 +1,13 @@
-"""Shared set semantics: the key domain, operation kinds, and a sequential oracle.
+"""Shared set semantics: the key domain, operation kinds, and a sequential
+oracle; plus the operation draws and thread runs the harness and benchmark share.
 
 Every tree variant in this package implements the same abstract object, a set
 of integer keys with three operations (search, insert, delete). This module
 pins down that contract once so the trees, the verification harness, and the
 benchmark driver all agree on what counts as a key and what each operation
-returns.
+returns. Stress runs and benchmark runs also draw their operations
+(:func:`draw_op`) and run their threads (:func:`run_threads`) through this
+module.
 
 Keys are signed 64-bit integers with the two extremes reserved: the trees use
 them as immortal routing sentinels, so application code may only store keys
@@ -15,6 +18,9 @@ from __future__ import annotations
 
 import enum
 import random
+import sys
+import threading
+import time
 
 # Reserved routing sentinels. Application keys live in the open interval
 # between them.
@@ -115,6 +121,52 @@ def thread_rng(seed: int, stream: int) -> random.Random:
     """The generator for one op stream: distinct and deterministic per
     (seed, stream index), independent of hash seeds."""
     return random.Random(seed * 1_000_003 + stream)
+
+
+def run_threads(
+    body, threads: int, budget_s: float, switch_interval: float | None = None
+) -> list[int]:
+    """Run ``body(tid, start_ns)`` on ``threads`` daemon threads and return
+    the indexes of those still alive when ``budget_s`` seconds have passed.
+
+    A barrier releases all threads together, and its action stamps the one
+    monotonic ``start_ns`` every thread is given. The first exception a body
+    raises is re-raised here as a ``RuntimeError`` naming its thread.
+    ``switch_interval``, when given, is the interpreter's thread switch
+    interval for the run; the old value is restored on return.
+    """
+    start_ns: list[int] = []
+    barrier = threading.Barrier(threads, action=lambda: start_ns.append(time.monotonic_ns()))
+    errors: list[tuple[int, BaseException]] = []
+
+    def run(tid: int) -> None:
+        try:
+            barrier.wait()
+            body(tid, start_ns[0])
+        except BaseException as exc:
+            errors.append((tid, exc))
+
+    workers = [
+        threading.Thread(target=run, args=(tid,), daemon=True, name=f"cbst-{tid}")
+        for tid in range(threads)
+    ]
+    old_interval = sys.getswitchinterval()
+    if switch_interval is not None:
+        sys.setswitchinterval(switch_interval)
+    try:
+        for t in workers:
+            t.start()
+        deadline = time.monotonic() + budget_s
+        for t in workers:
+            t.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(old_interval)
+    # Bodies run only once the barrier has released every thread, so no
+    # thread can find it broken: the first error is the cause.
+    if errors:
+        tid, exc = errors[0]
+        raise RuntimeError(f"worker {tid} failed: {exc!r}") from exc
+    return [tid for tid, t in enumerate(workers) if t.is_alive()]
 
 
 def draw_op(rng, insert_pct: float, delete_pct: float, key_range: int):

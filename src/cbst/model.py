@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
-from .bench import BenchRecord
+from .bench import BenchRecord, open_text
 
 COMPARISON_FIELDS = ("variant", "threads", "measured_speedup", "predicted_speedup", "ratio", "c_fitted")
 COMPARISON_HEADER = ",".join(COMPARISON_FIELDS)
@@ -280,13 +279,8 @@ def predict_vs_measured(
 
 def write_comparison_csv(rows: list[ComparisonRow], dest) -> None:
     """Write comparison rows as CSV to a path or text file object."""
-    own = isinstance(dest, (str, os.PathLike))
-    fp = open(dest, "w", newline="", encoding="ascii") if own else dest
-    try:
+    with open_text(dest, "w") as fp:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(COMPARISON_FIELDS)
         for row in rows:
             writer.writerow(row)
-    finally:
-        if own:
-            fp.close()

@@ -25,13 +25,11 @@ invocation if the run fails to terminate within its grace period.
 
 from __future__ import annotations
 
-import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .core import NEG_SENTINEL, POS_SENTINEL, OpKind, check_mix, draw_op, thread_rng
+from .core import NEG_SENTINEL, POS_SENTINEL, OpKind, check_mix, draw_op, run_threads, thread_rng
 from .tree import TreeBase, new_tree
 
 INVOKE = "INVOKE"
@@ -509,16 +507,17 @@ def check_balance(history: History, final_keys: Iterable[int]) -> list[str]:
 class StressConfig:
     """Parameters for one randomized multi-thread run.
 
-    Exactly one of ``ops_per_thread`` and ``duration_ms`` must be set. The
-    percentages must sum to 100. ``timeout_s`` is the grace period beyond
-    the nominal run length before the run is declared stuck.
+    Exactly one of ``ops_per_thread`` (zero or more) and ``duration_ms``
+    (positive) must be set. The percentages must sum to 100. ``timeout_s``
+    is the grace period beyond the nominal run length before the run is
+    declared stuck.
 
-    With ``interleave`` on (and events recorded), threads yield the
-    scheduler between invoking an operation and running it. Short bursts
-    would otherwise execute one whole thread at a time and the recorded
-    histories would never overlap; the yield widens operation windows
-    without falsifying anything, since the response is stamped only after
-    the operation really returns.
+    A recorded run yields the scheduler, on 70 % of operations, between
+    stamping an invocation and running it. Short bursts would otherwise
+    execute one whole thread at a time and the recorded histories would
+    never overlap; the yield widens operation windows without falsifying
+    anything, since the response is stamped only after the operation really
+    returns.
     """
 
     variant: str = "fem"
@@ -532,7 +531,6 @@ class StressConfig:
     duration_ms: int | None = None
     timeout_s: float = 30.0
     record_events: bool = True
-    interleave: bool = True
 
     def __post_init__(self):
         if self.threads < 1:
@@ -542,6 +540,10 @@ class StressConfig:
         check_mix(self.insert_pct, self.delete_pct, self.search_pct)
         if (self.ops_per_thread is None) == (self.duration_ms is None):
             raise ValueError("set exactly one of ops_per_thread and duration_ms")
+        if self.ops_per_thread is not None and self.ops_per_thread < 0:
+            raise ValueError("ops_per_thread must be non-negative")
+        if self.duration_ms is not None and self.duration_ms <= 0:
+            raise ValueError("duration_ms must be positive")
         if self.variant == "seq" and self.threads != 1:
             raise ValueError("the seq variant is single-threaded only")
 
@@ -549,27 +551,25 @@ class StressConfig:
 def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     """Run one randomized multi-thread workload and record its history.
 
-    All threads start together behind a barrier. Each draws operations from
-    its own seeded generator, so the per-thread operation streams are fully
-    determined by (seed, thread index). Returns the merged history and the
-    quiescent tree; raises :class:`DeadlockSuspectedError` when any thread
-    outlives the grace period, naming that thread's last invocation.
+    All threads start together at a 10 us switch interval. Each draws
+    operations from its own seeded generator, so the per-thread operation
+    streams are fully determined by (seed, thread index). Returns the merged
+    history and the quiescent tree; raises :class:`DeadlockSuspectedError`
+    when any thread outlives the grace period, naming that thread's last
+    invocation.
     """
     tree = new_tree(config.variant)
     nt = config.threads
-    barrier = threading.Barrier(nt)
     buffers: list[list[Event]] = [[] for _ in range(nt)]
     last_op: list[tuple[OpKind, int] | None] = [None] * nt
-    errors: list[tuple[int, BaseException]] = []
 
     ins_pct = config.insert_pct
     del_pct = config.delete_pct
     kr = config.key_range
     record = config.record_events
-    jitter = config.interleave
     now = time.monotonic_ns
 
-    def worker(tid: int) -> None:
+    def worker(tid: int, start_ns: int) -> None:
         rng = thread_rng(config.seed, tid)
         buf = buffers[tid]
         methods = {
@@ -578,62 +578,38 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
             OpKind.SEARCH: tree.search,
         }
         seq = 0
-        try:
-            barrier.wait()
-            if config.ops_per_thread is not None:
-                remaining = config.ops_per_thread
-                deadline = None
-            else:
-                remaining = None
-                deadline = now() + config.duration_ms * 1_000_000
-            while True:
-                if remaining is not None:
-                    if remaining == 0:
-                        break
-                    remaining -= 1
-                elif now() >= deadline:
+        if config.ops_per_thread is not None:
+            remaining = config.ops_per_thread
+            deadline = None
+        else:
+            remaining = None
+            deadline = start_ns + config.duration_ms * 1_000_000
+        while True:
+            if remaining is not None:
+                if remaining == 0:
                     break
-                op, key = draw_op(rng, ins_pct, del_pct, kr)
-                last_op[tid] = (op, key)
-                if record:
-                    buf.append(Event(tid, seq, INVOKE, op, key, None, now()))
-                    if jitter and rng.random() < 0.7:
-                        time.sleep(0)
-                    result = methods[op](key)
-                    buf.append(Event(tid, seq + 1, RESPOND, op, key, result, now()))
-                    seq += 2
-                else:
-                    methods[op](key)
-        except BaseException as exc:
-            errors.append((tid, exc))
-            barrier.abort()
+                remaining -= 1
+            elif now() >= deadline:
+                break
+            op, key = draw_op(rng, ins_pct, del_pct, kr)
+            last_op[tid] = (op, key)
+            if record:
+                buf.append(Event(tid, seq, INVOKE, op, key, None, now()))
+                if rng.random() < 0.7:
+                    time.sleep(0)
+                result = methods[op](key)
+                buf.append(Event(tid, seq + 1, RESPOND, op, key, result, now()))
+                seq += 2
+            else:
+                methods[op](key)
 
-    threads = [
-        threading.Thread(target=worker, args=(tid,), daemon=True, name=f"stress-{tid}")
-        for tid in range(nt)
-    ]
     budget = config.timeout_s + (config.duration_ms or 0) / 1000.0
-    old_interval = sys.getswitchinterval()
     # A short scheduling quantum makes small runs actually interleave.
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + budget
-        for t in threads:
-            t.join(max(0.0, deadline - time.monotonic()))
-        stuck = [tid for tid, t in enumerate(threads) if t.is_alive()]
-        if stuck and not errors:
-            tid = stuck[0]
-            op, key = last_op[tid] or (None, None)
-            raise DeadlockSuspectedError(tid, op, key, len(stuck), nt)
-    finally:
-        sys.setswitchinterval(old_interval)
-    if errors:
-        tid, exc = errors[0]
-        if isinstance(exc, threading.BrokenBarrierError) and len(errors) > 1:
-            tid, exc = errors[1]
-        raise RuntimeError(f"stress worker {tid} failed: {exc!r}") from exc
+    stuck = run_threads(worker, nt, budget, switch_interval=1e-5)
+    if stuck:
+        tid = stuck[0]
+        op, key = last_op[tid] or (None, None)
+        raise DeadlockSuspectedError(tid, op, key, len(stuck), nt)
 
     events: list[Event] = []
     for buf in buffers:

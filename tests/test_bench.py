@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import cbst.bench as bench_mod
 from cbst.bench import (
     CSV_HEADER,
     MIX_LOW,
@@ -113,6 +114,33 @@ class TestRunBench:
         assert rec.ops_completed > 0
         assert 0.0 <= rec.contention_rate < 1.0
         assert rec.repeat == 4
+
+    def test_worker_error_propagates(self, monkeypatch):
+        class Exploding:
+            """Takes the prefill's inserts, then fails the first search."""
+
+            def __init__(self):
+                self.keys = set()
+
+            def insert(self, key):
+                if key in self.keys:
+                    return False
+                self.keys.add(key)
+                return True
+
+            def search(self, key):
+                raise ZeroDivisionError("boom")
+
+            delete = search
+
+            def retry_count(self):
+                return 0
+
+        monkeypatch.setattr(bench_mod, "new_tree", lambda v: Exploding())
+        cfg = small_config(threads=2, workload=WorkloadSpec(0, 0, 100, key_range=8))
+        with pytest.raises(RuntimeError, match="boom") as err:
+            run_bench(cfg)
+        assert isinstance(err.value.__cause__, ZeroDivisionError)
 
     def test_workload_columns_echo_config(self):
         cfg = small_config()

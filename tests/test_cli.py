@@ -191,6 +191,15 @@ class TestBenchCommand:
             main(["bench", "--variant", "avl"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--threads", "1,0"), ("--duration-ms", "0"), ("--key-range", "1"),
+        ("--repeats", "0"), ("--warmup-ms", "-1"),
+    ])
+    def test_bad_count_is_usage_error(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--variant", "fem", flag, value])
+        assert exc.value.code == 2
+
 
 class TestCheckReplay:
     def test_stored_fixture_rejected(self, capsys):
@@ -276,6 +285,15 @@ class TestCheckLinearizability:
     def test_invalid_mix_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([*self.ARGS, "--mix", "50,60,10"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--threads", "0"), ("--ops", "-1"), ("--iterations", "0"),
+        ("--key-range", "0"), ("--duration-ms", "0"),
+    ])
+    def test_bad_count_is_usage_error(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGS, flag, value])
         assert exc.value.code == 2
 
     def test_small_batch_passes(self, capsys):

@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +14,7 @@ from cbst.core import (
     check_key,
     draw_op,
     is_application_key,
+    run_threads,
 )
 
 KEYS = st.integers(min_value=-1000, max_value=1000)
@@ -140,3 +144,46 @@ class TestDrawOp:
         assert abs(counts[OpKind.INSERT] / n * 100 - 20) < 2
         assert abs(counts[OpKind.DELETE] / n * 100 - 10) < 2
         assert abs(counts[OpKind.SEARCH] / n * 100 - 70) < 2
+
+
+class TestRunThreads:
+    def test_threads_share_one_start_at_the_given_interval(self):
+        before = sys.getswitchinterval()
+        seen = {}
+
+        def body(tid, start_ns):
+            seen[tid] = (start_ns, sys.getswitchinterval())
+
+        t0 = time.monotonic_ns()
+        assert run_threads(body, 3, 10, switch_interval=1e-5) == []
+        assert sorted(seen) == [0, 1, 2]
+        assert len(set(seen.values())) == 1
+        start_ns, interval = seen[0]
+        assert t0 <= start_ns <= time.monotonic_ns()
+        assert interval == pytest.approx(1e-5)
+        assert sys.getswitchinterval() == before
+
+    def test_returns_threads_alive_at_the_budget(self):
+        gate = threading.Event()
+
+        def body(tid, _):
+            if tid == 1:
+                gate.wait(30)
+
+        try:
+            stuck = run_threads(body, 3, 0.2)
+        finally:
+            gate.set()
+        assert stuck == [1]
+
+    def test_error_names_its_worker(self):
+        before = sys.getswitchinterval()
+
+        def body(tid, _):
+            if tid == 1:
+                raise ZeroDivisionError("boom")
+
+        with pytest.raises(RuntimeError, match="worker 1 failed.*boom") as err:
+            run_threads(body, 2, 10, switch_interval=1e-5)
+        assert isinstance(err.value.__cause__, ZeroDivisionError)
+        assert sys.getswitchinterval() == before

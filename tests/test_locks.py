@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from cbst.core import run_threads
 from cbst.locks import FlagLock, FlagMarkWord, TicketLock
 
 # The mutual-exclusion stress drives a plain unguarded counter through each
@@ -14,12 +15,10 @@ STRESS_ACQUISITIONS = 120_000
 def _exclusion_stress(lock):
     per_thread = STRESS_ACQUISITIONS // STRESS_THREADS
     counter = [0]
-    barrier = threading.Barrier(STRESS_THREADS)
     acquired = [0] * STRESS_THREADS
 
-    def work(tid):
+    def work(tid, _start_ns):
         got = 0
-        barrier.wait()
         while got < per_thread:
             if lock.try_acquire():
                 counter[0] += 1
@@ -29,23 +28,7 @@ def _exclusion_stress(lock):
                 time.sleep(0)
         acquired[tid] = got
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(STRESS_THREADS)]
-    old = None
-    try:
-        import sys
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(120)
-    finally:
-        if old is not None:
-            import sys
-
-            sys.setswitchinterval(old)
-    assert all(not t.is_alive() for t in threads)
+    assert run_threads(work, STRESS_THREADS, 120, switch_interval=1e-5) == []
     assert sum(acquired) == STRESS_THREADS * per_thread
     assert counter[0] == STRESS_THREADS * per_thread
 

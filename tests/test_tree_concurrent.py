@@ -6,13 +6,13 @@ never specific schedules.
 """
 
 import random
-import sys
 import threading
 import time
 from dataclasses import replace
 
 import pytest
 
+from cbst.core import run_threads
 from cbst.tree import CONCURRENT_VARIANTS, new_tree
 from cbst.verify import (
     StressConfig,
@@ -28,29 +28,11 @@ JOIN_TIMEOUT_S = StressConfig.timeout_s
 
 
 def _run_threads(targets):
-    """Start one thread per target at a 10 us switch interval, join them
-    within JOIN_TIMEOUT_S and return the exceptions they raised."""
-    errors = []
-
-    def guarded(target):
-        try:
-            target()
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(t,), daemon=True) for t in targets]
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + JOIN_TIMEOUT_S
-        for t in threads:
-            t.join(max(0.0, deadline - time.monotonic()))
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(t.is_alive() for t in threads), "a thread did not finish"
-    return errors
+    """Run one thread per target at a 10 us switch interval and fail unless
+    all finish within JOIN_TIMEOUT_S; a target's exception is re-raised."""
+    stuck = run_threads(lambda tid, _: targets[tid](), len(targets), JOIN_TIMEOUT_S,
+                        switch_interval=1e-5)
+    assert stuck == [], f"threads {stuck} did not finish"
 
 
 @pytest.mark.parametrize("variant", CONCURRENT)
@@ -105,24 +87,28 @@ def test_contention_is_observed(variant):
         record_events=False,
     )
     _, tree = run_stress(config)
-    assert tree.retry_count() > 0
-    assert _leaked_locks(tree) == []
+    assert tree.retry_count() > 0, f"{variant}, seed {config.seed}: no operation retried"
+    assert _leaked_locks(tree) == [], f"{variant}, seed {config.seed}"
     # One run seldom reaches every rollback site; these five seeds on three
     # keys together do, so a rollback that forgets a lock or a mark shows.
     for seed in range(5):
         _, tree = run_stress(replace(config, key_range=3, seed=seed))
-        assert _leaked_locks(tree) == []
+        assert _leaked_locks(tree) == [], f"{variant}, seed {seed}"
 
 
 def _leaked_locks(tree):
-    # Retired nodes keep their flags, marks or tickets but are unreachable,
-    # so a reachable node that is still held or marked was leaked.
+    """(key, held, marked) of every reachable node still held or marked.
+
+    Retired nodes keep their flags, marks or tickets but are unreachable,
+    so a reachable node that is still held or marked was leaked."""
     leaked = []
     stack = [tree.root]
     while stack:
         node = stack.pop()
-        if node.lock.held or getattr(node.lock, "marked", False):
-            leaked.append(node)
+        held = node.lock.held
+        marked = getattr(node.lock, "marked", False)
+        if held or marked:
+            leaked.append((node.key, held, marked))
         if node.left is not None:
             stack.extend((node.left, node.right))
     return leaked
@@ -198,7 +184,7 @@ def test_search_under_writers(variant):
             if tree.search(k) != (k % 3 == 0):
                 wrong.append(k)
 
-    assert _run_threads([lambda: writer(1), lambda: writer(2), reader]) == []
+    _run_threads([lambda: writer(1), lambda: writer(2), reader])
     assert wrong == []
     assert check_structure(tree).ok
     assert set(resident) <= set(tree.collect_leaf_keys())
@@ -231,7 +217,7 @@ def test_updates_conserve_contents(variant):
             elif tree.delete(k):
                 net[k] = net.get(k, 0) - 1
 
-    assert _run_threads([lambda: worker(0), lambda: worker(1)]) == []
+    _run_threads([lambda: worker(0), lambda: worker(1)])
     final = set(tree.collect_leaf_keys())
     assert final <= set(range(64))
     for k in range(64):

@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 from pathlib import Path
 
@@ -330,6 +331,11 @@ class TestRunStress:
         with pytest.raises(ValueError):
             StressConfig(variant="fem", insert_pct=50, delete_pct=50,
                          search_pct=50, ops_per_thread=5)
+        with pytest.raises(ValueError, match="ops_per_thread"):
+            StressConfig(variant="fem", ops_per_thread=-1)
+        for duration_ms in (0, -5):
+            with pytest.raises(ValueError, match="duration_ms"):
+                StressConfig(variant="fem", duration_ms=duration_ms)
 
     def test_worker_error_propagates(self):
         cfg = StressConfig(variant="fem", threads=2, key_range=4, seed=0,
@@ -346,11 +352,13 @@ class TestRunStress:
 
         real = verify_mod.new_tree
         verify_mod.new_tree = lambda v: Exploding()
+        interval = sys.getswitchinterval()
         try:
             with pytest.raises(RuntimeError, match="boom"):
                 run_stress(cfg)
         finally:
             verify_mod.new_tree = real
+        assert sys.getswitchinterval() == interval
 
     def test_deadlock_verdict_names_stuck_thread(self):
         import cbst.verify as verify_mod
