@@ -12,6 +12,7 @@ human summary table is printed only when --out keeps stdout free.
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 
@@ -52,6 +53,17 @@ def _at_least(minimum: int):
         return value
 
     return parse
+
+
+def _positive_seconds(text: str) -> float:
+    """An argparse type for a positive, finite number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
 def _thread_list(text: str) -> list[int]:
@@ -119,8 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="key range (default: 10000 for invariants, 4 for linearizability)")
     c.add_argument("--mix", type=_mix, default=(20.0, 10.0, 70.0), metavar="I,D,S")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--timeout-s", type=float, default=30.0)
-    c.add_argument("--max-ops", type=int, default=20,
+    c.add_argument("--timeout-s", type=_positive_seconds, default=30.0)
+    c.add_argument("--max-ops", type=_at_least(1), default=20,
                    help="linearizability checker bound per history")
     c.add_argument("--history", default=None, metavar="PATH", help="history file (replay)")
     c.add_argument("--out", default=None, metavar="PATH")

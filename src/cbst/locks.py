@@ -1,4 +1,9 @@
-"""Try-lock primitives used by the tree variants.
+"""Try-lock wrapper classes, kept as the benchmark's lock-layer probes.
+
+No tree uses these classes: every lock-based node carries a bare
+``threading.Lock``, and fem's mark and tn's version stamp are plain slots on
+the node (see ``cbst.tree``). They stay only because ``perfbench/layers.py``
+times their construction, acquire and release in traced runs.
 
 All three locks are non-blocking: ``try_acquire`` either takes the lock and
 returns True or returns False immediately, and callers run their own retry

@@ -32,18 +32,26 @@ Variant summary::
     ----    ----                           ----
     seq     none (single thread only)      none
     coarse  one tree-wide mutex            none
-    fn      flags on ppred/pred/curr       child links re-checked
-    fe      flags on pred/curr/sibling     fresh root-to-leaf re-traversal
-    fem     flag+mark words on pred/curr   mark checks plus link re-checks
-    tn      tickets on internal nodes      version stamps from the descent
+    fn      node locks on ppred/pred/curr  child links re-checked
+    fe      node locks on pred/curr/sib.   fresh root-to-leaf re-traversal
+    fem     node locks plus a node mark    mark checks plus link re-checks
+            on pred/curr
+    tn      node locks on ppred/pred       version stamps from the descent
+
+Every node of a lock-based variant carries one bare ``threading.Lock``,
+taken only with ``acquire(False)``, so no thread ever blocks on a node. The
+per-variant state beside it is a plain slot on a ``Node`` subclass: fem's
+``MarkedNode.marked`` and tn's ``StampedNode.version``, each written only
+by the holder of that node's lock. Seq and coarse nodes carry no lock.
 
 Nodes unlinked by a delete are never recycled in place: fn and fem leave
-their flags held (fem additionally leaves them marked), and tn keeps the
-retired parent's ticket, so a stale operation that still points at them
-fails its lock or validation step and retries from the root. The unlinked
-nodes themselves stay readable for as long as any in-flight traversal can
-reach them; reclamation is left to reference counting, recorded here as
-``RECLAMATION_POLICY``.
+pred and curr locked (fem also leaves them marked), and tn leaves the
+retired pred locked with its version frozen, so a stale operation that
+still points at them fails its lock or validation step and retries from the
+root. fe releases them; its re-traversal never finds them again. The
+unlinked nodes themselves stay readable for as long as any in-flight
+traversal can reach them; reclamation is left to reference counting,
+recorded here as ``RECLAMATION_POLICY``.
 """
 
 from __future__ import annotations
@@ -53,7 +61,6 @@ import time
 from typing import NamedTuple
 
 from .core import NEG_SENTINEL, POS_SENTINEL, check_key
-from .locks import FlagLock, FlagMarkWord, TicketLock
 
 RECLAMATION_POLICY = "refcount"
 
@@ -68,11 +75,12 @@ def _abort(*locks):
     return _RETRY
 
 
-def _unmark_abort(*locks):
-    """fem rollback: clear each mark strictly before releasing its flag."""
-    for lock in locks:
-        lock.marked = False
-        lock.release()
+def _unmark_abort(*nodes):
+    """fem rollback: clear each node's mark strictly before releasing its
+    lock, in the order given."""
+    for node in nodes:
+        node.marked = False
+        node.lock.release()
     return _RETRY
 
 
@@ -86,28 +94,28 @@ def _link(parent, right, child):
 
 def _link_settled_sibling(ppred, pright, pred, right):
     """Point ppred's child pointer at pred's other child, once no insert
-    holds that child's flag (the fem delete).
+    holds that child's lock (the fem delete).
 
     The lock test must come before the link re-read, otherwise a release
     between the two reads could hand back a sibling that was already
-    replaced. An insert that flags the sibling after the test fails its
+    replaced. An insert that locks the sibling after the test fails its
     validation on pred's mark, so the test and the store need not be atomic.
     """
     sibling = pred.left if right else pred.right
-    while sibling.lock.held or (pred.left if right else pred.right) is not sibling:
+    while sibling.lock.locked() or (pred.left if right else pred.right) is not sibling:
         time.sleep(0)
         sibling = pred.left if right else pred.right
     _link(ppred, pright, sibling)
 
 
-def _link_flagged_sibling(ppred, pright, pred, right):
+def _link_locked_sibling(ppred, pright, pred, right):
     """Point ppred's child pointer at pred's other child while holding that
-    child's flag (the fe delete). An fe insert validates only by descending
-    again, so without the flag it could validate between a test of the
+    child's lock (the fe delete). An fe insert validates only by descending
+    again, so without the lock it could validate between a test of the
     sibling and the store, and then commit under a detached pred."""
     while True:
         sibling = pred.left if right else pred.right
-        if sibling.lock.try_acquire():
+        if sibling.lock.acquire(False):
             if (pred.left if right else pred.right) is sibling:
                 break
             sibling.lock.release()
@@ -117,7 +125,11 @@ def _link_flagged_sibling(ppred, pright, pred, right):
 
 
 class Node:
-    """One tree node. Leaves have both children None; key never changes."""
+    """One tree node. Leaves have both children None; key never changes.
+
+    ``lock`` is a bare ``threading.Lock`` in the lock-based variants and
+    None in seq and coarse.
+    """
 
     __slots__ = ("key", "left", "right", "lock")
 
@@ -133,6 +145,39 @@ class Node:
     def __repr__(self):
         kind = "leaf" if self.left is None else "router"
         return f"<{kind} {self.key}>"
+
+
+class MarkedNode(Node):
+    """An fem node: ``marked`` is set only while ``lock`` is held. A
+    rollback clears it before the release and a delete never releases, so a
+    node seen marked while its lock is free, or by the lock's holder, is
+    retired for good."""
+
+    __slots__ = ("marked",)
+
+    # Node.__init__ is spelled out here and in StampedNode, not called: an
+    # insert builds two nodes inside its control phase, and the extra call
+    # costs about 50 ns per node (super() about 180 ns; CPython 3.11, x86-64).
+    def __init__(self, key, left=None, right=None, lock=None):
+        self.key = key
+        self.left = left
+        self.right = right
+        self.lock = lock
+        self.marked = False
+
+
+class StampedNode(Node):
+    """A tn node: ``version`` counts the commits made under ``lock``. Only
+    the lock holder writes it, so bumping it needs no further guard."""
+
+    __slots__ = ("version",)
+
+    def __init__(self, key, left=None, right=None, lock=None):
+        self.key = key
+        self.left = left
+        self.right = right
+        self.lock = lock
+        self.version = 0
 
 
 class Snapshot(NamedTuple):
@@ -160,12 +205,14 @@ class TreeBase:
 
     variant = "base"
     _fresh_lock = staticmethod(_no_lock)
+    _node = Node
 
     def __init__(self):
         mk = self._fresh_lock
-        self._neg_leaf = Node(NEG_SENTINEL, None, None, mk())
-        self._pos_leaf = Node(POS_SENTINEL, None, None, mk())
-        self.root = Node(POS_SENTINEL, self._neg_leaf, self._pos_leaf, mk())
+        node = self._node
+        self._neg_leaf = node(NEG_SENTINEL, None, None, mk())
+        self._pos_leaf = node(POS_SENTINEL, None, None, mk())
+        self.root = node(POS_SENTINEL, self._neg_leaf, self._pos_leaf, mk())
         self._retries = 0
         self._retry_mu = threading.Lock()
 
@@ -232,9 +279,10 @@ class TreeBase:
         on the left and a search for either key routes correctly.
         """
         mk = self._fresh_lock
+        node = self._node
         if key < curr.key:
-            return Node(curr.key, Node(key, None, None, mk()), curr, mk())
-        return Node(key, curr, Node(key, None, None, mk()), mk())
+            return node(curr.key, node(key, None, None, mk()), curr, mk())
+        return node(key, curr, node(key, None, None, mk()), mk())
 
     def _count_retry(self):
         with self._retry_mu:
@@ -315,28 +363,28 @@ class CoarseTree(SeqTree):
 
 
 class FnTree(TreeBase):
-    """Flag locking on every snapshot node.
+    """Per-node locks on every snapshot node.
 
     insert locks pred then curr; delete locks ppred, pred, then curr, always
     top-down so lock chains run toward the leaves and cannot cycle. With all
     touched nodes held, validation is a pair of child-link re-checks, and the
     sibling can be read directly because nothing can move it while pred's
-    flag is held. Unlinked nodes keep their flags forever, so a lockable node
-    is always still reachable.
+    lock is held. Unlinked nodes stay locked forever, so a lockable node is
+    always still reachable.
     """
 
     variant = "fn"
-    _fresh_lock = staticmethod(FlagLock)
+    _fresh_lock = staticmethod(threading.Lock)
 
     def _insert(self, key):
         _, _, pred, right, curr = self._find(key)
         if curr.key == key:
             return False
         plock = pred.lock
-        if not plock.try_acquire():
+        if not plock.acquire(False):
             return _abort()
         clock = curr.lock
-        if not clock.try_acquire():
+        if not clock.acquire(False):
             return _abort(plock)
         if (pred.right if right else pred.left) is not curr:
             return _abort(clock, plock)
@@ -350,13 +398,13 @@ class FnTree(TreeBase):
         if curr.key != key:
             return False
         glock = ppred.lock
-        if not glock.try_acquire():
+        if not glock.acquire(False):
             return _abort()
         plock = pred.lock
-        if not plock.try_acquire():
+        if not plock.acquire(False):
             return _abort(glock)
         clock = curr.lock
-        if not clock.try_acquire():
+        if not clock.acquire(False):
             return _abort(plock, glock)
         if (
             (ppred.right if pright else ppred.left) is not pred
@@ -365,32 +413,32 @@ class FnTree(TreeBase):
             return _abort(clock, plock, glock)
         _link(ppred, pright, pred.left if right else pred.right)
         glock.release()
-        # pred and curr leave the tree with their flags still held, so
-        # any operation still pointing at them fails its lock and retries.
+        # pred and curr leave the tree still locked, so any operation
+        # still pointing at them fails its acquire and retries.
         return True
 
 
 class FeTree(TreeBase):
-    """Flag locking on the edges above the reached leaf, no marks.
+    """Per-node locks on the edges above the reached leaf, no marks.
 
     Like fem, insert locks only the leaf and delete locks parent plus leaf,
-    then flags the sibling for the splice itself. Without mark bits a locked-out retired node looks the same as a busy
-    one, so after locking, an operation validates by descending again from
-    the root and comparing the fresh snapshot node-for-node with the locked
-    one; any splice that moved the locked path produces a mismatch because
-    retired nodes never reappear on a fresh descent. Flags are released on
-    success.
+    then locks the sibling for the splice itself. Without marks a retired
+    node that stays locked would look the same as a busy one, so after
+    locking, an operation validates by descending again from the root and
+    comparing the fresh snapshot node-for-node with the locked one; any
+    splice that moved the locked path produces a mismatch because retired
+    nodes never reappear on a fresh descent. Locks are released on success.
     """
 
     variant = "fe"
-    _fresh_lock = staticmethod(FlagLock)
+    _fresh_lock = staticmethod(threading.Lock)
 
     def _insert(self, key):
         _, _, pred, right, curr = self._find(key)
         if curr.key == key:
             return False
         clock = curr.lock
-        if not clock.try_acquire():
+        if not clock.acquire(False):
             return _abort()
         _, _, fpred, _, fcurr = self._find(key)
         if fpred is not pred or fcurr is not curr:
@@ -404,42 +452,45 @@ class FeTree(TreeBase):
         if curr.key != key:
             return False
         plock = pred.lock
-        if not plock.try_acquire():
+        if not plock.acquire(False):
             return _abort()
         clock = curr.lock
-        if not clock.try_acquire():
+        if not clock.acquire(False):
             return _abort(plock)
         fppred, _, fpred, _, fcurr = self._find(key)
         if fppred is not ppred or fpred is not pred or fcurr is not curr:
             return _abort(clock, plock)
-        _link_flagged_sibling(ppred, pright, pred, right)
+        _link_locked_sibling(ppred, pright, pred, right)
         clock.release()
         plock.release()
         return True
 
 
 class FemTree(TreeBase):
-    """Flag-and-mark locking on the edges above the reached leaf.
+    """Per-node locks plus a per-node mark on the edges above the reached
+    leaf.
 
-    insert owns the edge above the reached leaf by flagging the leaf itself;
-    delete owns the two edges above the removed leaf by flagging parent and
-    leaf and marking both. The mark is what lets a later operation tell a
-    retired node from a merely busy one without re-descending: rollback
-    paths unmark strictly before they release, and successful deletes never
-    release at all, so a visibly marked node is permanently out of the tree.
+    insert owns the edge above the reached leaf by locking the leaf itself;
+    delete owns the two edges above the removed leaf by locking parent and
+    leaf and setting ``marked`` on each right after its acquire. The mark is
+    what lets a later operation tell a retired node from a merely busy one
+    without re-descending: rollback paths unmark strictly before they
+    release, and successful deletes never release at all, so a visibly
+    marked node is permanently out of the tree.
     """
 
     variant = "fem"
-    _fresh_lock = staticmethod(FlagMarkWord)
+    _fresh_lock = staticmethod(threading.Lock)
+    _node = MarkedNode
 
     def _insert(self, key):
         _, _, pred, right, curr = self._find(key)
         if curr.key == key:
             return False
         clock = curr.lock
-        if not clock.try_acquire():
+        if not clock.acquire(False):
             return _abort()
-        if pred.lock.marked or (pred.right if right else pred.left) is not curr:
+        if pred.marked or (pred.right if right else pred.left) is not curr:
             return _abort(clock)
         _link(pred, right, self._router_above(key, curr))
         clock.release()
@@ -449,44 +500,45 @@ class FemTree(TreeBase):
         ppred, pright, pred, right, curr = self._find(key)
         if curr.key != key:
             return False
-        plock = pred.lock
-        if plock.marked or not plock.try_acquire():
+        if pred.marked or not pred.lock.acquire(False):
             return _abort()
-        plock.marked = True
-        if ppred.lock.marked or (ppred.right if pright else ppred.left) is not pred:
-            return _unmark_abort(plock)
-        clock = curr.lock
-        if not clock.try_acquire():
-            return _unmark_abort(plock)
-        clock.marked = True
+        pred.marked = True
+        if ppred.marked or (ppred.right if pright else ppred.left) is not pred:
+            return _unmark_abort(pred)
+        if not curr.lock.acquire(False):
+            return _unmark_abort(pred)
+        curr.marked = True
         if (pred.right if right else pred.left) is not curr:
-            return _unmark_abort(clock, plock)
+            return _unmark_abort(curr, pred)
         _link_settled_sibling(ppred, pright, pred, right)
-        # pred and curr stay flagged and marked forever: the marks make
-        # their retirement visible, and the held flags make every later
-        # try_acquire on them fail.
+        # pred and curr stay locked and marked forever: the marks make
+        # their retirement visible, and the held locks make every later
+        # acquire on them fail.
         return True
 
 
 class TnTree(TreeBase):
-    """Ticket locking on internal nodes with version-stamp validation.
+    """Per-node locks with version-stamp validation.
 
-    The descent samples each internal node's version before reading its
-    child pointer. insert then locks pred and commits only if pred's stamp
-    is unchanged; delete locks ppred then pred the same way, top-down. A
-    release bumps the version, so an unchanged stamp under a held ticket
-    means no write committed on that node since its pointer was read, which
-    pins the whole locked path. The retired parent's ticket is never
-    released, so stale lock attempts on it fail; leaves are never locked.
+    The descent samples each node's version before reading its child
+    pointer. insert then locks pred and commits only if pred's version still
+    equals that stamp; delete locks ppred then pred the same way, top-down.
+    A commit stores the link, then bumps the locked node's version, then
+    releases, so an unchanged stamp under a held lock means no write
+    committed on that node since its pointer was read, which pins the whole
+    locked path. An aborted pass wrote nothing and releases without a bump.
+    The retired pred is never released, so stale acquires on it fail; leaves
+    are never locked.
     """
 
     variant = "tn"
-    _fresh_lock = staticmethod(TicketLock)
+    _fresh_lock = staticmethod(threading.Lock)
+    _node = StampedNode
 
     def _find_stamped(self, key):
         """``_find``'s tuple plus (pred_stamp, ppred_stamp). Each stamp was
         sampled before that node's child pointer was read, so an unchanged
-        stamp under a held ticket proves the pointer is still current."""
+        stamp under a held lock proves the pointer is still current."""
         ppred = None
         pright = False
         gstamp = 0
@@ -494,7 +546,7 @@ class TnTree(TreeBase):
         right = False
         pstamp = 0
         curr = self.root
-        cstamp = curr.lock.version
+        cstamp = curr.version
         left = curr.left
         while left is not None:
             ppred = pred
@@ -508,7 +560,7 @@ class TnTree(TreeBase):
             else:
                 right = True
                 curr = curr.right
-            cstamp = curr.lock.version
+            cstamp = curr.version
             left = curr.left
         return ppred, pright, pred, right, curr, pstamp, gstamp
 
@@ -517,11 +569,12 @@ class TnTree(TreeBase):
         if curr.key == key:
             return False
         plock = pred.lock
-        if not plock.try_acquire():
+        if not plock.acquire(False):
             return _abort()
-        if plock.version != pstamp:
+        if pred.version != pstamp:
             return _abort(plock)
         _link(pred, right, self._router_above(key, curr))
+        pred.version += 1
         plock.release()
         return True
 
@@ -530,19 +583,21 @@ class TnTree(TreeBase):
         if curr.key != key:
             return False
         glock = ppred.lock
-        if not glock.try_acquire():
+        if not glock.acquire(False):
             return _abort()
-        if glock.version != gstamp:
+        if ppred.version != gstamp:
             return _abort(glock)
         plock = pred.lock
-        if not plock.try_acquire():
+        if not plock.acquire(False):
             return _abort(glock)
-        if plock.version != pstamp:
+        if pred.version != pstamp:
             return _abort(plock, glock)
         _link(ppred, pright, pred.left if right else pred.right)
+        ppred.version += 1
         glock.release()
-        # pred's ticket is never released: the retired node stays locked
-        # so any operation that still points at it fails and retries.
+        # pred's lock is never released and its version never moves again:
+        # the retired node stays locked so any operation that still points
+        # at it fails and retries.
         return True
 
 

@@ -25,6 +25,7 @@ invocation if the run fails to terminate within its grace period.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -509,8 +510,8 @@ class StressConfig:
 
     Exactly one of ``ops_per_thread`` (zero or more) and ``duration_ms``
     (positive) must be set. The percentages must sum to 100. ``timeout_s``
-    is the grace period beyond the nominal run length before the run is
-    declared stuck.
+    (positive and finite) is the grace period beyond the nominal run length
+    before the run is declared stuck.
 
     A recorded run yields the scheduler, on 70 % of operations, between
     stamping an invocation and running it. Short bursts would otherwise
@@ -544,6 +545,8 @@ class StressConfig:
             raise ValueError("ops_per_thread must be non-negative")
         if self.duration_ms is not None and self.duration_ms <= 0:
             raise ValueError("duration_ms must be positive")
+        if not 0 < self.timeout_s < math.inf:
+            raise ValueError("timeout_s must be positive and finite")
         if self.variant == "seq" and self.threads != 1:
             raise ValueError("the seq variant is single-threaded only")
 

@@ -290,6 +290,9 @@ class TestCheckLinearizability:
     @pytest.mark.parametrize("flag,value", [
         ("--threads", "0"), ("--ops", "-1"), ("--iterations", "0"),
         ("--key-range", "0"), ("--duration-ms", "0"),
+        ("--timeout-s", "0"), ("--timeout-s", "-1"), ("--timeout-s", "nan"),
+        ("--timeout-s", "inf"), ("--timeout-s", "soon"),
+        ("--max-ops", "-1"), ("--max-ops", "0"),
     ])
     def test_bad_count_is_usage_error(self, flag, value):
         with pytest.raises(SystemExit) as exc:

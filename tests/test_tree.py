@@ -1,15 +1,17 @@
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbst.core import NEG_SENTINEL, POS_SENTINEL, OpKind, SeqOracle
-from cbst.locks import FlagMarkWord, TicketLock
 from cbst.tree import (
     CONCURRENT_VARIANTS,
     VARIANT_NAMES,
+    MarkedNode,
     Node,
     Snapshot,
+    StampedNode,
     new_tree,
 )
 from cbst.verify import check_structure
@@ -188,11 +190,11 @@ class TestRetirementBookkeeping:
         s = t.find(5)
         pred, curr = s.pred, s.curr
         assert t.delete(5)
-        # Retired parent and leaf stay flagged and marked forever.
+        # Retired parent and leaf stay locked and marked forever.
         for node in (pred, curr):
-            assert node.lock.marked is True
-            assert node.lock.held is True
-            assert node.lock.try_acquire() is False
+            assert node.marked is True
+            assert node.lock.locked() is True
+            assert node.lock.acquire(False) is False
 
     def test_fn_delete_keeps_flags_held(self):
         t = new_tree("fn")
@@ -200,7 +202,7 @@ class TestRetirementBookkeeping:
         s = t.find(5)
         pred, curr = s.pred, s.curr
         assert t.delete(5)
-        assert pred.lock.held and curr.lock.held
+        assert pred.lock.locked() and curr.lock.locked()
 
     def test_fe_delete_releases_flags(self):
         t = new_tree("fe")
@@ -208,7 +210,7 @@ class TestRetirementBookkeeping:
         s = t.find(5)
         pred, curr = s.pred, s.curr
         assert t.delete(5)
-        assert not pred.lock.held and not curr.lock.held
+        assert not pred.lock.locked() and not curr.lock.locked()
 
     def test_tn_delete_retires_parent_ticket(self):
         t = new_tree("tn")
@@ -216,8 +218,8 @@ class TestRetirementBookkeeping:
         s = t.find(5)
         pred = s.pred
         assert t.delete(5)
-        assert pred.lock.held
-        assert pred.lock.try_acquire() is False
+        assert pred.lock.locked()
+        assert pred.lock.acquire(False) is False
 
     def test_live_nodes_stay_lockable(self):
         t = new_tree("fem")
@@ -225,27 +227,109 @@ class TestRetirementBookkeeping:
         t.insert(9)
         t.delete(9)
         s = t.find(5)
-        assert s.curr.lock.try_acquire() is True
+        assert s.curr.lock.acquire(False) is True
         s.curr.lock.release()
 
 
+BARE_LOCK = type(threading.Lock())
+
+
 class TestLockPlumbing:
-    def test_fem_nodes_carry_flag_mark_words(self):
+    def test_fem_nodes_are_marked_nodes_with_bare_locks(self):
         t = new_tree("fem")
         t.insert(3)
-        assert isinstance(t.root.lock, FlagMarkWord)
-        assert isinstance(t.find(3).curr.lock, FlagMarkWord)
+        for node in (t.root, t.find(3).pred, t.find(3).curr):
+            assert type(node) is MarkedNode
+            assert type(node.lock) is BARE_LOCK
+            assert node.marked is False
 
-    def test_tn_nodes_carry_ticket_locks(self):
+    def test_tn_nodes_are_stamped_nodes_with_bare_locks(self):
         t = new_tree("tn")
         t.insert(3)
-        assert isinstance(t.root.lock, TicketLock)
+        for node in (t.root, t.find(3).pred, t.find(3).curr):
+            assert type(node) is StampedNode
+            assert type(node.lock) is BARE_LOCK
+
+    @pytest.mark.parametrize("variant", ["fn", "fe"])
+    def test_flag_variants_use_plain_nodes_with_bare_locks(self, variant):
+        t = new_tree(variant)
+        t.insert(3)
+        for node in (t.root, t.find(3).pred, t.find(3).curr):
+            assert type(node) is Node
+            assert type(node.lock) is BARE_LOCK
 
     def test_seq_nodes_carry_no_locks(self):
         t = new_tree("seq")
         t.insert(3)
         assert t.root.lock is None
         assert t.find(3).curr.lock is None
+
+
+def _versions(tree):
+    """{node: version} for every node reachable from the root."""
+    out = {}
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        out[node] = node.version
+        if node.left is not None:
+            stack.extend((node.left, node.right))
+    return out
+
+
+class TestTnStamps:
+    def _tree(self):
+        t = new_tree("tn")
+        for k in (10, 20, 30, 40):
+            t.insert(k)
+        return t
+
+    def test_insert_of_absent_key_bumps_pred_once(self):
+        t = self._tree()
+        before = _versions(t)
+        pred = t.find(25).pred
+        assert t.insert(25)
+        after = _versions(t)
+        assert after[pred] == before[pred] + 1
+        # Nothing else moved; the new router and leaf start at 0.
+        for node, version in after.items():
+            if node is not pred:
+                assert version == before.get(node, 0)
+
+    def test_non_writing_operations_bump_nothing(self):
+        t = self._tree()
+        before = _versions(t)
+        assert t.insert(20) is False
+        assert t.delete(25) is False
+        assert t.search(30) is True
+        assert t.search(35) is False
+        assert _versions(t) == before
+        assert not any(node.lock.locked() for node in before)
+
+    def test_delete_bumps_ppred_and_freezes_retired_pred(self):
+        t = self._tree()
+        s = t.find(30)
+        ppred, pred = s.ppred, s.pred
+        gversion, pversion = ppred.version, pred.version
+        assert t.delete(30)
+        assert ppred.version == gversion + 1
+        assert not ppred.lock.locked()
+        assert pred.lock.locked()
+        assert pred.version == pversion
+        # Later commits around it never touch the retired pred.
+        for k in (31, 29, 40):
+            t.insert(k)
+            t.delete(k)
+        assert pred.lock.locked() and pred.version == pversion
+
+    def test_stamp_taken_before_a_commit_no_longer_matches(self):
+        t = self._tree()
+        _, _, pred, _, _, pstamp, _ = t._find_stamped(25)
+        assert pred.version == pstamp
+        # Another insert under the same pred commits in between.
+        assert t.find(26).pred is pred
+        assert t.insert(26)
+        assert pred.version != pstamp
 
 
 class TestCollectLeafKeys:

@@ -105,8 +105,8 @@ def _leaked_locks(tree):
     stack = [tree.root]
     while stack:
         node = stack.pop()
-        held = node.lock.held
-        marked = getattr(node.lock, "marked", False)
+        held = node.lock.locked()
+        marked = getattr(node, "marked", False)
         if held or marked:
             leaked.append((node.key, held, marked))
         if node.left is not None:
@@ -124,7 +124,7 @@ def test_stale_operation_on_retired_nodes_retries():
     # The stale path is marked; a fresh delete of 5 must re-descend and
     # report absence rather than touching the retired pair.
     assert tree.delete(5) is False
-    assert snap.pred.lock.marked and snap.curr.lock.marked
+    assert snap.pred.marked and snap.curr.marked
     assert check_structure(tree).ok
 
 
@@ -137,7 +137,7 @@ def test_search_never_blocks_on_held_locks():
     stack = [tree.root]
     while stack:
         node = stack.pop()
-        if node.lock.try_acquire():
+        if node.lock.acquire(False):
             held.append(node)
         if node.left is not None:
             stack.extend((node.left, node.right))

@@ -336,6 +336,9 @@ class TestRunStress:
         for duration_ms in (0, -5):
             with pytest.raises(ValueError, match="duration_ms"):
                 StressConfig(variant="fem", duration_ms=duration_ms)
+        for timeout_s in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="timeout_s"):
+                StressConfig(variant="fem", ops_per_thread=5, timeout_s=timeout_s)
 
     def test_worker_error_propagates(self):
         cfg = StressConfig(variant="fem", threads=2, key_range=4, seed=0,
