@@ -6,16 +6,19 @@ history is linearizable when every operation can be assigned a single atomic
 point between its invocation and response such that the resulting sequential
 execution is legal for a set that starts empty.
 
-Three checkers operate on trees and histories:
+Every set operation touches one key, so by locality (Herlihy & Wing 1990) a
+history is linearizable exactly when each key's sub-history is. One engine,
+:func:`_key_linearizable`, searches a single key's sub-history for a
+sequential witness that respects real time (operations whose intervals
+overlap may commute); its cost follows how many operations overlap on the
+key, not the history's length. Two entry points run it:
 
-* :func:`check_linearizable` decides linearizability by searching over the
-  real-time partial order (operations whose intervals overlap may commute).
-* :func:`check_structure` walks a quiescent tree and validates the external
-  BST shape, key order, and the immortal sentinel structure.
-* :func:`check_balance` cross-checks a history against the final leaf set:
-  per key, successful inserts minus successful deletes must equal final
-  presence, and the successes must admit an insert/delete alternation that
-  respects real time.
+* :func:`check_linearizable` runs it on every key's full sub-history.
+* :func:`check_balance` runs it on every key's successful inserts and
+  deletes, with the final leaf set as the terminal presence.
+
+:func:`check_structure` walks a quiescent tree and validates the external
+BST shape, key order, and the immortal sentinel structure.
 
 :func:`run_stress` drives a variant with several threads of randomized
 operations and returns the recorded history plus the quiescent tree; it
@@ -74,7 +77,7 @@ class IncompleteHistoryError(ValueError):
 
 
 class HistoryTooLargeError(ValueError):
-    """The history exceeds the linearizability checker's operation bound."""
+    """One key's operations overlap too much for the checker's state bound."""
 
 
 class DeadlockSuspectedError(RuntimeError):
@@ -96,7 +99,8 @@ class History:
 
     Events are kept sorted by (timestamp, thread, seq). Well-formedness
     (per-thread INVOKE/RESPOND alternation with matching operation and key,
-    every invocation answered) is enforced lazily by :meth:`operations`.
+    every invocation answered, no response stamped before its invocation) is
+    enforced lazily by :meth:`operations`.
     """
 
     __slots__ = ("events",)
@@ -111,7 +115,8 @@ class History:
         """Pair events into operations, sorted by invocation time.
 
         Raises :class:`IncompleteHistoryError` when any thread's events do
-        not strictly alternate INVOKE/RESPOND over the same operation.
+        not strictly alternate INVOKE/RESPOND over the same operation, or a
+        response is stamped before its invocation.
         """
         pending: dict[int, Event] = {}
         ops: list[Operation] = []
@@ -131,6 +136,10 @@ class History:
                 if e.result is None:
                     raise IncompleteHistoryError(
                         f"thread {e.thread_id}: RESPOND carries no result"
+                    )
+                if e.timestamp_ns < inv.timestamp_ns:
+                    raise IncompleteHistoryError(
+                        f"thread {e.thread_id}: RESPOND stamped before its INVOKE"
                     )
                 ops.append(
                     Operation(e.thread_id, e.op, e.key, e.result, inv.timestamp_ns, e.timestamp_ns)
@@ -211,82 +220,106 @@ class History:
 
 # -- linearizability ------------------------------------------------------
 
+# Memo states one key's search may reach before the history is refused.
+_MAX_STATES = 1 << 20
 
-def _precedence_masks(ops: list[Operation]) -> list[int]:
-    # a strictly precedes b when a responded before b was invoked; equal
-    # timestamps count as overlap and impose no order.
+# Set semantics for one key: _SET_STEP[kind, result][present] is the
+# presence after the operation, or None when the result is impossible.
+_SET_STEP = {
+    (OpKind.INSERT, True): (True, None),
+    (OpKind.INSERT, False): (None, True),
+    (OpKind.DELETE, True): (None, False),
+    (OpKind.DELETE, False): (False, None),
+    (OpKind.SEARCH, True): (None, True),
+    (OpKind.SEARCH, False): (False, None),
+}
+
+
+def _key_linearizable(ops, present: bool, final: bool | None = None) -> bool:
+    """Decide whether one key's operations admit a legal sequential witness.
+
+    ``ops`` holds ``(kind, result, invoke_ts, respond_ts)`` tuples sorted by
+    invocation; ``present`` is the key's presence before the first of them
+    and ``final``, when given, the presence the witness must end with.
+
+    The depth-first search walks states ``(lo, mask)``: every operation
+    before ``lo`` is linearized, ``ops[lo]`` is not, and bit ``j`` of
+    ``mask`` marks ``ops[lo + j]`` as linearized. An undone operation may go
+    next when no other undone operation responded strictly before it was
+    invoked; equal timestamps count as overlap. The linearized set fixes the
+    presence, so states are memoized without it, and a state's width is
+    bounded by how many operations overlap, not by the history's length.
+    A search that reaches ``_MAX_STATES`` states raises
+    :class:`HistoryTooLargeError`.
+    """
     n = len(ops)
-    masks = [0] * n
-    for i, a in enumerate(ops):
-        m = 0
-        inv = a.invoke_ts
-        for j, b in enumerate(ops):
-            if b.respond_ts < inv:
-                m |= 1 << j
-        masks[i] = m
-    return masks
+    steps = [_SET_STEP[kind, result] for kind, result, _, _ in ops]
+    seen: set[tuple[int, int]] = set()
+    stack = [(0, 0, present)]
+    while stack:
+        lo, mask, present = stack.pop()
+        if lo == n:
+            # Every complete witness ends at the same presence.
+            return final is None or present == final
+        if (lo, mask) in seen:
+            continue
+        seen.add((lo, mask))
+        if len(seen) >= _MAX_STATES:
+            raise HistoryTooLargeError(
+                f"key search reached {_MAX_STATES} states over {n} operations"
+            )
+        moves = []
+        # Invocations are sorted, so the first undone operation invoked
+        # after the earliest undone response ends the candidates.
+        horizon = math.inf
+        for i in range(lo, n):
+            if mask >> (i - lo) & 1:
+                continue
+            _, _, invoke_ts, respond_ts = ops[i]
+            if invoke_ts > horizon:
+                break
+            if respond_ts < horizon:
+                horizon = respond_ts
+            after = steps[i][present]
+            if after is None:
+                continue
+            if i == lo:
+                nlo, nmask = lo + 1, mask >> 1
+                while nmask & 1:
+                    nlo, nmask = nlo + 1, nmask >> 1
+            else:
+                nlo, nmask = lo, mask | 1 << (i - lo)
+            if (nlo, nmask) not in seen:
+                moves.append((nlo, nmask, after))
+        # Try the earliest-invoked operation first.
+        stack.extend(reversed(moves))
+    return False
 
 
-def _step(members: frozenset, op: Operation) -> frozenset | None:
-    """Apply one operation to the abstract set; None when the recorded
-    result is impossible from this state."""
-    kind = op.op
-    key = op.key
-    present = key in members
-    if kind is OpKind.SEARCH:
-        return members if op.result == present else None
-    if kind is OpKind.INSERT:
-        if op.result:
-            return None if present else members | {key}
-        return members if present else None
-    if op.result:
-        return members - {key} if present else None
-    return None if present else members
+def _by_key(ops: Iterable[Operation]) -> dict[int, list[tuple]]:
+    """Split operations, in order, into per-key engine tuples."""
+    per_key: dict[int, list[tuple]] = {}
+    for op in ops:
+        per_key.setdefault(op.key, []).append((op.op, op.result, op.invoke_ts, op.respond_ts))
+    return per_key
 
 
-def check_linearizable(history: History, max_ops: int = 20, initial=()) -> bool:
+def check_linearizable(history: History, initial=()) -> bool:
     """Decide whether ``history`` is linearizable for a set starting at
     ``initial`` (empty by default).
 
-    The search walks linearization prefixes in depth-first order, choosing
-    any pending operation whose real-time predecessors have all been
-    placed. Visited completed-operation subsets are memoized: the recorded
-    results fix how many inserts and deletes succeeded per key, so every
-    legal ordering of the same subset leaves the set in the same state.
-
-    Histories with more than ``max_ops`` operations are refused with
-    :class:`HistoryTooLargeError` rather than risking an unbounded search.
+    Every operation touches one key, so by locality (Herlihy & Wing 1990)
+    the history is linearizable exactly when each key's sub-history is;
+    each is decided by :func:`_key_linearizable`. The cost follows how many
+    operations overlap on a key, not the history's length; a key whose
+    search reaches the engine's state bound raises
+    :class:`HistoryTooLargeError`.
     """
-    ops = history.operations()
-    n = len(ops)
-    if n == 0:
-        return True
-    if n > max_ops:
-        raise HistoryTooLargeError(
-            f"history has {n} operations; checker bound is {max_ops}"
-        )
-    preds = _precedence_masks(ops)
-    full = (1 << n) - 1
-    visited: set[int] = set()
-
-    def extend(done: int, members: frozenset) -> bool:
-        if done == full:
-            return True
-        if done in visited:
-            return False
-        visited.add(done)
-        for i in range(n):
-            bit = 1 << i
-            if done & bit or preds[i] & ~done:
-                continue
-            nxt = _step(members, ops[i])
-            if nxt is None:
-                continue
-            if extend(done | bit, nxt):
-                return True
-        return False
-
-    return extend(0, frozenset(initial))
+    initial = set(initial)
+    return all(
+        _key_linearizable(kops, key in initial)
+        for key, kops in _by_key(history.operations()).items()
+    )
 
 
 def brute_force_linearizable(history: History, initial=()) -> bool:
@@ -344,18 +377,17 @@ def brute_force_linearizable(history: History, initial=()) -> bool:
 
 @dataclass
 class InvariantReport:
-    """Outcome of the structural and balance checks, with human-readable
-    violation strings for anything that failed."""
+    """Outcome of the structural checks, with human-readable violation
+    strings for anything that failed."""
 
     order_ok: bool = True
     shape_ok: bool = True
     sentinels_ok: bool = True
-    balance_ok: bool = True
     violations: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.order_ok and self.shape_ok and self.sentinels_ok and self.balance_ok
+        return self.order_ok and self.shape_ok and self.sentinels_ok
 
 
 def check_structure(tree: TreeBase) -> InvariantReport:
@@ -416,87 +448,29 @@ def check_structure(tree: TreeBase) -> InvariantReport:
 # -- balance against a history ---------------------------------------------
 
 
-def _alternation_fast(kops) -> bool:
-    # Respond-order replay: works whenever the successful operations on the
-    # key were effectively serialized, which is the overwhelmingly common
-    # case in real histories.
-    present = False
-    for is_insert, _, _ in sorted(kops, key=lambda t: t[2]):
-        if is_insert == present:
-            return False
-        present = is_insert
-    return True
-
-
-def _alternation_exact(kops) -> bool:
-    # Exact feasibility over the real-time partial order, iterative DFS with
-    # memoized completed subsets. Only reached when overlapping operations
-    # make the respond-order replay fail.
-    n = len(kops)
-    preds = [0] * n
-    for i in range(n):
-        inv = kops[i][1]
-        m = 0
-        for j in range(n):
-            if kops[j][2] < inv:
-                m |= 1 << j
-        preds[i] = m
-    full = (1 << n) - 1
-    seen: set[tuple[int, bool]] = set()
-    stack: list[tuple[int, bool]] = [(0, False)]
-    while stack:
-        done, present = stack.pop()
-        if done == full:
-            return True
-        if (done, present) in seen:
-            continue
-        seen.add((done, present))
-        for i in range(n):
-            bit = 1 << i
-            if done & bit or preds[i] & ~done:
-                continue
-            is_insert = kops[i][0]
-            if is_insert == present:
-                continue
-            stack.append((done | bit, is_insert))
-    return False
-
-
 def check_balance(history: History, final_keys: Iterable[int]) -> list[str]:
     """Cross-check a history against the final leaf keys of its tree.
 
-    For every key, the number of successful inserts minus successful
-    deletes must equal its final presence (the run starts from an empty
-    set), and the successes must admit an ordering, consistent with real
-    time, that strictly alternates insert/delete starting with an insert.
-    Returns a list of violation strings, empty when the history balances.
+    For every key, the successful inserts and deletes alone must admit an
+    ordering, consistent with real time, that strictly alternates
+    insert/delete from an absent key (the run starts from an empty set) and
+    ends with the key's final presence. Searches and failed operations are
+    ignored. Returns one violation string per failing key, naming it; empty
+    when the history balances.
     """
-    per_key: dict[int, list] = {}
-    for op in history.operations():
-        if not op.result or op.op is OpKind.SEARCH:
-            continue
-        per_key.setdefault(op.key, []).append(
-            (op.op is OpKind.INSERT, op.invoke_ts, op.respond_ts)
-        )
-
+    per_key = _by_key(
+        op for op in history.operations() if op.result and op.op is not OpKind.SEARCH
+    )
     final = set(final_keys)
     violations = []
-    for key in final - per_key.keys():
-        violations.append(f"key {key} present at the end but never successfully inserted")
-    for key, kops in sorted(per_key.items()):
-        ins = sum(1 for t in kops if t[0])
-        dels = len(kops) - ins
-        expected = 1 if key in final else 0
-        if ins - dels != expected:
+    for key in sorted(per_key.keys() | final):
+        kops = per_key.get(key, [])
+        if not _key_linearizable(kops, False, key in final):
+            inserts = sum(1 for kind, *_ in kops if kind is OpKind.INSERT)
             violations.append(
-                f"key {key}: {ins} successful inserts minus {dels} successful deletes "
-                f"does not match final presence {expected}"
-            )
-            continue
-        if not _alternation_fast(kops) and not _alternation_exact(kops):
-            violations.append(
-                f"key {key}: successful inserts and deletes admit no real-time "
-                f"consistent alternation"
+                f"key {key}: {inserts} successful inserts and {len(kops) - inserts} "
+                f"successful deletes admit no real-time consistent alternation "
+                f"from absent to {'present' if key in final else 'absent'}"
             )
     return violations
 

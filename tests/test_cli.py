@@ -222,10 +222,25 @@ class TestCheckReplay:
         assert "linearizable: true" in out
 
     def test_oversized_history_refused(self, capsys, tmp_path):
+        # 10,000 sequential operations replay; 21 mutually overlapping
+        # searches on one key, one reading true, reach the state bound.
         lines = []
-        for i in range(21):
-            lines.append(f"0 {2 * i} INVOKE INSERT {i} {10 * i}")
-            lines.append(f"0 {2 * i + 1} RESPOND INSERT {i} true {10 * i + 5}")
+        for i in range(5000):
+            lines.append(f"0 {4 * i} INVOKE INSERT {i} {20 * i}")
+            lines.append(f"0 {4 * i + 1} RESPOND INSERT {i} true {20 * i + 5}")
+            lines.append(f"0 {4 * i + 2} INVOKE SEARCH {i} {20 * i + 10}")
+            lines.append(f"0 {4 * i + 3} RESPOND SEARCH {i} true {20 * i + 15}")
+        path = tmp_path / "long.history"
+        path.write_text("\n".join(lines) + "\n")
+        rc, out, _ = run(capsys, "check", "--mode", "replay",
+                         "--history", str(path))
+        assert rc == 0
+        assert "linearizable: true" in out
+
+        lines = []
+        for t in range(21):
+            lines.append(f"{t} 0 INVOKE SEARCH 7 {t}")
+            lines.append(f"{t} 1 RESPOND SEARCH 7 {'true' if t == 10 else 'false'} {100 + t}")
         path = tmp_path / "big.history"
         path.write_text("\n".join(lines) + "\n")
         rc, _, err = run(capsys, "check", "--mode", "replay",
@@ -292,7 +307,6 @@ class TestCheckLinearizability:
         ("--key-range", "0"), ("--duration-ms", "0"),
         ("--timeout-s", "0"), ("--timeout-s", "-1"), ("--timeout-s", "nan"),
         ("--timeout-s", "inf"), ("--timeout-s", "soon"),
-        ("--max-ops", "-1"), ("--max-ops", "0"),
     ])
     def test_bad_count_is_usage_error(self, flag, value):
         with pytest.raises(SystemExit) as exc:

@@ -52,6 +52,7 @@ def test_hammer_preserves_structure_and_balance(variant):
     report = check_structure(tree)
     assert report.ok, report.violations[:3]
     assert check_balance(history, tree.collect_leaf_keys()) == []
+    assert check_linearizable(history)
 
 
 @pytest.mark.parametrize("variant", CONCURRENT)

@@ -98,6 +98,14 @@ class TestOperationPairing:
         with pytest.raises(IncompleteHistoryError):
             h.operations()
 
+    def test_respond_before_invoke_rejected(self):
+        h = make_history([
+            (0, "INVOKE", OpKind.INSERT, 5, None, 200),
+            (0, "RESPOND", OpKind.INSERT, 5, True, 100),
+        ])
+        with pytest.raises(IncompleteHistoryError):
+            h.operations()
+
     def test_double_invoke_rejected(self):
         h = make_history([
             (0, "INVOKE", OpKind.INSERT, 5, None, 100),
@@ -140,6 +148,7 @@ class TestCheckLinearizable:
             (0, "RESPOND", OpKind.SEARCH, 5, False, 4),
         ])
         assert check_linearizable(h) is False
+        assert check_linearizable(lost_insert_history(search_overlaps_insert=False)) is False
 
     def test_overlap_permits_reordering(self):
         h = make_history([
@@ -149,6 +158,7 @@ class TestCheckLinearizable:
             (0, "RESPOND", OpKind.INSERT, 5, True, 30),
         ])
         assert check_linearizable(h) is True
+        assert check_linearizable(lost_insert_history(search_overlaps_insert=True)) is True
 
     def test_equal_timestamps_count_as_overlap(self):
         h = make_history([
@@ -166,14 +176,13 @@ class TestCheckLinearizable:
         assert brute_force_linearizable(h) is False
 
     def test_oversized_history_refused(self):
-        spec = []
-        for i in range(21):
-            spec.append((0, "INVOKE", OpKind.INSERT, i, None, 2 * i))
-            spec.append((0, "RESPOND", OpKind.INSERT, i, True, 2 * i + 1))
-        h = make_history(spec)
+        # The cost follows overlap per key, not length: 10,000 sequential
+        # operations are decided, while 21 mutually overlapping searches on
+        # one key, never linearizable because one of them reads true, reach
+        # the engine's state bound.
+        assert check_linearizable(sequential_history(10_000)) is True
         with pytest.raises(HistoryTooLargeError):
-            check_linearizable(h)
-        assert check_linearizable(h, max_ops=25) is True
+            check_linearizable(overlapping_searches(21))
 
     def test_initial_contents_respected(self):
         h = make_history([
@@ -182,6 +191,50 @@ class TestCheckLinearizable:
         ])
         assert check_linearizable(h) is False
         assert check_linearizable(h, initial=[5]) is True
+
+
+SET_CYCLE = [(OpKind.INSERT, True), (OpKind.SEARCH, True),
+             (OpKind.DELETE, True), (OpKind.SEARCH, False)]
+
+
+def sequential_history(n_ops):
+    """One thread cycling insert/search/delete/search over seven keys."""
+    spec = []
+    for j in range(n_ops):
+        op, result = SET_CYCLE[j % 4]
+        key = j // 4 % 7
+        spec += [(0, "INVOKE", op, key, None, 2 * j),
+                 (0, "RESPOND", op, key, result, 2 * j + 1)]
+    return make_history(spec)
+
+
+def lost_insert_history(search_overlaps_insert):
+    """5,000 operations on one key cycling insert/search/delete/search, in
+    which one search after a successful insert misses the key; that search
+    runs on its own thread and either strictly follows the insert or
+    overlaps it."""
+    spec, late = [], []
+    for j in range(5000):
+        op, result = SET_CYCLE[j % 4]
+        start = 10 * j
+        if j == 2401:
+            start -= 8 if search_overlaps_insert else 0
+            late += [(1, "INVOKE", op, 5, None, start),
+                     (1, "RESPOND", op, 5, False, start + 5)]
+        else:
+            spec += [(0, "INVOKE", op, 5, None, start),
+                     (0, "RESPOND", op, 5, result, start + 5)]
+    return make_history(spec + late)
+
+
+def overlapping_searches(n_ops):
+    """n_ops mutually overlapping searches of a never-inserted key; all but
+    one read false."""
+    spec = []
+    for t in range(n_ops):
+        spec += [(t, "INVOKE", OpKind.SEARCH, 7, None, t),
+                 (t, "RESPOND", OpKind.SEARCH, 7, t == n_ops // 2, 100 + t)]
+    return make_history(spec)
 
 
 def random_history(rng, max_ops):
