@@ -234,8 +234,17 @@ def open_text(target, mode: str):
         yield target
 
 
-def _record_from_row(row: dict) -> BenchRecord:
-    return BenchRecord(**{name: _FIELD_TYPES[name](row[name]) for name in CSV_FIELDS})
+def _record_from_row(row) -> BenchRecord:
+    """Build a record from one CSV row or JSON object, parsing each field as
+    its own type; raise ValueError when the row is not a complete record."""
+    if not isinstance(row, dict):
+        raise ValueError(f"a record must be an object, got {row!r}")
+    try:
+        return BenchRecord(**{name: _FIELD_TYPES[name](row[name]) for name in CSV_FIELDS})
+    except KeyError as exc:
+        raise ValueError(f"record has no field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"record field of the wrong type: {exc}") from None
 
 
 def write_csv(records: list[BenchRecord], dest) -> None:
@@ -265,4 +274,6 @@ def read_json(src) -> list[BenchRecord]:
     """Read records from a path or text file object."""
     with open_text(src, "r") as fp:
         payload = json.load(fp)
-    return [BenchRecord(**obj) for obj in payload]
+    if not isinstance(payload, list):
+        raise ValueError("records must be a JSON array of objects")
+    return [_record_from_row(obj) for obj in payload]

@@ -6,8 +6,15 @@ everything passed, 1 when a run or check failed, 2 for usage errors (bad
 flags or flag combinations) and for a refused replay, one whose operations
 overlap on a key too much for the checker's state bound.
 
-Machine-readable output goes to --out when given, otherwise to stdout; the
-human summary table is printed only when --out keeps stdout free.
+``cbst check`` makes one recorded stress run and decides it three ways: the
+final tree's structure, the history's linearizability, and the history's
+balance against the final contents. ``cbst check --history PATH`` replays a
+saved history through the linearizability check instead.
+
+Machine-readable output of bench and model goes to --out when given,
+otherwise to stdout; their human summary table is printed only when --out
+keeps stdout free. check always prints its verdicts, and --out also writes
+them as a check,ok table.
 """
 
 from __future__ import annotations
@@ -117,23 +124,17 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--preset", choices=sorted(_PRESETS), default=None,
                    help="expand to the published experiment grid for this mix")
 
-    c = sub.add_parser("check", help="run correctness checks")
-    c.add_argument("--mode", choices=("invariants", "linearizability", "replay"), required=True)
+    c = sub.add_parser("check", help="stress-check a variant, or replay a history file")
     c.add_argument("--variant", choices=VARIANT_NAMES, default="fem")
     c.add_argument("--threads", type=_at_least(1), default=None,
-                   help="worker threads (default: 8 for invariants, 3 for linearizability)")
-    c.add_argument("--ops", type=_at_least(0), default=5,
-                   help="operations per thread (linearizability)")
-    c.add_argument("--iterations", type=_at_least(1), default=100,
-                   help="number of randomized histories (linearizability)")
-    c.add_argument("--duration-ms", type=_at_least(1), default=1000, metavar="MS",
-                   help="stress run length (invariants)")
-    c.add_argument("--key-range", type=_at_least(1), default=None,
-                   help="key range (default: 10000 for invariants, 4 for linearizability)")
+                   help="worker threads (default 4; seq runs on 1)")
+    c.add_argument("--ops", type=_at_least(0), default=1000, help="operations per thread")
+    c.add_argument("--key-range", type=_at_least(1), default=64)
     c.add_argument("--mix", type=_mix, default=(20.0, 10.0, 70.0), metavar="I,D,S")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--timeout-s", type=_positive_seconds, default=30.0)
-    c.add_argument("--history", default=None, metavar="PATH", help="history file (replay)")
+    c.add_argument("--history", default=None, metavar="PATH",
+                   help="replay this history file instead of running a stress check")
     c.add_argument("--out", default=None, metavar="PATH")
 
     m = sub.add_parser("model", help="evaluate the speedup model")
@@ -238,88 +239,59 @@ def _write_lines(path, lines) -> None:
         fp.write("\n")
 
 
-def cmd_check(args, parser) -> int:
-    if args.mode == "replay":
-        if not args.history:
-            parser.error("--mode replay requires --history")
-        try:
-            history = History.load(args.history)
-        except (OSError, HistoryFormatError) as exc:
-            print(f"cannot load history: {exc}", file=sys.stderr)
-            return 1
-        try:
-            ok = check_linearizable(history)
-        except HistoryTooLargeError as exc:
-            print(f"refusing replay: {exc}", file=sys.stderr)
-            return 2
-        print(f"linearizable: {'true' if ok else 'false'}")
-        return 0 if ok else 1
-
-    if args.mode == "invariants":
-        config = StressConfig(
-            variant=args.variant,
-            threads=args.threads if args.threads is not None else 8,
-            key_range=args.key_range if args.key_range is not None else 10000,
-            insert_pct=args.mix[0],
-            delete_pct=args.mix[1],
-            search_pct=args.mix[2],
-            seed=args.seed,
-            duration_ms=args.duration_ms,
-            timeout_s=args.timeout_s,
-        )
-        history, tree = run_stress(config)
-        report = check_structure(tree)
-        balance_violations = check_balance(history, tree.collect_leaf_keys())
-        checks = [
-            ("order", report.order_ok),
-            ("shape", report.shape_ok),
-            ("sentinels", report.sentinels_ok),
-            ("balance", not balance_violations),
-        ]
-        for name, ok in checks:
-            print(f"{name}: {'ok' if ok else 'VIOLATED'}")
-        if args.out:
-            _write_lines(args.out, ["check,ok"] + [f"{n},{str(ok).lower()}" for n, ok in checks])
-        failures = report.violations + balance_violations
-        if failures:
-            print(f"first violation: {failures[0]}", file=sys.stderr)
-            return 1
-        return 0
-
-    # linearizability
-    threads = args.threads if args.threads is not None else 3
-    key_range = args.key_range if args.key_range is not None else 4
-    failures = 0
-    rows = ["iteration,ops,linearizable"]
-    first_bad: History | None = None
-    for i in range(args.iterations):
-        config = StressConfig(
-            variant=args.variant,
-            threads=threads,
-            key_range=key_range,
-            insert_pct=args.mix[0],
-            delete_pct=args.mix[1],
-            search_pct=args.mix[2],
-            seed=args.seed + i,
-            ops_per_thread=args.ops,
-            timeout_s=args.timeout_s,
-        )
-        history, _ = run_stress(config)
-        ok = check_linearizable(history)
-        rows.append(f"{i},{len(history) // 2},{str(ok).lower()}")
-        if not ok:
-            failures += 1
-            if first_bad is None:
-                first_bad = history
-    print(f"{args.iterations} histories checked, {failures} non-linearizable")
-    if args.out:
-        _write_lines(args.out, rows)
-    if failures:
-        print("first non-linearizable history:", file=sys.stderr)
-        for line in first_bad.to_lines():
-            print(f"  {line}", file=sys.stderr)
+def _replay(path) -> int:
+    try:
+        history = History.load(path)
+    except (OSError, HistoryFormatError) as exc:
+        print(f"cannot load history: {exc}", file=sys.stderr)
         return 1
-    return 0
+    try:
+        ok = check_linearizable(history)
+    except HistoryTooLargeError as exc:
+        print(f"refusing replay: {exc}", file=sys.stderr)
+        return 2
+    print(f"linearizable: {'true' if ok else 'false'}")
+    return 0 if ok else 1
+
+
+def cmd_check(args, parser) -> int:
+    if args.history is not None:
+        return _replay(args.history)
+    threads = args.threads or (1 if args.variant == "seq" else 4)
+    if args.variant == "seq" and threads != 1:
+        parser.error("the seq variant is single-threaded; use --threads 1")
+
+    config = StressConfig(
+        variant=args.variant,
+        threads=threads,
+        key_range=args.key_range,
+        insert_pct=args.mix[0],
+        delete_pct=args.mix[1],
+        search_pct=args.mix[2],
+        seed=args.seed,
+        ops_per_thread=args.ops,
+        timeout_s=args.timeout_s,
+    )
+    history, tree = run_stress(config)
+    linearizable = check_linearizable(history)
+    violations = {
+        "structure": check_structure(tree).violations,
+        "linearizable": [] if linearizable else ["the history is not linearizable"],
+        "balance": check_balance(history, tree.collect_leaf_keys()),
+    }
+    for name, found in violations.items():
+        print(f"{name}: {'VIOLATED' if found else 'ok'}")
+    if args.out:
+        _write_lines(args.out, ["check,ok"] + [
+            f"{name},{str(not found).lower()}" for name, found in violations.items()
+        ])
+    failures = [v for found in violations.values() for v in found]
+    if not failures:
+        return 0
+    print(f"first violation: {failures[0]}", file=sys.stderr)
+    if not linearizable:
+        print("\n".join(history.to_lines()), file=sys.stderr)
+    return 1
 
 
 # -- model -------------------------------------------------------------------
@@ -369,7 +341,7 @@ def cmd_model(args, parser) -> int:
             records = bench_mod.read_json(args.records)
         else:
             records = bench_mod.read_csv(args.records)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot load records: {exc}", file=sys.stderr)
         return 1
     template = model_mod.ModelParams(

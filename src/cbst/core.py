@@ -36,11 +36,6 @@ class OpKind(enum.Enum):
     DELETE = "DELETE"
 
 
-def is_application_key(key: object) -> bool:
-    """True when ``key`` is an int, not a bool, between the sentinels."""
-    return type(key) is int and NEG_SENTINEL < key < POS_SENTINEL
-
-
 def check_key(key: int) -> None:
     """Reject sentinels, bools and anything that is not an in-range int."""
     # A stored True would be written to a history as a word that

@@ -74,11 +74,6 @@ def amdahl_speedup(p_fraction: float, processors: float) -> float:
     return 1.0 / ((1.0 - p_fraction) + p_fraction / processors)
 
 
-def parallel_workload(params: ModelParams) -> float:
-    """Total per-operation work: useful + snapshot + control."""
-    return params.parallel_work + params.snapshot_work + params.control_work
-
-
 def effective_parallelism(params: ModelParams) -> float:
     """P * (1 - c) * alpha, the threads that make committed progress."""
     return params.processors * (1.0 - params.contention) * params.alpha

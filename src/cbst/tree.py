@@ -50,8 +50,7 @@ retired pred locked with its version frozen, so a stale operation that
 still points at them fails its lock or validation step and retries from the
 root. fe releases them; its re-traversal never finds them again. The
 unlinked nodes themselves stay readable for as long as any in-flight
-traversal can reach them; reclamation is left to reference counting,
-recorded here as ``RECLAMATION_POLICY``.
+traversal can reach them; reclamation is left to reference counting.
 """
 
 from __future__ import annotations
@@ -61,8 +60,6 @@ import time
 from typing import NamedTuple
 
 from .core import NEG_SENTINEL, POS_SENTINEL, check_key
-
-RECLAMATION_POLICY = "refcount"
 
 # What a failed pass returns in place of a result.
 _RETRY = object()

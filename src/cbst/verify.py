@@ -380,14 +380,11 @@ class InvariantReport:
     """Outcome of the structural checks, with human-readable violation
     strings for anything that failed."""
 
-    order_ok: bool = True
-    shape_ok: bool = True
-    sentinels_ok: bool = True
     violations: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.order_ok and self.shape_ok and self.sentinels_ok
+        return not self.violations
 
 
 def check_structure(tree: TreeBase) -> InvariantReport:
@@ -402,11 +399,9 @@ def check_structure(tree: TreeBase) -> InvariantReport:
     rep = InvariantReport()
     root = tree.root
     if root.left is None or root.right is None:
-        rep.sentinels_ok = False
         rep.violations.append("root is not an internal node")
         return rep
     if root.key != POS_SENTINEL:
-        rep.sentinels_ok = False
         rep.violations.append(f"root key is {root.key}, not the positive sentinel")
 
     leaves: list[tuple[int, str]] = []
@@ -416,14 +411,11 @@ def check_structure(tree: TreeBase) -> InvariantReport:
         key = node.key
         where = path or "root"
         if low is not None and key < low:
-            rep.order_ok = False
             rep.violations.append(f"key {key} at {where} below its lower bound {low}")
         if high is not None and key >= high:
-            rep.order_ok = False
             rep.violations.append(f"key {key} at {where} at or above its upper bound {high}")
         left, right = node.left, node.right
         if (left is None) != (right is None):
-            rep.shape_ok = False
             rep.violations.append(f"internal node {key} at {where} has exactly one child")
             continue
         if left is None:
@@ -434,13 +426,10 @@ def check_structure(tree: TreeBase) -> InvariantReport:
 
     for (k1, _), (k2, w2) in zip(leaves, leaves[1:]):
         if k2 <= k1:
-            rep.order_ok = False
             rep.violations.append(f"leaf keys not strictly increasing at {w2}: {k1} then {k2}")
     if not leaves or leaves[0][0] != NEG_SENTINEL:
-        rep.sentinels_ok = False
         rep.violations.append("leftmost leaf is not the negative sentinel")
     if not leaves or leaves[-1][0] != POS_SENTINEL:
-        rep.sentinels_ok = False
         rep.violations.append("rightmost leaf is not the positive sentinel")
     return rep
 

@@ -1,11 +1,15 @@
 import io
+import shlex
 from pathlib import Path
 
 import pytest
 
+from cbst import cli
 from cbst.bench import CSV_HEADER, read_csv, read_json, write_csv
 from cbst.cli import main
 from cbst.model import COMPARISON_HEADER
+from cbst.tree import VARIANT_NAMES, new_tree
+from cbst.verify import History
 
 from test_bench import sample_records
 
@@ -121,9 +125,22 @@ class TestModelCompare:
             main(["model", "--compare"])
         assert exc.value.code == 2
 
-    def test_unreadable_records(self, capsys, tmp_path):
-        rc, _, err = run(capsys, "model", "--compare", "--records",
-                         str(tmp_path / "absent.csv"))
+    # Records files that cannot be loaded, by name; None means no file.
+    BAD_RECORDS = {
+        "absent.csv": None,
+        "short-row.csv": CSV_HEADER + "\nfem,1\n",
+        "not-array.json": '{"a": 1}',
+        "not-object.json": '["x"]',
+        "missing-fields.json": '[{"variant": "fem"}]',
+        "null-field.json": '[{"variant": "fem", "threads": null}]',
+    }
+
+    @pytest.mark.parametrize("name", list(BAD_RECORDS))
+    def test_unreadable_records(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        if self.BAD_RECORDS[name] is not None:
+            path.write_text(self.BAD_RECORDS[name])
+        rc, _, err = run(capsys, "model", "--compare", "--records", str(path))
         assert rc == 1
         assert "cannot load records" in err
 
@@ -203,7 +220,7 @@ class TestBenchCommand:
 
 class TestCheckReplay:
     def test_stored_fixture_rejected(self, capsys):
-        rc, out, _ = run(capsys, "check", "--mode", "replay", "--history",
+        rc, out, _ = run(capsys, "check", "--history",
                          str(FIXTURES / "non_linearizable.history"))
         assert rc == 1
         assert "linearizable: false" in out
@@ -216,8 +233,7 @@ class TestCheckReplay:
             "1 0 INVOKE SEARCH 5 300\n"
             "1 1 RESPOND SEARCH 5 true 400\n"
         )
-        rc, out, _ = run(capsys, "check", "--mode", "replay",
-                         "--history", str(path))
+        rc, out, _ = run(capsys, "check", "--history", str(path))
         assert rc == 0
         assert "linearizable: true" in out
 
@@ -232,8 +248,7 @@ class TestCheckReplay:
             lines.append(f"0 {4 * i + 3} RESPOND SEARCH {i} true {20 * i + 15}")
         path = tmp_path / "long.history"
         path.write_text("\n".join(lines) + "\n")
-        rc, out, _ = run(capsys, "check", "--mode", "replay",
-                         "--history", str(path))
+        rc, out, _ = run(capsys, "check", "--history", str(path))
         assert rc == 0
         assert "linearizable: true" in out
 
@@ -243,58 +258,68 @@ class TestCheckReplay:
             lines.append(f"{t} 1 RESPOND SEARCH 7 {'true' if t == 10 else 'false'} {100 + t}")
         path = tmp_path / "big.history"
         path.write_text("\n".join(lines) + "\n")
-        rc, _, err = run(capsys, "check", "--mode", "replay",
-                         "--history", str(path))
+        rc, _, err = run(capsys, "check", "--history", str(path))
         assert rc == 2
         assert "refusing replay" in err
 
     def test_missing_file(self, capsys, tmp_path):
-        rc, _, err = run(capsys, "check", "--mode", "replay",
-                         "--history", str(tmp_path / "ghost.history"))
+        rc, _, err = run(capsys, "check", "--history", str(tmp_path / "ghost.history"))
         assert rc == 1
         assert "cannot load history" in err
 
     def test_garbage_file(self, capsys, tmp_path):
         path = tmp_path / "junk.history"
         path.write_text("this is not a history\n")
-        rc, _, err = run(capsys, "check", "--mode", "replay",
-                         "--history", str(path))
+        rc, _, err = run(capsys, "check", "--history", str(path))
         assert rc == 1
         assert "cannot load history" in err
 
     def test_replay_requires_history_flag(self):
+        # --history names the file to replay; without a path it is a usage error.
         with pytest.raises(SystemExit) as exc:
-            main(["check", "--mode", "replay"])
+            main(["check", "--history"])
         assert exc.value.code == 2
+
+
+CHECK_LINES = ["structure: ok", "linearizable: ok", "balance: ok"]
 
 
 class TestCheckInvariants:
     def test_passes_on_healthy_tree(self, capsys):
-        rc, out, err = run(capsys, "check", "--mode", "invariants",
-                           "--variant", "fem", "--threads", "2",
-                           "--duration-ms", "100", "--key-range", "32",
-                           "--seed", "5")
-        assert rc == 0
-        for name in ("order", "shape", "sentinels", "balance"):
-            assert f"{name}: ok" in out
-        assert err == ""
+        # The defaults: 4 threads (seq: 1) x 1,000 ops over 64 keys.
+        for variant in VARIANT_NAMES:
+            rc, out, err = run(capsys, "check", "--variant", variant)
+            assert rc == 0, (variant, err)
+            assert out.splitlines() == CHECK_LINES
+            assert err == ""
 
     def test_out_file_lists_checks(self, capsys, tmp_path):
-        out_path = tmp_path / "inv.csv"
-        rc, _, _ = run(capsys, "check", "--mode", "invariants",
-                       "--variant", "tn", "--threads", "2",
-                       "--duration-ms", "80", "--key-range", "16",
+        out_path = tmp_path / "checks.csv"
+        rc, _, _ = run(capsys, "check", "--variant", "tn", "--threads", "2",
+                       "--ops", "200", "--key-range", "16",
                        "--out", str(out_path))
         assert rc == 0
-        lines = out_path.read_text().splitlines()
-        assert lines[0] == "check,ok"
-        assert lines[1:] == ["order,true", "shape,true", "sentinels,true",
-                             "balance,true"]
+        assert out_path.read_text().splitlines() == [
+            "check,ok", "structure,true", "linearizable,true", "balance,true"]
+
+    def test_violation_exits_1_with_history(self, capsys, monkeypatch):
+        # A recorded run whose history is not linearizable: the stored
+        # fixture, with a final tree that holds its one inserted key.
+        history = History.load(FIXTURES / "non_linearizable.history")
+        tree = new_tree("fem")
+        tree.insert(5)
+        monkeypatch.setattr(cli, "run_stress", lambda config: (history, tree))
+        rc, out, err = run(capsys, "check")
+        assert rc == 1
+        assert out.splitlines() == ["structure: ok", "linearizable: VIOLATED",
+                                    "balance: ok"]
+        first, *replay = err.splitlines()
+        assert first == "first violation: the history is not linearizable"
+        assert History.from_lines(replay).to_lines() == history.to_lines()
 
 
 class TestCheckLinearizability:
-    ARGS = ("check", "--mode", "linearizability", "--variant", "fem",
-            "--iterations", "5", "--ops", "4", "--threads", "2",
+    ARGS = ("check", "--variant", "fem", "--ops", "4", "--threads", "2",
             "--key-range", "4", "--seed", "3")
 
     def test_invalid_mix_is_usage_error(self):
@@ -303,8 +328,7 @@ class TestCheckLinearizability:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag,value", [
-        ("--threads", "0"), ("--ops", "-1"), ("--iterations", "0"),
-        ("--key-range", "0"), ("--duration-ms", "0"),
+        ("--threads", "0"), ("--ops", "-1"), ("--key-range", "0"),
         ("--timeout-s", "0"), ("--timeout-s", "-1"), ("--timeout-s", "nan"),
         ("--timeout-s", "inf"), ("--timeout-s", "soon"),
     ])
@@ -313,10 +337,15 @@ class TestCheckLinearizability:
             main([*self.ARGS, flag, value])
         assert exc.value.code == 2
 
+    def test_seq_with_multi_threads_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--variant", "seq", "--threads", "2"])
+        assert exc.value.code == 2
+
     def test_small_batch_passes(self, capsys):
         rc, out, err = run(capsys, *self.ARGS)
         assert rc == 0
-        assert "5 histories checked, 0 non-linearizable" in out
+        assert out.splitlines() == CHECK_LINES
         assert err == ""
 
     def test_out_file_deterministic_across_runs(self, capsys, tmp_path):
@@ -327,10 +356,8 @@ class TestCheckLinearizability:
             assert rc == 0
             texts.append(out_path.read_text())
         assert texts[0] == texts[1]
-        lines = texts[0].splitlines()
-        assert lines[0] == "iteration,ops,linearizable"
-        assert len(lines) == 6
-        assert all(line.endswith(",true") for line in lines[1:])
+        assert texts[0].splitlines() == [
+            "check,ok", "structure,true", "linearizable,true", "balance,true"]
 
 
 class TestParser:
@@ -344,7 +371,17 @@ class TestParser:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_check_mode_required(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["check"])
-        assert exc.value.code == 2
+    def test_readme_examples_parse(self):
+        # Every `cbst ...` line of the README's command-line block, with
+        # backslash continuations joined, is accepted by the parser.
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("cbst ")]
+        assert len(commands) >= 6
+        parser = cli._build_parser()
+        for line in commands:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README example rejected: {line}")

@@ -18,7 +18,6 @@ from cbst.model import (
     concurrent_speedup,
     effective_parallelism,
     fit_contention,
-    parallel_workload,
     predict_vs_measured,
     validate,
     write_comparison_csv,
@@ -53,13 +52,6 @@ class TestAmdahl:
 
 
 class TestWorkloadTerms:
-    def test_parallel_workload_sums(self):
-        assert parallel_workload(params(parallel_work=1)) == 1
-        assert parallel_workload(params(parallel_work=1, snapshot_work=0.25,
-                                        control_work=0.25)) == 1.5
-        assert parallel_workload(params(parallel_work=2, snapshot_work=1,
-                                        control_work=0.5)) == 3.5
-
     def test_effective_parallelism(self):
         assert effective_parallelism(params(processors=32, contention=0.0)) == 32
         assert effective_parallelism(params(processors=32, contention=1.0,

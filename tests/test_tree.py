@@ -350,9 +350,8 @@ class TestCollectLeafKeys:
         s = t.find(9)
         s.pred.right = None
         rep = check_structure(t)
-        assert rep.shape_ok is False
         assert not rep.ok
-        assert any("one child" in v for v in rep.violations)
+        assert rep.violations == ["internal node 9 at LR has exactly one child"]
 
     def test_order_violation_detected(self):
         t = new_tree("seq")
@@ -361,4 +360,5 @@ class TestCollectLeafKeys:
         bad = Node(999, None, None, None)
         t.find(5).pred.left = bad
         rep = check_structure(t)
-        assert rep.order_ok is False
+        assert not rep.ok
+        assert "key 999 at LRL at or above its upper bound 9" in rep.violations
