@@ -10,6 +10,10 @@ reproducible run to run even though interleavings are not.
 Contention is reported as retries / (retries + ops_completed), where a retry
 is one failed validation or lock pass inside a tree operation; a
 single-threaded run can never retry, so its contention rate is exactly zero.
+A failed pass pauses (:data:`cbst.core.pause`) before it is retried, so
+the rate counts real conflicts, not passes spun while a lock's holder waited
+for the GIL; it is far lower than in records made while the loops spun, and
+the two are not comparable.
 
 Records serialize to CSV and JSON with identical field names, one flat
 record per run.

@@ -24,7 +24,10 @@ unsynchronised descent. The control phase locks the snapshot's nodes,
 validates them and either commits and returns the operation's result, or
 releases what it took and returns ``_RETRY``. ``TreeBase.insert`` and
 ``TreeBase.delete`` are the only retry loops: they rerun the pass until it
-returns a result and count one retry per failed pass.
+returns a result and count one retry per failed pass. After a failed pass
+the thread calls :data:`~cbst.core.pause`, handing the GIL to a lock holder
+that is waiting for it instead of spinning through futile passes until the
+switch interval ends, so a retry counts a real conflict, not GIL preemption.
 
 Variant summary::
 
@@ -56,10 +59,9 @@ traversal can reach them; reclamation is left to reference counting.
 from __future__ import annotations
 
 import threading
-import time
 from typing import NamedTuple
 
-from .core import NEG_SENTINEL, POS_SENTINEL, check_key
+from .core import NEG_SENTINEL, POS_SENTINEL, check_key, pause
 
 # What a failed pass returns in place of a result.
 _RETRY = object()
@@ -100,7 +102,7 @@ def _link_settled_sibling(ppred, pright, pred, right):
     """
     sibling = pred.left if right else pred.right
     while sibling.lock.locked() or (pred.left if right else pred.right) is not sibling:
-        time.sleep(0)
+        pause()
         sibling = pred.left if right else pred.right
     _link(ppred, pright, sibling)
 
@@ -116,7 +118,7 @@ def _link_locked_sibling(ppred, pright, pred, right):
             if (pred.left if right else pred.right) is sibling:
                 break
             sibling.lock.release()
-        time.sleep(0)
+        pause()
     _link(ppred, pright, sibling)
     sibling.lock.release()
 
@@ -254,19 +256,21 @@ class TreeBase:
     # -- updates ----------------------------------------------------------
 
     def insert(self, key: int) -> bool:
-        """Add ``key``; True when it was absent. Reruns ``_insert`` until
-        a pass returns a result."""
+        """Add ``key``; True when it was absent. Reruns ``_insert``,
+        pausing after each failed pass, until a pass returns a result."""
         check_key(key)
         while (result := self._insert(key)) is _RETRY:
             self._count_retry()
+            pause()
         return result
 
     def delete(self, key: int) -> bool:
-        """Remove ``key``; True when it was present. Reruns ``_delete``
-        until a pass returns a result."""
+        """Remove ``key``; True when it was present. Reruns ``_delete``,
+        pausing after each failed pass, until a pass returns a result."""
         check_key(key)
         while (result := self._delete(key)) is _RETRY:
             self._count_retry()
+            pause()
         return result
 
     def _router_above(self, key, curr):

@@ -33,7 +33,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .core import NEG_SENTINEL, POS_SENTINEL, OpKind, check_mix, draw_op, run_threads, thread_rng
+from .core import (
+    NEG_SENTINEL,
+    POS_SENTINEL,
+    OpKind,
+    check_mix,
+    draw_op,
+    pause,
+    run_threads,
+    thread_rng,
+)
 from .tree import TreeBase, new_tree
 
 INVOKE = "INVOKE"
@@ -476,10 +485,11 @@ class StressConfig:
     (positive and finite) is the grace period beyond the nominal run length
     before the run is declared stuck.
 
-    A recorded run yields the scheduler, on 70 % of operations, between
-    stamping an invocation and running it. Short bursts would otherwise
-    execute one whole thread at a time and the recorded histories would
-    never overlap; the yield widens operation windows without falsifying
+    A recorded run calls :data:`~cbst.core.pause` (a GIL-releasing
+    ``sched_yield``), on 70 % of operations, between stamping an invocation
+    and running it. Short bursts would otherwise execute one whole thread at
+    a time, and about half the recorded operations, not 98 %, would overlap
+    another thread's; the pause widens operation windows without falsifying
     anything, since the response is stamped only after the operation really
     returns.
     """
@@ -562,7 +572,7 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
             if record:
                 buf.append(Event(tid, seq, INVOKE, op, key, None, now()))
                 if rng.random() < 0.7:
-                    time.sleep(0)
+                    pause()
                 result = methods[op](key)
                 buf.append(Event(tid, seq + 1, RESPOND, op, key, result, now()))
                 seq += 2

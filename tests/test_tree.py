@@ -4,8 +4,10 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cbst.tree
 from cbst.core import NEG_SENTINEL, POS_SENTINEL, OpKind, SeqOracle
 from cbst.tree import (
+    _RETRY,
     CONCURRENT_VARIANTS,
     VARIANT_NAMES,
     MarkedNode,
@@ -25,6 +27,24 @@ def apply_op(tree, op, key):
     if op is OpKind.INSERT:
         return tree.insert(key)
     return tree.delete(key)
+
+
+def leaked_locks(tree):
+    """(key, held, marked) of every reachable node still held or marked.
+
+    Retired nodes keep their flags, marks or tickets but are unreachable,
+    so a reachable node that is still held or marked was leaked."""
+    leaked = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        held = node.lock.locked()
+        marked = getattr(node, "marked", False)
+        if held or marked:
+            leaked.append((node.key, held, marked))
+        if node.left is not None:
+            stack.extend((node.left, node.right))
+    return leaked
 
 
 class TestInitialStructure:
@@ -181,6 +201,105 @@ class TestOracleEquivalence:
         for op, key in ops:
             assert apply_op(t, op, key) == oracle.apply(op, key)
         assert t.collect_leaf_keys() == oracle.contents()
+
+
+# The snapshot node whose lock each update pass takes first.
+FIRST_LOCKED = {
+    ("fn", "insert"): "pred",
+    ("fn", "delete"): "ppred",
+    ("fe", "insert"): "curr",
+    ("fe", "delete"): "pred",
+    ("fem", "insert"): "curr",
+    ("fem", "delete"): "pred",
+    ("tn", "insert"): "pred",
+    ("tn", "delete"): "ppred",
+}
+
+
+class TestRetryPause:
+    @pytest.mark.parametrize("variant", ["fn", "fe", "fem", "tn"])
+    @pytest.mark.parametrize("op", ["insert", "delete"])
+    def test_failed_pass_pauses_once(self, variant, op, monkeypatch):
+        # One thread: the pass's first lock is held, so the pass fails, and
+        # the stub pause stands in for the holder finishing its commit.
+        t = new_tree(variant)
+        for k in (10, 20, 30):
+            t.insert(k)
+        key = 25 if op == "insert" else 20
+        lock = getattr(t.find(key), FIRST_LOCKED[variant, op]).lock
+        assert lock.acquire(False)
+        calls = []
+        count_retry = t._count_retry
+
+        def stub_pause():
+            calls.append(lock.locked())
+            lock.release()
+
+        def count_retry_bounded():
+            # A loop that reran the pass without pausing would spin on the
+            # held lock forever; a second failed pass frees it instead, so
+            # the assertions below fail rather than hang.
+            count_retry()
+            if t.retry_count() > 1:
+                lock.release()
+
+        monkeypatch.setattr(cbst.tree, "pause", stub_pause)
+        monkeypatch.setattr(t, "_count_retry", count_retry_bounded)
+        assert getattr(t, op)(key) is True
+        assert t.retry_count() == 1
+        assert calls == [True]
+        assert leaked_locks(t) == []
+
+
+# Stale passes: (variant, op, key, moves, busy). The pass for ``key`` runs
+# on a snapshot taken from a tree holding 10 and 30, after ``moves`` (k
+# inserts k, -k deletes k) changed the tree. ``busy`` names the one snapshot
+# node the moves left held; with None every node is free and unmarked, so
+# only a validation step can fail the pass.
+STALE_PASSES = [
+    # curr (leaf 10) retired, still locked, under a new parent
+    ("fn", "insert", 25, (15, -10), "curr"),
+    # leaf 10 split: pred's child is now a new router
+    ("fn", "insert", 25, (15,), None),
+    ("fn", "delete", 10, (15,), None),
+    ("fem", "insert", 25, (15,), None),
+    ("fem", "delete", 10, (15,), None),
+    ("tn", "insert", 25, (15,), None),
+    # the re-traversal reaches the new router, not the locked path
+    ("fe", "insert", 25, (15,), None),
+    ("fe", "delete", 10, (15,), None),
+    # an insert under ppred moved ppred's stamp
+    ("tn", "delete", 10, (5,), None),
+]
+
+
+class TestRollbackSites:
+    """Passes on stale snapshots: every pass's validation step, and fn
+    insert's busy curr lock, which threaded runs seldom reach. Each pass
+    must fail and leave no reachable node held or marked."""
+
+    @pytest.mark.parametrize("variant, op, key, moves, busy", STALE_PASSES)
+    def test_stale_pass_rolls_back(self, variant, op, key, moves, busy, monkeypatch):
+        t = new_tree(variant)
+        for k in (10, 30):
+            t.insert(k)
+        finder = "_find_stamped" if variant == "tn" else "_find"
+        real = getattr(t, finder)
+        stale = [real(key)]
+        for k in moves:
+            if k > 0:
+                t.insert(k)
+            else:
+                t.delete(-k)
+        snap = Snapshot(*stale[0][:5])
+        names = ("ppred", "pred", "curr")
+        held = [getattr(snap, n).lock.locked() or getattr(getattr(snap, n), "marked", False)
+                for n in names]
+        assert held == [n == busy for n in names]
+        # Only the pass's first descent is stale; fe's re-traversal is not.
+        monkeypatch.setattr(t, finder, lambda k: stale.pop() if stale else real(k))
+        assert getattr(t, "_" + op)(key) is _RETRY
+        assert leaked_locks(t) == []
 
 
 class TestRetirementBookkeeping:

@@ -1,4 +1,6 @@
+import bisect
 import random
+import statistics
 import sys
 import threading
 from pathlib import Path
@@ -23,6 +25,27 @@ from cbst.verify import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def overlap_share(history):
+    """Share of operations whose interval overlaps, ends included, the
+    interval of some operation on another thread."""
+    ops = history.operations()
+    by_thread = {}
+    for op in ops:
+        by_thread.setdefault(op.thread_id, []).append(op)
+    # A thread's operations are sequential, so its responses ascend too.
+    responds = {tid: [o.respond_ts for o in tops] for tid, tops in by_thread.items()}
+    overlapping = 0
+    for op in ops:
+        for tid, tops in by_thread.items():
+            if tid == op.thread_id:
+                continue
+            i = bisect.bisect_left(responds[tid], op.invoke_ts)
+            if i < len(tops) and tops[i].invoke_ts <= op.respond_ts:
+                overlapping += 1
+                break
+    return overlapping / len(ops)
 
 
 def make_history(spec):
@@ -443,6 +466,19 @@ class TestRunStress:
         assert err.value.thread_id in (0, 1)
         assert err.value.op is not None
         assert "last invoked" in str(err.value)
+
+    def test_recorded_runs_overlap(self):
+        # The pause between stamping an invocation and running it is what
+        # makes recorded operations overlap: about 98 % do with it, and
+        # 20-60 % without it.
+        shares = []
+        for seed in range(3):
+            cfg = StressConfig(variant="fem", threads=2, key_range=64,
+                               insert_pct=20, delete_pct=10, search_pct=70,
+                               seed=seed, ops_per_thread=1000)
+            history, _ = run_stress(cfg)
+            shares.append(overlap_share(history))
+        assert statistics.median(shares) >= 0.8, shares
 
     def test_structure_and_balance_after_stress(self):
         cfg = StressConfig(variant="fe", threads=4, key_range=12,
