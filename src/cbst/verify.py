@@ -29,6 +29,8 @@ invocation if the run fails to terminate within its grace period.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -485,13 +487,23 @@ class StressConfig:
     (positive and finite) is the grace period beyond the nominal run length
     before the run is declared stuck.
 
-    A recorded run calls :data:`~cbst.core.pause` (a GIL-releasing
-    ``sched_yield``), on 70 % of operations, between stamping an invocation
-    and running it. Short bursts would otherwise execute one whole thread at
-    a time, and about half the recorded operations, not 98 %, would overlap
-    another thread's; the pause widens operation windows without falsifying
-    anything, since the response is stamped only after the operation really
-    returns.
+    On 70 % of operations a recorded run hands over between stamping an
+    invocation and running it: it calls :data:`~cbst.core.pause` (a
+    GIL-releasing ``sched_yield``) until another thread has stamped an event
+    or no other thread is left running. Short bursts would otherwise execute
+    one whole thread at a time, and about half the recorded operations, not
+    98 %, would overlap another thread's. The hand-over widens operation
+    windows without falsifying anything, since the response is stamped only
+    after the operation really returns.
+
+    Where the platform can pin threads (Linux), a recorded run's threads
+    share one CPU, the lowest the process may use, so that a pause switches
+    straight to the thread waiting for the GIL; under the GIL they never run
+    Python code at the same time anyway. On separate CPUs a ``sched_yield``
+    returns at once and the yielder usually takes the GIL back first: a
+    single pause then let only 50-75 % of operations overlap, and a
+    hand-over waited about 30 us for the other thread to wake (2-vCPU x86-64
+    VM, CPython 3.11).
     """
 
     variant: str = "fem"
@@ -527,7 +539,8 @@ class StressConfig:
 def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     """Run one randomized multi-thread workload and record its history.
 
-    All threads start together at a 10 us switch interval. Each draws
+    All threads start together at a 10 us switch interval, on one CPU when
+    the run is recorded (see :class:`StressConfig`). Each draws
     operations from its own seeded generator, so the per-thread operation
     streams are fully determined by (seed, thread index). Returns the merged
     history and the quiescent tree; raises :class:`DeadlockSuspectedError`
@@ -544,8 +557,21 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     kr = config.key_range
     record = config.record_events
     now = time.monotonic_ns
+    # Threads still running; a lost decrement would hang a hand-over.
+    running = [nt]
+    running_lock = threading.Lock()
+    cpu = min(os.sched_getaffinity(0)) if record and hasattr(os, "sched_setaffinity") else None
 
     def worker(tid: int, start_ns: int) -> None:
+        if cpu is not None:
+            os.sched_setaffinity(0, {cpu})
+        try:
+            run_ops(tid, start_ns)
+        finally:
+            with running_lock:
+                running[0] -= 1
+
+    def run_ops(tid: int, start_ns: int) -> None:
         rng = thread_rng(config.seed, tid)
         buf = buffers[tid]
         methods = {
@@ -570,9 +596,17 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
             op, key = draw_op(rng, ins_pct, del_pct, kr)
             last_op[tid] = (op, key)
             if record:
+                # Events of all threads before this one's invocation; each
+                # buffer grows only by its own thread's appends.
+                before = sum(map(len, buffers))
                 buf.append(Event(tid, seq, INVOKE, op, key, None, now()))
                 if rng.random() < 0.7:
+                    # This thread holds no tree lock yet, so it blocks no
+                    # one. Two waiters cannot both see only their own stamp
+                    # added: the later one's ``before`` counts the earlier's.
                     pause()
+                    while sum(map(len, buffers)) == before + 1 and running[0] > 1:
+                        pause()
                 result = methods[op](key)
                 buf.append(Event(tid, seq + 1, RESPOND, op, key, result, now()))
                 seq += 2

@@ -1,4 +1,6 @@
 import bisect
+import itertools
+import os
 import random
 import statistics
 import sys
@@ -46,6 +48,40 @@ def overlap_share(history):
                 overlapping += 1
                 break
     return overlapping / len(ops)
+
+
+def interrupted_share(history):
+    """Share of operations during whose interval, ends excluded, another
+    thread stamped an event."""
+    ops = history.operations()
+    stamps = {}
+    for op in ops:
+        stamps.setdefault(op.thread_id, []).extend((op.invoke_ts, op.respond_ts))
+    for ts in stamps.values():
+        ts.sort()
+    interrupted = 0
+    for op in ops:
+        for tid, ts in stamps.items():
+            if tid == op.thread_id:
+                continue
+            i = bisect.bisect_right(ts, op.invoke_ts)
+            if i < len(ts) and ts[i] < op.respond_ts:
+                interrupted += 1
+                break
+    return interrupted / len(ops)
+
+
+def recorded_shares(measure):
+    """``measure`` of recorded fem runs, 2 threads x 1,000 ops on 64 keys at
+    20/10/70, seeds 0-2."""
+    shares = []
+    for seed in range(3):
+        cfg = StressConfig(variant="fem", threads=2, key_range=64,
+                           insert_pct=20, delete_pct=10, search_pct=70,
+                           seed=seed, ops_per_thread=1000)
+        history, _ = run_stress(cfg)
+        shares.append(measure(history))
+    return shares
 
 
 def make_history(spec):
@@ -468,17 +504,49 @@ class TestRunStress:
         assert "last invoked" in str(err.value)
 
     def test_recorded_runs_overlap(self):
-        # The pause between stamping an invocation and running it is what
-        # makes recorded operations overlap: about 98 % do with it, and
+        # The hand-over between stamping an invocation and running it is
+        # what makes recorded operations overlap: about 98 % do with it, and
         # 20-60 % without it.
-        shares = []
-        for seed in range(3):
-            cfg = StressConfig(variant="fem", threads=2, key_range=64,
-                               insert_pct=20, delete_pct=10, search_pct=70,
-                               seed=seed, ops_per_thread=1000)
-            history, _ = run_stress(cfg)
-            shares.append(overlap_share(history))
+        shares = recorded_shares(overlap_share)
         assert statistics.median(shares) >= 0.8, shares
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs thread CPU affinity")
+    def test_recorded_run_threads_share_one_cpu(self, monkeypatch):
+        masks = []
+        set_affinity = os.sched_setaffinity
+
+        def record_mask(pid, mask):
+            masks.append((pid, frozenset(mask)))
+            set_affinity(pid, mask)
+
+        monkeypatch.setattr(os, "sched_setaffinity", record_mask)
+        run_stress(StressConfig(variant="fem", threads=3, seed=0, ops_per_thread=10))
+        assert len(masks) == 3
+        assert len(set(masks)) == 1
+        pid, mask = masks[0]
+        assert pid == 0 and len(mask) == 1
+        masks.clear()
+        run_stress(StressConfig(variant="fem", threads=3, seed=0, ops_per_thread=10,
+                                record_events=False))
+        assert masks == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs thread CPU affinity")
+    def test_recorded_runs_interleave_on_separate_cpus(self, monkeypatch):
+        # Spread the threads over the CPUs instead of one: a sched_yield then
+        # returns at once and the yielder takes the GIL straight back, so
+        # after a single pause another thread stamped an event inside only
+        # 2-8 % of operations. Waiting for that stamp puts it inside about
+        # 69 %: nearly all of the 70 % that hand over, as on one CPU.
+        cpus = sorted(os.sched_getaffinity(0))
+        set_affinity = os.sched_setaffinity
+        placed = itertools.count()
+
+        def spread(pid, _mask):
+            set_affinity(pid, {cpus[next(placed) % len(cpus)]})
+
+        monkeypatch.setattr(os, "sched_setaffinity", spread)
+        shares = recorded_shares(interrupted_share)
+        assert statistics.median(shares) >= 0.6, shares
 
     def test_structure_and_balance_after_stress(self):
         cfg = StressConfig(variant="fe", threads=4, key_range=12,
