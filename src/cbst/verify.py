@@ -29,7 +29,6 @@ invocation if the run fails to terminate within its grace period.
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -494,16 +493,11 @@ class StressConfig:
     one whole thread at a time, and about half the recorded operations, not
     98 %, would overlap another thread's. The hand-over widens operation
     windows without falsifying anything, since the response is stamped only
-    after the operation really returns.
-
-    Where the platform can pin threads (Linux), a recorded run's threads
-    share one CPU, the lowest the process may use, so that a pause switches
-    straight to the thread waiting for the GIL; under the GIL they never run
-    Python code at the same time anyway. On separate CPUs a ``sched_yield``
-    returns at once and the yielder usually takes the GIL back first: a
-    single pause then let only 50-75 % of operations overlap, and a
-    hand-over waited about 30 us for the other thread to wake (2-vCPU x86-64
-    VM, CPython 3.11).
+    after the operation really returns. A single pause is not enough when
+    the threads sit on separate CPUs: ``sched_yield`` then returns at once
+    and the yielder usually takes the GIL back before the other thread
+    wakes, and only 50-75 % of operations overlapped (2-vCPU x86-64 VM,
+    CPython 3.11).
     """
 
     variant: str = "fem"
@@ -539,13 +533,13 @@ class StressConfig:
 def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     """Run one randomized multi-thread workload and record its history.
 
-    All threads start together at a 10 us switch interval, on one CPU when
-    the run is recorded (see :class:`StressConfig`). Each draws
+    All threads start together at a 10 us switch interval. Each draws
     operations from its own seeded generator, so the per-thread operation
     streams are fully determined by (seed, thread index). Returns the merged
     history and the quiescent tree; raises :class:`DeadlockSuspectedError`
-    when any thread outlives the grace period, naming that thread's last
-    invocation.
+    when any thread outlives the grace period, naming the last invocation
+    of a stuck thread that is not waiting in a hand-over (see
+    :class:`StressConfig`).
     """
     tree = new_tree(config.variant)
     nt = config.threads
@@ -560,11 +554,9 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     # Threads still running; a lost decrement would hang a hand-over.
     running = [nt]
     running_lock = threading.Lock()
-    cpu = min(os.sched_getaffinity(0)) if record and hasattr(os, "sched_setaffinity") else None
+    handing_over = [False] * nt
 
     def worker(tid: int, start_ns: int) -> None:
-        if cpu is not None:
-            os.sched_setaffinity(0, {cpu})
         try:
             run_ops(tid, start_ns)
         finally:
@@ -605,8 +597,10 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
                     # one. Two waiters cannot both see only their own stamp
                     # added: the later one's ``before`` counts the earlier's.
                     pause()
+                    handing_over[tid] = True
                     while sum(map(len, buffers)) == before + 1 and running[0] > 1:
                         pause()
+                    handing_over[tid] = False
                 result = methods[op](key)
                 buf.append(Event(tid, seq + 1, RESPOND, op, key, result, now()))
                 seq += 2
@@ -617,7 +611,13 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     # A short scheduling quantum makes small runs actually interleave.
     stuck = run_threads(worker, nt, budget, switch_interval=1e-5)
     if stuck:
-        tid = stuck[0]
+        # A thread that waits in a hand-over is stuck only because another
+        # one is; name one of the others.
+        tid = next((t for t in stuck if not handing_over[t]), stuck[0])
+        with running_lock:
+            # Let the waiters go, so that none spins for the rest of the
+            # process.
+            running[0] = 0
         op, key = last_op[tid] or (None, None)
         raise DeadlockSuspectedError(tid, op, key, len(stuck), nt)
 

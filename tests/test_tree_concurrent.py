@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+import cbst.verify
 from cbst.core import run_threads
 from cbst.tree import CONCURRENT_VARIANTS, new_tree
 from cbst.verify import (
@@ -73,9 +74,67 @@ def test_small_histories_linearizable(variant):
         assert check_linearizable(history), "\n".join(history.to_lines())
 
 
+def hold_one_key_until_retry(tree, hold_s):
+    """Make one update pass of ``tree`` first lock the leaf its key reaches
+    and that leaf's parent, and hold both until some pass fails (at most
+    ``hold_s`` seconds).
+
+    Every insert or delete of that key locks the leaf or its parent, and so
+    does every change that could move the leaf away from the parent, so
+    while both are held the other threads' first update of the key must
+    fail a pass. Which thread holds, and when, is up to the scheduler."""
+    retried = threading.Event()
+    claim = threading.Lock()
+    held = []
+    count_retry = tree._count_retry
+
+    def count_and_signal():
+        count_retry()
+        retried.set()
+
+    def hold(key):
+        _, _, pred, _, curr = tree._find(key)
+        if not pred.lock.acquire(False):
+            return
+        if curr.lock.acquire(False):
+            # Both reachable: nothing can unlink them while they are held.
+            if tree._find(key)[2::2] == (pred, curr):
+                held.append(key)
+                retried.wait(hold_s)
+            curr.lock.release()
+        pred.lock.release()
+
+    def holding_first(run_pass):
+        def hooked(key):
+            if not held and claim.acquire(False):
+                try:
+                    if not held:
+                        hold(key)
+                finally:
+                    claim.release()
+            return run_pass(key)
+
+        return hooked
+
+    tree._count_retry = count_and_signal
+    tree._insert = holding_first(tree._insert)
+    tree._delete = holding_first(tree._delete)
+    return held
+
+
 @pytest.mark.parametrize("variant", ["fn", "fe", "fem", "tn"])
-def test_contention_is_observed(variant):
+def test_contention_is_observed(variant, monkeypatch):
     # At key range 2 with four writers something must collide and retry.
+    # Left to the scheduler, a run switches threads so seldom that it can
+    # finish without one conflict, so one pass holds its key's locks until
+    # another thread's pass fails on them.
+    holds = []
+
+    def new_holding_tree(v):
+        tree = new_tree(v)
+        holds.append(hold_one_key_until_retry(tree, JOIN_TIMEOUT_S / 3))
+        return tree
+
     config = StressConfig(
         variant=variant,
         threads=4,
@@ -88,16 +147,19 @@ def test_contention_is_observed(variant):
         timeout_s=60,
         record_events=False,
     )
-    _, tree = run_stress(config)
+    with monkeypatch.context() as m:
+        m.setattr(cbst.verify, "new_tree", new_holding_tree)
+        _, tree = run_stress(config)
+    assert holds[0], f"{variant}: no pass held its key's locks"
     assert tree.retry_count() > 0, f"{variant}, seed {config.seed}: no operation retried"
     assert leaked_locks(tree) == [], f"{variant}, seed {config.seed}"
     # One run seldom reaches every rollback site. Instrumented and repeated
-    # six times, this test's runs fired 17-22 of the 24: never fn's insert
-    # rollbacks after a busy curr lock or a moved link, and only sometimes
-    # fn's delete validation, fe's insert re-traversal, fem's delete link
-    # re-check and tn's insert and ppred stamp checks. test_tree.py's
-    # TestRollbackSites forces those seven, and every other validation
-    # step, on stale snapshots.
+    # six times without the hold, this test's runs fired 17-22 of the 24:
+    # never fn's insert rollbacks after a busy curr lock or a moved link,
+    # and only sometimes fn's delete validation, fe's insert re-traversal,
+    # fem's delete link re-check and tn's insert and ppred stamp checks.
+    # test_tree.py's TestRollbackSites forces those seven, and every other
+    # validation step, on stale snapshots.
     for seed in range(5):
         _, tree = run_stress(replace(config, key_range=3, seed=seed))
         assert leaked_locks(tree) == [], f"{variant}, seed {seed}"

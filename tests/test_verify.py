@@ -1,5 +1,4 @@
 import bisect
-import itertools
 import os
 import random
 import statistics
@@ -9,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import cbst.verify
 from cbst.core import OpKind
 from cbst.tree import new_tree
 from cbst.verify import (
@@ -82,6 +82,18 @@ def recorded_shares(measure):
         history, _ = run_stress(cfg)
         shares.append(measure(history))
     return shares
+
+
+def on_worker_start(monkeypatch, hook):
+    """Call ``hook(tid)`` on each run_stress worker thread as it starts,
+    before its first operation."""
+    thread_rng = cbst.verify.thread_rng
+
+    def start(seed, tid):
+        hook(tid)
+        return thread_rng(seed, tid)
+
+    monkeypatch.setattr(cbst.verify, "thread_rng", start)
 
 
 def make_history(spec):
@@ -510,41 +522,54 @@ class TestRunStress:
         shares = recorded_shares(overlap_share)
         assert statistics.median(shares) >= 0.8, shares
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs thread CPU affinity")
-    def test_recorded_run_threads_share_one_cpu(self, monkeypatch):
-        masks = []
-        set_affinity = os.sched_setaffinity
+    def test_verdict_names_hung_thread_not_hand_over_waiter(self, monkeypatch):
+        # Worker 1 hangs inside its first operation and holds no tree lock.
+        # Worker 0 never conflicts with it, but its next hand-over waits
+        # for a stamp from worker 1 that never comes. The verdict must name
+        # worker 1, and worker 0 must be let go rather than wait forever.
+        gate = threading.Event()
+        workers = {}
 
-        def record_mask(pid, mask):
-            masks.append((pid, frozenset(mask)))
-            set_affinity(pid, mask)
+        def note_thread(tid):
+            workers[tid] = threading.current_thread()
 
-        monkeypatch.setattr(os, "sched_setaffinity", record_mask)
-        run_stress(StressConfig(variant="fem", threads=3, seed=0, ops_per_thread=10))
-        assert len(masks) == 3
-        assert len(set(masks)) == 1
-        pid, mask = masks[0]
-        assert pid == 0 and len(mask) == 1
-        masks.clear()
-        run_stress(StressConfig(variant="fem", threads=3, seed=0, ops_per_thread=10,
-                                record_events=False))
-        assert masks == []
+        def hung_tree(variant):
+            tree = new_tree(variant)
+            for name in ("insert", "delete", "search"):
+                method = getattr(tree, name)
+
+                def op(key, method=method):
+                    if threading.current_thread() is workers.get(1):
+                        gate.wait(60)
+                    return method(key)
+
+                setattr(tree, name, op)
+            return tree
+
+        on_worker_start(monkeypatch, note_thread)
+        monkeypatch.setattr(cbst.verify, "new_tree", hung_tree)
+        cfg = StressConfig(variant="fem", threads=2, key_range=64, seed=0,
+                           ops_per_thread=1000, timeout_s=0.5)
+        try:
+            with pytest.raises(DeadlockSuspectedError) as err:
+                run_stress(cfg)
+            assert err.value.thread_id == 1
+            assert err.value.op is not None
+            workers[0].join(10)
+            assert not workers[0].is_alive()
+        finally:
+            gate.set()
+            workers[1].join(10)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs thread CPU affinity")
     def test_recorded_runs_interleave_on_separate_cpus(self, monkeypatch):
-        # Spread the threads over the CPUs instead of one: a sched_yield then
-        # returns at once and the yielder takes the GIL straight back, so
-        # after a single pause another thread stamped an event inside only
-        # 2-8 % of operations. Waiting for that stamp puts it inside about
-        # 69 %: nearly all of the 70 % that hand over, as on one CPU.
+        # Pin the threads to separate CPUs: a sched_yield then returns at
+        # once and the yielder takes the GIL straight back, so after a
+        # single pause another thread stamped an event inside only 2-8 % of
+        # operations. Waiting for that stamp puts it inside about 69 %:
+        # nearly all of the 70 % that hand over.
         cpus = sorted(os.sched_getaffinity(0))
-        set_affinity = os.sched_setaffinity
-        placed = itertools.count()
-
-        def spread(pid, _mask):
-            set_affinity(pid, {cpus[next(placed) % len(cpus)]})
-
-        monkeypatch.setattr(os, "sched_setaffinity", spread)
+        on_worker_start(monkeypatch, lambda tid: os.sched_setaffinity(0, {cpus[tid % len(cpus)]}))
         shares = recorded_shares(interrupted_share)
         assert statistics.median(shares) >= 0.6, shares
 
