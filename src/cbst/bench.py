@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
-from .core import OpKind, check_mix, draw_op, run_threads, thread_rng
+from .core import POS_SENTINEL, OpKind, check_mix, draw_op, run_threads, thread_rng
 from .tree import VARIANT_NAMES, TreeBase, new_tree
 
 # The two standard mixes, in (insert_pct, delete_pct, search_pct) order.
@@ -39,7 +39,11 @@ MIX_MID = (20, 10, 70)
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """An operation mix plus the key range ("bucket") it runs over."""
+    """An operation mix plus the key range ("bucket") it runs over.
+
+    Keys are drawn from ``[0, key_range)``, so ``key_range`` is at most
+    ``POS_SENTINEL``.
+    """
 
     insert_pct: float
     delete_pct: float
@@ -48,8 +52,8 @@ class WorkloadSpec:
 
     def __post_init__(self):
         check_mix(self.insert_pct, self.delete_pct, self.search_pct)
-        if self.key_range < 2:
-            raise ValueError("key_range must be at least 2")
+        if not 2 <= self.key_range <= POS_SENTINEL:
+            raise ValueError(f"key_range must be between 2 and {POS_SENTINEL}")
 
 
 @dataclass(frozen=True)

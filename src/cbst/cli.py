@@ -26,7 +26,7 @@ import sys
 
 from . import bench as bench_mod
 from . import model as model_mod
-from .core import check_mix
+from .core import POS_SENTINEL, check_mix
 from .tree import CONCURRENT_VARIANTS, VARIANT_NAMES
 from .verify import (
     History,
@@ -47,9 +47,9 @@ _PRESET_BUCKETS = [10000, 100000]
 _PRESET_THREADS = [1, 2, 4, 8, 16, 32]
 
 
-def _at_least(minimum: int):
+def _at_least(minimum: int, at_most: float = math.inf):
     """An argparse type for an integer count or duration of at least
-    ``minimum``."""
+    ``minimum`` and at most ``at_most``."""
 
     def parse(text: str) -> int:
         try:
@@ -58,6 +58,8 @@ def _at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if value > at_most:
+            raise argparse.ArgumentTypeError(f"must be at most {at_most}, got {value}")
         return value
 
     return parse
@@ -112,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--threads", type=_thread_list, default=None, metavar="N,N,...",
                    help="thread counts to sweep (default 1)")
     b.add_argument("--duration-ms", type=_at_least(1), default=1000, metavar="MS")
-    b.add_argument("--key-range", type=_at_least(2), default=None, metavar="N",
+    b.add_argument("--key-range", type=_at_least(2, POS_SENTINEL), default=None, metavar="N",
                    help="key range aka bucket size (default 10000)")
     b.add_argument("--mix", type=_mix, default=None, metavar="I,D,S",
                    help="insert,delete,search percentages (default 20,10,70)")
@@ -129,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--threads", type=_at_least(1), default=None,
                    help="worker threads (default 4; seq runs on 1)")
     c.add_argument("--ops", type=_at_least(0), default=1000, help="operations per thread")
-    c.add_argument("--key-range", type=_at_least(1), default=64)
+    c.add_argument("--key-range", type=_at_least(1, POS_SENTINEL), default=64)
     c.add_argument("--mix", type=_mix, default=(20.0, 10.0, 70.0), metavar="I,D,S")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--timeout-s", type=_positive_seconds, default=30.0)

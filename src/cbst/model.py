@@ -69,7 +69,7 @@ def amdahl_speedup(p_fraction: float, processors: float) -> float:
         raise ModelDomainError(
             f"p out of range: violates 0 <= p <= 1 (p = {p_fraction})"
         )
-    if processors < 1:
+    if not processors >= 1:
         raise ModelDomainError(f"P out of range: violates P >= 1 (P = {processors})")
     return 1.0 / ((1.0 - p_fraction) + p_fraction / processors)
 
@@ -81,8 +81,8 @@ def effective_parallelism(params: ModelParams) -> float:
 
 def _check_speedup_inputs(params: ModelParams) -> None:
     # Only what the speedup formula itself needs; the full constraint block
-    # lives in validate().
-    if params.processors < 1:
+    # lives in validate(). Every check is written so that NaN fails it.
+    if not params.processors >= 1:
         raise ModelDomainError(
             f"P out of range: violates P >= 1 (P = {params.processors})"
         )
@@ -94,16 +94,16 @@ def _check_speedup_inputs(params: ModelParams) -> None:
         raise ModelDomainError(
             f"alpha out of range: violates 0 <= alpha <= 1 (alpha = {params.alpha})"
         )
-    if params.parallel_work <= 0:
+    if not params.parallel_work > 0:
         raise ModelDomainError(
             f"w_p out of range: violates w_p > 0 (w_p = {params.parallel_work})"
         )
-    if params.snapshot_work < 0:
+    if not params.snapshot_work >= 0:
         raise ModelDomainError(
             f"w_snapshot out of range: violates w_snapshot >= 0 "
             f"(w_snapshot = {params.snapshot_work})"
         )
-    if params.control_work < 0:
+    if not params.control_work >= 0:
         raise ModelDomainError(
             f"w_control out of range: violates w_control >= 0 "
             f"(w_control = {params.control_work})"
@@ -125,29 +125,39 @@ def alpha_at(t: float, params: ModelParams) -> float:
     The asymptote is w_snapshot * beta / w_control; alpha climbs toward it
     from 0 at t = 0, faster for harder structures (larger h).
     """
-    if params.hardness <= 1:
+    if not params.hardness > 1:
         raise ModelDomainError(
             f"h out of domain: violates h > 1 (h = {params.hardness})"
         )
-    if params.control_work <= 0:
+    if not params.control_work > 0:
         raise ModelDomainError(
             f"w_control out of domain: the alpha(t) asymptote needs w_control > 0 "
             f"(w_control = {params.control_work})"
         )
-    if t < 0:
+    if not t >= 0:
         raise ModelDomainError(f"t out of domain: violates t >= 0 (t = {t})")
     asymptote = params.snapshot_work * params.beta / params.control_work
+    if not math.isfinite(asymptote):
+        raise ModelDomainError(
+            f"asymptote out of domain: w_snapshot*beta/w_control must be finite "
+            f"(asymptote = {asymptote})"
+        )
     return asymptote * (1.0 - params.hardness ** (-t))
 
 
 def alpha_curve(hardness: float, asymptote: float, t_max: float, step: float) -> list[tuple[float, float]]:
-    """Sample (t, alpha) pairs from 0 to t_max inclusive at the given step."""
-    if hardness <= 1:
+    """Sample (t, alpha) pairs from 0 to t_max inclusive at the given step.
+
+    The asymptote, t_max and step must be finite, or the grid is undefined.
+    """
+    if not hardness > 1:
         raise ModelDomainError(f"h out of domain: violates h > 1 (h = {hardness})")
-    if step <= 0:
-        raise ModelDomainError(f"step out of domain: violates step > 0 (step = {step})")
-    if t_max < 0:
-        raise ModelDomainError(f"t_max out of domain: violates t_max >= 0 (t_max = {t_max})")
+    if not math.isfinite(asymptote):
+        raise ModelDomainError(f"asymptote out of domain: must be finite (asymptote = {asymptote})")
+    if not 0 < step < math.inf:
+        raise ModelDomainError(f"step out of domain: violates 0 < step < inf (step = {step})")
+    if not 0 <= t_max < math.inf:
+        raise ModelDomainError(f"t_max out of domain: violates 0 <= t_max < inf (t_max = {t_max})")
     points = []
     n = int(math.floor(t_max / step + 1e-9))
     for i in range(n + 1):
@@ -161,20 +171,20 @@ def validate(params: ModelParams) -> list[str]:
 
     The trailing cap in 0 <= alpha <= w_snapshot*beta/w_control <= 1 binds
     alpha, not the ratio: alpha may never exceed 1 even when the ratio
-    does.
+    does. Every check is written so that NaN fails it.
     """
     v = []
-    if params.processors < 1:
+    if not params.processors >= 1:
         v.append(f"violates P >= 1 (P = {params.processors})")
     if not 0.0 <= params.contention <= 1.0:
         v.append(f"violates 0 <= c <= 1 (c = {params.contention})")
-    if params.parallel_work <= 0:
+    if not params.parallel_work > 0:
         v.append(f"violates w_p > 0 (w_p = {params.parallel_work})")
-    if params.snapshot_work <= 0:
+    if not params.snapshot_work > 0:
         v.append(f"violates w_snapshot > 0 (w_snapshot = {params.snapshot_work})")
-    if params.control_work < 0:
+    if not params.control_work >= 0:
         v.append(f"violates w_control >= 0 (w_control = {params.control_work})")
-    if params.hardness <= 1:
+    if not params.hardness > 1:
         v.append(f"violates h > 1 (h = {params.hardness})")
     if params.snapshot_work > 0 and not (
         1.0 / params.snapshot_work <= params.beta <= 1.0
@@ -187,7 +197,7 @@ def validate(params: ModelParams) -> list[str]:
         v.append(f"violates 0 <= alpha <= 1 (alpha = {params.alpha})")
     elif params.control_work > 0:
         bound = params.snapshot_work * params.beta / params.control_work
-        if params.alpha > bound:
+        if not params.alpha <= bound:
             v.append(
                 f"violates alpha <= w_snapshot*beta/w_control "
                 f"(alpha = {params.alpha}, bound = {bound})"

@@ -163,17 +163,6 @@ class History:
         ops.sort(key=lambda o: (o.invoke_ts, o.thread_id))
         return ops
 
-    def signature(self) -> tuple:
-        """Timestamp-free view: per-thread operation streams with results.
-
-        Two runs of the same seeded single-threaded workload produce equal
-        signatures even though their clock readings differ.
-        """
-        return tuple(
-            (e.thread_id, e.seq, e.kind, e.op.value, e.key, e.result)
-            for e in sorted(self.events, key=lambda e: (e.thread_id, e.seq))
-        )
-
     # -- serialization ----------------------------------------------------
     #
     # One event per line:
@@ -245,12 +234,12 @@ _SET_STEP = {
 }
 
 
-def _key_linearizable(ops, present: bool, final: bool | None = None) -> bool:
+def _key_linearizable(ops, final: bool | None = None) -> bool:
     """Decide whether one key's operations admit a legal sequential witness.
 
     ``ops`` holds ``(kind, result, invoke_ts, respond_ts)`` tuples sorted by
-    invocation; ``present`` is the key's presence before the first of them
-    and ``final``, when given, the presence the witness must end with.
+    invocation. The key starts absent; ``final``, when given, is the
+    presence the witness must end with.
 
     The depth-first search walks states ``(lo, mask)``: every operation
     before ``lo`` is linearized, ``ops[lo]`` is not, and bit ``j`` of
@@ -265,7 +254,7 @@ def _key_linearizable(ops, present: bool, final: bool | None = None) -> bool:
     n = len(ops)
     steps = [_SET_STEP[kind, result] for kind, result, _, _ in ops]
     seen: set[tuple[int, int]] = set()
-    stack = [(0, 0, present)]
+    stack = [(0, 0, False)]
     while stack:
         lo, mask, present = stack.pop()
         if lo == n:
@@ -314,9 +303,8 @@ def _by_key(ops: Iterable[Operation]) -> dict[int, list[tuple]]:
     return per_key
 
 
-def check_linearizable(history: History, initial=()) -> bool:
-    """Decide whether ``history`` is linearizable for a set starting at
-    ``initial`` (empty by default).
+def check_linearizable(history: History) -> bool:
+    """Decide whether ``history`` is linearizable for a set starting empty.
 
     Every operation touches one key, so by locality (Herlihy & Wing 1990)
     the history is linearizable exactly when each key's sub-history is;
@@ -325,16 +313,12 @@ def check_linearizable(history: History, initial=()) -> bool:
     search reaches the engine's state bound raises
     :class:`HistoryTooLargeError`.
     """
-    initial = set(initial)
-    return all(
-        _key_linearizable(kops, key in initial)
-        for key, kops in _by_key(history.operations()).items()
-    )
+    return all(_key_linearizable(kops) for kops in _by_key(history.operations()).values())
 
 
-def brute_force_linearizable(history: History, initial=()) -> bool:
+def brute_force_linearizable(history: History) -> bool:
     """Reference decision procedure: enumerate every real-time-respecting
-    total order and replay each one wholesale.
+    total order and replay each one wholesale from the empty set.
 
     No memoization and no incremental pruning, so it shares no machinery
     with :func:`check_linearizable`; exponential, use only on tiny
@@ -344,7 +328,7 @@ def brute_force_linearizable(history: History, initial=()) -> bool:
     n = len(ops)
 
     def replay(order: list[int]) -> bool:
-        members = set(initial)
+        members = set()
         for i in order:
             op = ops[i]
             present = op.key in members
@@ -464,7 +448,7 @@ def check_balance(history: History, final_keys: Iterable[int]) -> list[str]:
     violations = []
     for key in sorted(per_key.keys() | final):
         kops = per_key.get(key, [])
-        if not _key_linearizable(kops, False, key in final):
+        if not _key_linearizable(kops, key in final):
             inserts = sum(1 for kind, *_ in kops if kind is OpKind.INSERT)
             violations.append(
                 f"key {key}: {inserts} successful inserts and {len(kops) - inserts} "
@@ -481,10 +465,10 @@ def check_balance(history: History, final_keys: Iterable[int]) -> list[str]:
 class StressConfig:
     """Parameters for one randomized multi-thread run.
 
-    Exactly one of ``ops_per_thread`` (zero or more) and ``duration_ms``
-    (positive) must be set. The percentages must sum to 100. ``timeout_s``
-    (positive and finite) is the grace period beyond the nominal run length
-    before the run is declared stuck.
+    ``ops_per_thread`` (zero or more) must be set. Keys are drawn from
+    ``[0, key_range)``, so ``key_range`` is at most ``POS_SENTINEL``. The
+    percentages must sum to 100. ``timeout_s`` (positive and finite) is the
+    time the run may take before it is declared stuck.
 
     On 70 % of operations a recorded run hands over between stamping an
     invocation and running it: it calls :data:`~cbst.core.pause` (a
@@ -508,22 +492,17 @@ class StressConfig:
     search_pct: float = 70.0
     seed: int = 0
     ops_per_thread: int | None = None
-    duration_ms: int | None = None
     timeout_s: float = 30.0
     record_events: bool = True
 
     def __post_init__(self):
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if self.key_range < 1:
-            raise ValueError("key_range must be at least 1")
+        if not 1 <= self.key_range <= POS_SENTINEL:
+            raise ValueError(f"key_range must be between 1 and {POS_SENTINEL}")
         check_mix(self.insert_pct, self.delete_pct, self.search_pct)
-        if (self.ops_per_thread is None) == (self.duration_ms is None):
-            raise ValueError("set exactly one of ops_per_thread and duration_ms")
-        if self.ops_per_thread is not None and self.ops_per_thread < 0:
-            raise ValueError("ops_per_thread must be non-negative")
-        if self.duration_ms is not None and self.duration_ms <= 0:
-            raise ValueError("duration_ms must be positive")
+        if self.ops_per_thread is None or self.ops_per_thread < 0:
+            raise ValueError("ops_per_thread must be set to zero or more")
         if not 0 < self.timeout_s < math.inf:
             raise ValueError("timeout_s must be positive and finite")
         if self.variant == "seq" and self.threads != 1:
@@ -556,14 +535,14 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     running_lock = threading.Lock()
     handing_over = [False] * nt
 
-    def worker(tid: int, start_ns: int) -> None:
+    def worker(tid: int, _start_ns: int) -> None:
         try:
-            run_ops(tid, start_ns)
+            run_ops(tid)
         finally:
             with running_lock:
                 running[0] -= 1
 
-    def run_ops(tid: int, start_ns: int) -> None:
+    def run_ops(tid: int) -> None:
         rng = thread_rng(config.seed, tid)
         buf = buffers[tid]
         methods = {
@@ -572,19 +551,7 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
             OpKind.SEARCH: tree.search,
         }
         seq = 0
-        if config.ops_per_thread is not None:
-            remaining = config.ops_per_thread
-            deadline = None
-        else:
-            remaining = None
-            deadline = start_ns + config.duration_ms * 1_000_000
-        while True:
-            if remaining is not None:
-                if remaining == 0:
-                    break
-                remaining -= 1
-            elif now() >= deadline:
-                break
+        for _ in range(config.ops_per_thread):
             op, key = draw_op(rng, ins_pct, del_pct, kr)
             last_op[tid] = (op, key)
             if record:
@@ -607,9 +574,8 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
             else:
                 methods[op](key)
 
-    budget = config.timeout_s + (config.duration_ms or 0) / 1000.0
     # A short scheduling quantum makes small runs actually interleave.
-    stuck = run_threads(worker, nt, budget, switch_interval=1e-5)
+    stuck = run_threads(worker, nt, config.timeout_s, switch_interval=1e-5)
     if stuck:
         # A thread that waits in a hand-over is stuck only because another
         # one is; name one of the others.

@@ -154,12 +154,13 @@ def test_03_checker_agrees_with_brute_force():
 
 
 def test_04_structure_and_balance_after_heavy_stress():
-    # 8 threads, 5 s, 20/10/70 mix, key range 10000
+    # 8 threads x 56,000 ops, 20/10/70 mix, key range 10000: at least as
+    # many operations as a 5 s run made (2-vCPU x86-64 VM, CPython 3.11)
     with _Clock() as clock:
         config = StressConfig(
             variant="fem", threads=8, key_range=10_000,
             insert_pct=20, delete_pct=10, search_pct=70,
-            seed=4, duration_ms=5000, timeout_s=30,
+            seed=4, ops_per_thread=56_000, timeout_s=30,
         )
         history, tree = run_stress(config)
         report = check_structure(tree)
@@ -172,14 +173,16 @@ def test_04_structure_and_balance_after_heavy_stress():
 
 
 def test_05_deadlock_freedom_under_max_contention():
-    # 20 consecutive 8-thread 2 s runs over 64 keys; each must finish
-    # inside the 30 s grace period enforced by run_stress itself
+    # 20 consecutive 8-thread x 94,000-op runs over 64 keys, at least as
+    # many operations as the most a 2 s run made (2-vCPU x86-64 VM, CPython
+    # 3.11); each must finish inside the 30 s grace period enforced by
+    # run_stress itself
     with _Clock() as clock:
         for i in range(20):
             config = StressConfig(
                 variant="fem", threads=8, key_range=64,
                 insert_pct=20, delete_pct=10, search_pct=70,
-                seed=500 + i, duration_ms=2000, timeout_s=30,
+                seed=500 + i, ops_per_thread=94_000, timeout_s=30,
                 record_events=False,
             )
             _, tree = run_stress(config)  # DeadlockSuspectedError would fail here

@@ -45,6 +45,13 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError):
             WorkloadSpec(key_range=1, insert_pct=20, delete_pct=10, search_pct=70)
 
+    def test_key_range_ceiling(self):
+        # Keys are drawn from [0, key_range) and must stay below the
+        # positive sentinel.
+        WorkloadSpec(key_range=2**63 - 1, insert_pct=20, delete_pct=10, search_pct=70)
+        with pytest.raises(ValueError, match="key_range"):
+            WorkloadSpec(key_range=2**63, insert_pct=20, delete_pct=10, search_pct=70)
+
     def test_presets_are_valid_mixes(self):
         for mix in (MIX_LOW, MIX_MID):
             spec = WorkloadSpec(key_range=100, insert_pct=mix[0],

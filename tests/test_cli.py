@@ -42,6 +42,14 @@ class TestModelEval:
         assert "c out of range" in err
         assert "0 <= c <= 1" in err
 
+    @pytest.mark.parametrize("flag", ["--ws-ratio", "--wc-ratio"])
+    def test_nan_work_ratio_fails(self, capsys, flag):
+        rc, out, err = run(capsys, "model", "--eval", "--P", "2", "--c", "0",
+                           flag, "nan")
+        assert rc == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "nan" in err
+
     def test_eval_requires_p_and_c(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["model", "--eval", "--P", "4"])
@@ -79,6 +87,19 @@ class TestModelCurve:
         with pytest.raises(SystemExit) as exc:
             main(["model", "--curve-alpha", "--h", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--t-max", "inf"), ("--step", "inf"), ("--step", "nan"),
+        ("--t-max", "nan"), ("--asymptote", "nan"), ("--h", "nan"),
+    ])
+    def test_non_finite_grid_fails(self, capsys, flag, value):
+        argv = {"--h": "2", "--asymptote": "0.8", "--t-max": "5", "--step": "0.5",
+                flag: value}
+        rc, out, err = run(capsys, "model", "--curve-alpha",
+                           *(word for item in argv.items() for word in item))
+        assert rc == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and value in err
 
     def test_bad_hardness(self, capsys):
         rc, _, err = run(capsys, "model", "--curve-alpha", "--h", "1",
@@ -210,7 +231,7 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--threads", "1,0"), ("--duration-ms", "0"), ("--key-range", "1"),
-        ("--repeats", "0"), ("--warmup-ms", "-1"),
+        ("--key-range", str(2**63)), ("--repeats", "0"), ("--warmup-ms", "-1"),
     ])
     def test_bad_count_is_usage_error(self, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -293,6 +314,16 @@ class TestCheckInvariants:
             assert out.splitlines() == CHECK_LINES
             assert err == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("--ops", "0"),
+        ("--threads", "1", "--ops", "5", "--key-range", str(2**63 - 1)),
+    ])
+    def test_edge_runs_pass(self, capsys, argv):
+        rc, out, err = run(capsys, "check", *argv)
+        assert rc == 0, err
+        assert out.splitlines() == CHECK_LINES
+        assert err == ""
+
     def test_out_file_lists_checks(self, capsys, tmp_path):
         out_path = tmp_path / "checks.csv"
         rc, _, _ = run(capsys, "check", "--variant", "tn", "--threads", "2",
@@ -329,8 +360,8 @@ class TestCheckLinearizability:
 
     @pytest.mark.parametrize("flag,value", [
         ("--threads", "0"), ("--ops", "-1"), ("--key-range", "0"),
-        ("--timeout-s", "0"), ("--timeout-s", "-1"), ("--timeout-s", "nan"),
-        ("--timeout-s", "inf"), ("--timeout-s", "soon"),
+        ("--key-range", str(2**63)), ("--timeout-s", "0"), ("--timeout-s", "-1"),
+        ("--timeout-s", "nan"), ("--timeout-s", "inf"), ("--timeout-s", "soon"),
     ])
     def test_bad_count_is_usage_error(self, flag, value):
         with pytest.raises(SystemExit) as exc:

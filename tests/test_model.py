@@ -24,6 +24,10 @@ from cbst.model import (
 )
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
 def params(**kw):
     defaults = dict(processors=4, contention=0.1)
     defaults.update(kw)
@@ -49,6 +53,10 @@ class TestAmdahl:
             amdahl_speedup(-0.1, 4)
         with pytest.raises(ModelDomainError, match=r"P >= 1"):
             amdahl_speedup(0.5, 0)
+        with pytest.raises(ModelDomainError, match=r"0 <= p <= 1"):
+            amdahl_speedup(NAN, 4)
+        with pytest.raises(ModelDomainError, match=r"P >= 1"):
+            amdahl_speedup(0.5, NAN)
 
 
 class TestWorkloadTerms:
@@ -83,6 +91,12 @@ class TestConcurrentSpeedup:
         (dict(parallel_work=0.0), r"w_p > 0"),
         (dict(snapshot_work=-1.0), r"w_snapshot >= 0"),
         (dict(control_work=-0.5), r"w_control >= 0"),
+        (dict(processors=NAN), r"P >= 1"),
+        (dict(contention=NAN), r"0 <= c <= 1"),
+        (dict(alpha=NAN), r"0 <= alpha <= 1"),
+        (dict(parallel_work=NAN), r"w_p > 0"),
+        (dict(snapshot_work=NAN), r"w_snapshot >= 0"),
+        (dict(control_work=NAN), r"w_control >= 0"),
     ])
     def test_domain_errors_name_inequality(self, kw, fragment):
         with pytest.raises(ModelDomainError, match=fragment):
@@ -193,6 +207,17 @@ class TestAlphaCurve:
         ts = [t for t, _ in pts]
         assert ts == sorted(ts)
 
+    @pytest.mark.parametrize("t,field", [
+        (NAN, None), (1.0, "hardness"), (1.0, "control_work"),
+        (1.0, "snapshot_work"), (1.0, "beta"),
+    ])
+    def test_nan_rejected(self, t, field):
+        kw = dict(snapshot_work=2.0, control_work=1.0, hardness=2.0)
+        if field:
+            kw[field] = NAN
+        with pytest.raises(ModelDomainError, match="nan"):
+            alpha_at(t, params(**kw))
+
     def test_curve_domain_errors(self):
         with pytest.raises(ModelDomainError):
             alpha_curve(1.0, 0.5, 5.0, 0.5)
@@ -200,6 +225,15 @@ class TestAlphaCurve:
             alpha_curve(2.0, 0.5, 5.0, 0.0)
         with pytest.raises(ModelDomainError):
             alpha_curve(2.0, 0.5, -1.0, 0.5)
+
+    @pytest.mark.parametrize("args", [
+        (NAN, 0.5, 5.0, 0.5), (2.0, NAN, 5.0, 0.5), (2.0, 0.5, NAN, 0.5),
+        (2.0, 0.5, 5.0, NAN), (2.0, INF, 5.0, 0.5), (2.0, -INF, 5.0, 0.5),
+        (2.0, 0.5, INF, 0.5), (2.0, 0.5, 5.0, INF),
+    ])
+    def test_curve_non_finite_rejected(self, args):
+        with pytest.raises(ModelDomainError, match="nan|inf"):
+            alpha_curve(*args)
 
 
 def region_ok(P, c, alpha, beta, wp, ws, wc, h):
@@ -246,6 +280,18 @@ class TestValidate:
         # bound = 2*0.5/4 = 0.25 < alpha
         v = validate(p)
         assert any("alpha <= w_snapshot*beta/w_control" in s for s in v)
+
+    @pytest.mark.parametrize("field,fragment", [
+        ("processors", "P >= 1"), ("contention", "0 <= c <= 1"),
+        ("alpha", "0 <= alpha <= 1"), ("beta", "beta <= 1"),
+        ("parallel_work", "w_p > 0"), ("snapshot_work", "w_snapshot > 0"),
+        ("control_work", "w_control >= 0"), ("hardness", "h > 1"),
+    ])
+    def test_nan_field_reported(self, field, fragment):
+        good = dict(processors=8, contention=0.1, alpha=0.2, beta=0.5,
+                    parallel_work=1.0, snapshot_work=4.0, control_work=1.0)
+        v = validate(ModelParams(**{**good, field: NAN}))
+        assert any(fragment in s and "nan" in s for s in v), v
 
     def test_one_entry_per_violation(self):
         p = ModelParams(processors=0, contention=2.0, alpha=0.5, beta=1.0,

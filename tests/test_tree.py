@@ -32,8 +32,9 @@ def apply_op(tree, op, key):
 def leaked_locks(tree):
     """(key, held, marked) of every reachable node still held or marked.
 
-    Retired nodes keep their flags, marks or tickets but are unreachable,
-    so a reachable node that is still held or marked was leaked."""
+    Retired nodes may stay locked (and, for fem, marked) but are
+    unreachable, so a reachable node that is still held or marked was
+    leaked."""
     leaked = []
     stack = [tree.root]
     while stack:

@@ -277,21 +277,6 @@ def test_updates_conserve_contents(variant):
     assert check_structure(tree).ok
 
 
-@pytest.mark.parametrize("variant", CONCURRENT)
-def test_duration_mode_terminates(variant):
-    config = StressConfig(
-        variant=variant,
-        threads=4,
-        key_range=32,
-        seed=7,
-        duration_ms=200,
-        timeout_s=30,
-        record_events=False,
-    )
-    _, tree = run_stress(config)
-    assert check_structure(tree).ok
-
-
 def test_coarse_serializes_but_stays_correct():
     config = StressConfig(
         variant="coarse",
