@@ -136,7 +136,9 @@ def run_threads(
 
     A barrier releases all threads together, and its action stamps the one
     monotonic ``start_ns`` every thread is given. The first exception a body
-    raises is re-raised here as a ``RuntimeError`` naming its thread.
+    raises is re-raised here as a ``RuntimeError`` naming its thread. If a
+    thread cannot be started, the barrier is broken, the threads already
+    started are joined within the budget and the start error is re-raised.
     ``switch_interval``, when given, is the interpreter's thread switch
     interval for the run; the old value is restored on return.
     """
@@ -158,13 +160,19 @@ def run_threads(
     old_interval = sys.getswitchinterval()
     if switch_interval is not None:
         sys.setswitchinterval(switch_interval)
+    started = []
     try:
         for t in workers:
             t.start()
-        deadline = time.monotonic() + budget_s
-        for t in workers:
-            t.join(max(0.0, deadline - time.monotonic()))
+            started.append(t)
+    except BaseException:
+        # The workers already started would wait at the barrier for ever.
+        barrier.abort()
+        raise
     finally:
+        deadline = time.monotonic() + budget_s
+        for t in started:
+            t.join(max(0.0, deadline - time.monotonic()))
         sys.setswitchinterval(old_interval)
     # Bodies run only once the barrier has released every thread, so no
     # thread can find it broken: the first error is the cause.

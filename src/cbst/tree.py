@@ -34,7 +34,8 @@ Variant summary::
     name    locks                          validation after locking
     ----    ----                           ----
     seq     none (single thread only)      none
-    coarse  one tree-wide mutex            none
+    coarse  one tree-wide mutex, tried     none
+            like a node lock
     fn      node locks on ppred/pred/curr  child links re-checked
     fe      node locks on pred/curr/sib.   fresh root-to-leaf re-traversal
     fem     node locks plus a node mark    mark checks plus link re-checks
@@ -42,10 +43,12 @@ Variant summary::
     tn      node locks on ppred/pred       version stamps from the descent
 
 Every node of a lock-based variant carries one bare ``threading.Lock``,
-taken only with ``acquire(False)``, so no thread ever blocks on a node. The
-per-variant state beside it is a plain slot on a ``Node`` subclass: fem's
-``MarkedNode.marked`` and tn's ``StampedNode.version``, each written only
-by the holder of that node's lock. Seq and coarse nodes carry no lock.
+taken only with ``acquire(False)``; coarse's tree mutex and the retry
+counter's mutex are taken the same way, with a pause after each miss, so no
+thread ever blocks on a lock. The per-variant state beside a node's lock is
+a plain slot on a ``Node`` subclass: fem's ``MarkedNode.marked`` and tn's
+``StampedNode.version``, each written only by the holder of that node's
+lock. Seq and coarse nodes carry no lock.
 
 Nodes unlinked by a delete are never recycled in place: fn and fem leave
 pred and curr locked (fem also leaves them marked), and tn leaves the
@@ -286,8 +289,11 @@ class TreeBase:
         return node(key, curr, node(key, None, None, mk()), mk())
 
     def _count_retry(self):
-        with self._retry_mu:
-            self._retries += 1
+        mu = self._retry_mu
+        while not mu.acquire(False):
+            pause()
+        self._retries += 1
+        mu.release()
 
     def retry_count(self) -> int:
         """Total failed validation/lock passes since construction."""
@@ -342,7 +348,15 @@ class SeqTree(TreeBase):
 
 
 class CoarseTree(SeqTree):
-    """One tree-wide mutex around every operation, searches included."""
+    """One tree-wide mutex around every operation, searches included.
+
+    The mutex is taken like a node lock: tried with ``acquire(False)``, with
+    a :data:`~cbst.core.pause` after each miss. A blocking acquire would park
+    the waiter in the kernel until the holder's release wakes it, and the
+    woken thread must then win the GIL back from the other CPU, so two
+    threads convoy on the mutex. A busy mutex is a wait, not a failed pass,
+    so coarse never counts a retry.
+    """
 
     variant = "coarse"
 
@@ -351,16 +365,31 @@ class CoarseTree(SeqTree):
         self._big = threading.Lock()
 
     def search(self, key: int) -> bool:
-        with self._big:
+        big = self._big
+        while not big.acquire(False):
+            pause()
+        try:
             return SeqTree.search(self, key)
+        finally:
+            big.release()
 
     def insert(self, key: int) -> bool:
-        with self._big:
+        big = self._big
+        while not big.acquire(False):
+            pause()
+        try:
             return SeqTree.insert(self, key)
+        finally:
+            big.release()
 
     def delete(self, key: int) -> bool:
-        with self._big:
+        big = self._big
+        while not big.acquire(False):
+            pause()
+        try:
             return SeqTree.delete(self, key)
+        finally:
+            big.release()
 
 
 class FnTree(TreeBase):

@@ -176,3 +176,37 @@ class TestRunThreads:
             run_threads(body, 2, 10, switch_interval=1e-5)
         assert isinstance(err.value.__cause__, ZeroDivisionError)
         assert sys.getswitchinterval() == before
+
+    def test_start_failure_frees_the_started_workers(self, monkeypatch):
+        # Thread 1 cannot start, so only thread 0 ever reaches the barrier.
+        real_start = threading.Thread.start
+        real_barrier = threading.Barrier
+        started = []
+        barriers = []
+
+        def failing_start(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            real_start(thread)
+
+        def recording_barrier(*args, **kwargs):
+            barriers.append(real_barrier(*args, **kwargs))
+            return barriers[-1]
+
+        monkeypatch.setattr(threading.Thread, "start", failing_start)
+        monkeypatch.setattr(threading, "Barrier", recording_barrier)
+        before = sys.getswitchinterval()
+        ran = []
+        try:
+            with pytest.raises(RuntimeError, match="can't start new thread"):
+                run_threads(lambda tid, _: ran.append(tid), 3, 5, switch_interval=1e-5)
+            stranded = [t.name for t in started if t.is_alive()]
+        finally:
+            # Frees a worker that run_threads left waiting at the barrier.
+            for barrier in barriers:
+                barrier.abort()
+        assert [t.name for t in started] == ["cbst-0"]
+        assert stranded == []
+        assert ran == []
+        assert sys.getswitchinterval() == before
