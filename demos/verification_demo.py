@@ -13,7 +13,7 @@ from cbst import (
     check_structure,
     run_stress,
 )
-from cbst.tree import Node, new_tree
+from cbst.tree import new_tree
 
 
 def main():

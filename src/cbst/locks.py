@@ -1,6 +1,6 @@
 """Try-lock wrapper classes, kept as the benchmark's lock-layer probes.
 
-No tree uses these classes: every lock-based node carries a bare
+No tree uses these classes: every node a variant locks carries a bare
 ``threading.Lock``, and fem's mark and tn's version stamp are plain slots on
 the node (see ``cbst.tree``). They stay only because ``perfbench/layers.py``
 times their construction, acquire and release in traced runs.

@@ -42,13 +42,16 @@ Variant summary::
             on pred/curr
     tn      node locks on ppred/pred       version stamps from the descent
 
-Every node of a lock-based variant carries one bare ``threading.Lock``,
-taken only with ``acquire(False)``; coarse's tree mutex and the retry
-counter's mutex are taken the same way, with a pause after each miss, so no
-thread ever blocks on a lock. The per-variant state beside a node's lock is
-a plain slot on a ``Node`` subclass: fem's ``MarkedNode.marked`` and tn's
-``StampedNode.version``, each written only by the holder of that node's
-lock. Seq and coarse nodes carry no lock.
+Each variant's nodes hold only the state its protocol touches. seq and
+coarse build every node as a plain ``Node``: a key and two child pointers.
+fn and fe build ``LockedNode``s, which add one bare ``threading.Lock``, and
+fem's ``MarkedNode`` adds the ``marked`` flag to that. tn locks and stamps
+only routers, so its routers are ``StampedNode``s (a lock and a ``version``)
+and its leaves, sentinels included, are plain ``Node``s. A mark or a version
+is written only by the holder of its node's lock. Every node lock is taken
+only with ``acquire(False)``; coarse's tree mutex and the retry counter's
+mutex are taken the same way, with a pause after each miss, so no thread
+ever blocks on a lock.
 
 Nodes unlinked by a delete are never recycled in place: fn and fem leave
 pred and curr locked (fem also leaves them marked), and tn leaves the
@@ -129,17 +132,16 @@ def _link_locked_sibling(ppred, pright, pred, right):
 class Node:
     """One tree node. Leaves have both children None; key never changes.
 
-    ``lock`` is a bare ``threading.Lock`` in the lock-based variants and
-    None in seq and coarse.
+    It carries no lock: seq and coarse build every node from it, and tn
+    builds its leaves from it.
     """
 
-    __slots__ = ("key", "left", "right", "lock")
+    __slots__ = ("key", "left", "right")
 
-    def __init__(self, key, left=None, right=None, lock=None):
+    def __init__(self, key, left=None, right=None):
         self.key = key
         self.left = left
         self.right = right
-        self.lock = lock
 
     def is_leaf(self) -> bool:
         return self.left is None
@@ -149,7 +151,22 @@ class Node:
         return f"<{kind} {self.key}>"
 
 
-class MarkedNode(Node):
+class LockedNode(Node):
+    """An fn or fe node: ``lock`` is its own bare ``threading.Lock``."""
+
+    __slots__ = ("lock",)
+
+    # Node.__init__ is spelled out here and in each subclass, not called: an
+    # insert builds two nodes inside its control phase, and the extra call
+    # costs about 50 ns per node (super() about 180 ns; CPython 3.11, x86-64).
+    def __init__(self, key, left=None, right=None):
+        self.key = key
+        self.left = left
+        self.right = right
+        self.lock = threading.Lock()
+
+
+class MarkedNode(LockedNode):
     """An fem node: ``marked`` is set only while ``lock`` is held. A
     rollback clears it before the release and a delete never releases, so a
     node seen marked while its lock is free, or by the lock's holder, is
@@ -157,28 +174,25 @@ class MarkedNode(Node):
 
     __slots__ = ("marked",)
 
-    # Node.__init__ is spelled out here and in StampedNode, not called: an
-    # insert builds two nodes inside its control phase, and the extra call
-    # costs about 50 ns per node (super() about 180 ns; CPython 3.11, x86-64).
-    def __init__(self, key, left=None, right=None, lock=None):
+    def __init__(self, key, left=None, right=None):
         self.key = key
         self.left = left
         self.right = right
-        self.lock = lock
+        self.lock = threading.Lock()
         self.marked = False
 
 
-class StampedNode(Node):
-    """A tn node: ``version`` counts the commits made under ``lock``. Only
+class StampedNode(LockedNode):
+    """A tn router: ``version`` counts the commits made under ``lock``. Only
     the lock holder writes it, so bumping it needs no further guard."""
 
     __slots__ = ("version",)
 
-    def __init__(self, key, left=None, right=None, lock=None):
+    def __init__(self, key, left=None, right=None):
         self.key = key
         self.left = left
         self.right = right
-        self.lock = lock
+        self.lock = threading.Lock()
         self.version = 0
 
 
@@ -198,48 +212,39 @@ class Snapshot(NamedTuple):
     curr: Node
 
 
-def _no_lock():
-    return None
-
-
 class TreeBase:
     """Shared structure, descent, retry loops and bookkeeping for all variants."""
 
     variant = "base"
-    _fresh_lock = staticmethod(_no_lock)
-    _node = Node
+    # The node classes a variant builds its routers and its leaves from.
+    _router = Node
+    _leaf = Node
 
     def __init__(self):
-        mk = self._fresh_lock
-        node = self._node
-        self._neg_leaf = node(NEG_SENTINEL, None, None, mk())
-        self._pos_leaf = node(POS_SENTINEL, None, None, mk())
-        self.root = node(POS_SENTINEL, self._neg_leaf, self._pos_leaf, mk())
+        leaf = self._leaf
+        self._neg_leaf = leaf(NEG_SENTINEL)
+        self._pos_leaf = leaf(POS_SENTINEL)
+        self.root = self._router(POS_SENTINEL, self._neg_leaf, self._pos_leaf)
         self._retries = 0
         self._retry_mu = threading.Lock()
 
     # -- descent ---------------------------------------------------------
 
     def _find(self, key):
-        """Unlocked descent to ``key``'s leaf; ``Snapshot``'s fields as a tuple."""
+        """Unlocked descent to ``key``'s leaf; ``Snapshot``'s fields as a tuple.
+
+        Reading curr.left twice per level is safe: a router's children are
+        never None, and a leaf's never change. Keys never change either, so
+        the sides taken out of ppred and pred follow from their keys.
+        """
         ppred = None
-        pright = False
         pred = None
-        right = False
         curr = self.root
-        left = curr.left
-        while left is not None:
+        while curr.left is not None:
             ppred = pred
-            pright = right
             pred = curr
-            if key < curr.key:
-                right = False
-                curr = left
-            else:
-                right = True
-                curr = curr.right
-            left = curr.left
-        return ppred, pright, pred, right, curr
+            curr = curr.left if key < curr.key else curr.right
+        return ppred, ppred is not None and key >= ppred.key, pred, key >= pred.key, curr
 
     def find(self, key: int) -> Snapshot:
         """Public descent: validates the key, returns the full snapshot."""
@@ -282,11 +287,9 @@ class TreeBase:
         The router's key is the larger of the two, so the smaller key hangs
         on the left and a search for either key routes correctly.
         """
-        mk = self._fresh_lock
-        node = self._node
         if key < curr.key:
-            return node(curr.key, node(key, None, None, mk()), curr, mk())
-        return node(key, curr, node(key, None, None, mk()), mk())
+            return self._router(curr.key, self._leaf(key), curr)
+        return self._router(key, curr, self._leaf(key))
 
     def _count_retry(self):
         mu = self._retry_mu
@@ -404,7 +407,7 @@ class FnTree(TreeBase):
     """
 
     variant = "fn"
-    _fresh_lock = staticmethod(threading.Lock)
+    _router = _leaf = LockedNode
 
     def _insert(self, key):
         _, _, pred, right, curr = self._find(key)
@@ -461,7 +464,7 @@ class FeTree(TreeBase):
     """
 
     variant = "fe"
-    _fresh_lock = staticmethod(threading.Lock)
+    _router = _leaf = LockedNode
 
     def _insert(self, key):
         _, _, pred, right, curr = self._find(key)
@@ -510,8 +513,7 @@ class FemTree(TreeBase):
     """
 
     variant = "fem"
-    _fresh_lock = staticmethod(threading.Lock)
-    _node = MarkedNode
+    _router = _leaf = MarkedNode
 
     def _insert(self, key):
         _, _, pred, right, curr = self._find(key)
@@ -550,49 +552,42 @@ class FemTree(TreeBase):
 class TnTree(TreeBase):
     """Per-node locks with version-stamp validation.
 
-    The descent samples each node's version before reading its child
+    The descent samples each router's version before reading its child
     pointer. insert then locks pred and commits only if pred's version still
     equals that stamp; delete locks ppred then pred the same way, top-down.
     A commit stores the link, then bumps the locked node's version, then
     releases, so an unchanged stamp under a held lock means no write
     committed on that node since its pointer was read, which pins the whole
     locked path. An aborted pass wrote nothing and releases without a bump.
-    The retired pred is never released, so stale acquires on it fail; leaves
-    are never locked.
+    The retired pred is never released, so stale acquires on it fail.
+    Leaves are never locked or stamped, so they are plain ``Node``s.
     """
 
     variant = "tn"
-    _fresh_lock = staticmethod(threading.Lock)
-    _node = StampedNode
+    _router = StampedNode
 
     def _find_stamped(self, key):
-        """``_find``'s tuple plus (pred_stamp, ppred_stamp). Each stamp was
-        sampled before that node's child pointer was read, so an unchanged
-        stamp under a held lock proves the pointer is still current."""
+        """``_find``'s tuple plus (pred_stamp, ppred_stamp).
+
+        Each stamp is sampled after the leaf test and before the child
+        pointer the descent follows is read, so an unchanged stamp under a
+        held lock proves that pointer is still current, and no leaf's version
+        is ever read. The leaf test reads no mutable state: a router's
+        children are never None and a leaf's always are.
+        """
         ppred = None
-        pright = False
         gstamp = 0
         pred = None
-        right = False
         pstamp = 0
         curr = self.root
-        cstamp = curr.version
-        left = curr.left
-        while left is not None:
+        while curr.left is not None:
             ppred = pred
-            pright = right
             gstamp = pstamp
             pred = curr
-            pstamp = cstamp
-            if key < curr.key:
-                right = False
-                curr = left
-            else:
-                right = True
-                curr = curr.right
-            cstamp = curr.version
-            left = curr.left
-        return ppred, pright, pred, right, curr, pstamp, gstamp
+            pstamp = curr.version
+            curr = curr.left if key < curr.key else curr.right
+        return (ppred, ppred is not None and key >= ppred.key, pred, key >= pred.key,
+                curr, pstamp, gstamp)
 
     def _insert(self, key):
         _, _, pred, right, curr, pstamp, _ = self._find_stamped(key)

@@ -1,6 +1,8 @@
 import ast
+import gc
 import random
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from cbst.tree import (
     _RETRY,
     CONCURRENT_VARIANTS,
     VARIANT_NAMES,
+    LockedNode,
     MarkedNode,
     Node,
     Snapshot,
@@ -31,6 +34,23 @@ def apply_op(tree, op, key):
     return tree.delete(key)
 
 
+def reachable(tree):
+    """Every node reachable from the root."""
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.left is not None:
+            stack.extend((node.left, node.right))
+
+
+def is_held(node):
+    """Whether ``node``'s lock is held. A node with no lock (every seq and
+    coarse node, every tn leaf) cannot be held."""
+    lock = getattr(node, "lock", None)
+    return lock is not None and lock.locked()
+
+
 def leaked_locks(tree):
     """(key, held, marked) of every reachable node still held or marked.
 
@@ -38,15 +58,11 @@ def leaked_locks(tree):
     unreachable, so a reachable node that is still held or marked was
     leaked."""
     leaked = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        held = node.lock.locked()
+    for node in reachable(tree):
+        held = is_held(node)
         marked = getattr(node, "marked", False)
         if held or marked:
             leaked.append((node.key, held, marked))
-        if node.left is not None:
-            stack.extend((node.left, node.right))
     return leaked
 
 
@@ -102,6 +118,37 @@ class TestInitialStructure:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             new_tree("avl")
+
+
+class TestDescentSides:
+    """The descent derives right and pright from keys after its loop; they
+    must still name the pointers that link ppred to pred to curr."""
+
+    @pytest.mark.parametrize("variant", ALL)
+    def test_sides_name_the_linking_pointers(self, variant):
+        t = new_tree(variant)
+        rng = random.Random(variant.encode()[-1])
+        for k in rng.sample(range(400), 250):
+            t.insert(k)
+        for k in rng.sample(range(400), 120):
+            t.delete(k)
+        finders = [t._find] + ([t._find_stamped] if variant == "tn" else [])
+        bumped = 0
+        for finder in finders:
+            for key in range(-1, 402):
+                ppred, pright, pred, right, curr, *stamps = finder(key)
+                assert (pred.right if right else pred.left) is curr, (key, right)
+                if ppred is None:
+                    assert pred is t.root and pright is False
+                else:
+                    assert (ppred.right if pright else ppred.left) is pred, (key, pright)
+                if stamps:
+                    # A quiescent tree: each stamp is its router's version.
+                    gversion = 0 if ppred is None else ppred.version
+                    assert stamps == [pred.version, gversion], key
+                    bumped += pred.version > 0 and gversion > 0
+        if variant == "tn":
+            assert bumped > 0
 
 
 class TestInsertDelete:
@@ -296,7 +343,7 @@ class TestRollbackSites:
                 t.delete(-k)
         snap = Snapshot(*stale[0][:5])
         names = ("ppred", "pred", "curr")
-        held = [getattr(snap, n).lock.locked() or getattr(getattr(snap, n), "marked", False)
+        held = [is_held(getattr(snap, n)) or getattr(getattr(snap, n), "marked", False)
                 for n in names]
         assert held == [n == busy for n in names]
         # Only the pass's first descent is stale; fe's re-traversal is not.
@@ -356,35 +403,71 @@ class TestRetirementBookkeeping:
 BARE_LOCK = type(threading.Lock())
 
 
+def _grown(variant):
+    t = new_tree(variant)
+    for k in (3, 7, 5):
+        t.insert(k)
+    return t
+
+
 class TestLockPlumbing:
+    """Each variant's nodes hold only the state its protocol touches."""
+
     def test_fem_nodes_are_marked_nodes_with_bare_locks(self):
-        t = new_tree("fem")
-        t.insert(3)
-        for node in (t.root, t.find(3).pred, t.find(3).curr):
+        for node in reachable(_grown("fem")):
             assert type(node) is MarkedNode
             assert type(node.lock) is BARE_LOCK
             assert node.marked is False
 
-    def test_tn_nodes_are_stamped_nodes_with_bare_locks(self):
-        t = new_tree("tn")
-        t.insert(3)
-        for node in (t.root, t.find(3).pred, t.find(3).curr):
-            assert type(node) is StampedNode
-            assert type(node.lock) is BARE_LOCK
+    def test_tn_routers_are_stamped_and_leaves_plain(self):
+        t = _grown("tn")
+        assert type(t.root) is StampedNode
+        leaves = 0
+        for node in reachable(t):
+            if node.left is None:
+                leaves += 1
+                assert type(node) is Node
+                assert not hasattr(node, "lock") and not hasattr(node, "version")
+            else:
+                assert type(node) is StampedNode
+                assert type(node.lock) is BARE_LOCK
+        # Both sentinels and the three keys.
+        assert leaves == 5
 
     @pytest.mark.parametrize("variant", ["fn", "fe"])
-    def test_flag_variants_use_plain_nodes_with_bare_locks(self, variant):
-        t = new_tree(variant)
-        t.insert(3)
-        for node in (t.root, t.find(3).pred, t.find(3).curr):
-            assert type(node) is Node
+    def test_flag_variants_use_locked_nodes_with_bare_locks(self, variant):
+        for node in reachable(_grown(variant)):
+            assert type(node) is LockedNode
             assert type(node.lock) is BARE_LOCK
+            assert not hasattr(node, "marked") and not hasattr(node, "version")
 
     def test_seq_nodes_carry_no_locks(self):
-        t = new_tree("seq")
-        t.insert(3)
-        assert t.root.lock is None
-        assert t.find(3).curr.lock is None
+        # Nor do coarse's: its one lock is the tree mutex.
+        for variant in ("seq", "coarse"):
+            for node in reachable(_grown(variant)):
+                assert type(node) is Node
+                assert not hasattr(node, "lock")
+
+    def test_tn_holds_less_per_key_than_fem(self):
+        # A tn leaf drops fem's lock, mark and their slots; fem and tn
+        # routers are the same size.
+        keys = random.Random(11).sample(range(100_000), 2000)
+
+        def held_bytes(variant):
+            t = new_tree(variant)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for k in keys:
+                    t.insert(k)
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        saved = (held_bytes("fem") - held_bytes("tn")) / len(keys)
+        assert saved >= 90, saved
 
 
 def test_tree_module_never_blocks_on_a_lock():
@@ -449,15 +532,9 @@ class TestCoarseMutex:
 
 
 def _versions(tree):
-    """{node: version} for every node reachable from the root."""
-    out = {}
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        out[node] = node.version
-        if node.left is not None:
-            stack.extend((node.left, node.right))
-    return out
+    """{router: version} for every router reachable from the root; tn
+    leaves carry no version."""
+    return {node: node.version for node in reachable(tree) if node.left is not None}
 
 
 class TestTnStamps:
@@ -540,7 +617,7 @@ class TestCollectLeafKeys:
         t = new_tree("seq")
         t.insert(5)
         t.insert(9)
-        bad = Node(999, None, None, None)
+        bad = Node(999)
         t.find(5).pred.left = bad
         rep = check_structure(t)
         assert not rep.ok

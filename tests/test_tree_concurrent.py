@@ -77,12 +77,14 @@ def test_small_histories_linearizable(variant):
 def hold_one_key_until_retry(tree, hold_s):
     """Make one update pass of ``tree`` first lock the leaf its key reaches
     and that leaf's parent, and hold both until some pass fails (at most
-    ``hold_s`` seconds).
+    ``hold_s`` seconds). tn leaves carry no lock, so for tn it holds the
+    parent alone.
 
-    Every insert or delete of that key locks the leaf or its parent, and so
-    does every change that could move the leaf away from the parent, so
-    while both are held the other threads' first update of the key must
-    fail a pass. Which thread holds, and when, is up to the scheduler."""
+    Every insert or delete of that key locks the leaf or its parent (in tn,
+    always the parent), and so does every change that could move the leaf
+    away from the parent, so while they are held the other threads' first
+    update of the key must fail a pass. Which thread holds, and when, is up
+    to the scheduler."""
     retried = threading.Event()
     claim = threading.Lock()
     held = []
@@ -94,15 +96,19 @@ def hold_one_key_until_retry(tree, hold_s):
 
     def hold(key):
         _, _, pred, _, curr = tree._find(key)
-        if not pred.lock.acquire(False):
-            return
-        if curr.lock.acquire(False):
-            # Both reachable: nothing can unlink them while they are held.
+        nodes = (pred,) if tree.variant == "tn" else (pred, curr)
+        taken = []
+        for node in nodes:
+            if not node.lock.acquire(False):
+                break
+            taken.append(node)
+        else:
+            # All reachable: nothing can unlink them while they are held.
             if tree._find(key)[2::2] == (pred, curr):
                 held.append(key)
                 retried.wait(hold_s)
-            curr.lock.release()
-        pred.lock.release()
+        for node in reversed(taken):
+            node.lock.release()
 
     def holding_first(run_pass):
         def hooked(key):
