@@ -44,6 +44,8 @@ _PRESETS = {
     "paper-mid": bench_mod.MIX_MID,
 }
 _PRESET_BUCKETS = [10000, 100000]
+# bench prefills key_range // 2 keys, so it caps the range at 10x the largest preset.
+_MAX_KEY_RANGE = 10 * max(_PRESET_BUCKETS)
 _PRESET_THREADS = [1, 2, 4, 8, 16, 32]
 
 
@@ -114,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--threads", type=_thread_list, default=None, metavar="N,N,...",
                    help="thread counts to sweep (default 1)")
     b.add_argument("--duration-ms", type=_at_least(1), default=1000, metavar="MS")
-    b.add_argument("--key-range", type=_at_least(2, POS_SENTINEL), default=None, metavar="N",
+    b.add_argument("--key-range", type=_at_least(2, _MAX_KEY_RANGE), default=None, metavar="N",
                    help="key range aka bucket size (default 10000)")
     b.add_argument("--mix", type=_mix, default=None, metavar="I,D,S",
                    help="insert,delete,search percentages (default 20,10,70)")

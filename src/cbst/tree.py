@@ -18,16 +18,18 @@ child pointers, searches run without any synchronisation in every variant
 except the coarse one. ``search`` is a bare descent that allocates nothing;
 only the public ``find()`` builds a ``Snapshot``.
 
-Every lock-based variant (fn, fe, fem, tn) writes an update as one pass,
-``_insert`` or ``_delete``, in two phases. The snapshot phase is the
-unsynchronised descent. The control phase locks the snapshot's nodes,
-validates them and either commits and returns the operation's result, or
-releases what it took and returns ``_RETRY``. ``TreeBase.insert`` and
-``TreeBase.delete`` are the only retry loops: they rerun the pass until it
-returns a result and count one retry per failed pass. After a failed pass
-the thread calls :data:`~cbst.core.pause`, handing the GIL to a lock holder
-that is waiting for it instead of spinning through futile passes until the
-switch interval ends, so a retry counts a real conflict, not GIL preemption.
+An update runs as passes of two phases. The retry loops ``TreeBase.insert``
+and ``TreeBase.delete`` run the snapshot phase, the unsynchronised descent,
+inline; a key already present (insert) or absent (delete) ends the
+operation there. Each variant supplies only the control phase, ``_insert``
+or ``_delete``: it locks the descent's nodes, validates them and either
+commits and returns the result, or releases what it took and returns
+``_RETRY``. tn's descent also samples stamps, so ``TnTree`` has its own
+copies of the two loops. A loop counts one retry per failed pass and
+descends again. After a failed pass the thread calls
+:data:`~cbst.core.pause`, handing the GIL to a lock holder that is waiting
+for it instead of spinning through futile passes until the switch interval
+ends, so a retry counts a real conflict, not GIL preemption.
 
 Variant summary::
 
@@ -264,22 +266,38 @@ class TreeBase:
     # -- updates ----------------------------------------------------------
 
     def insert(self, key: int) -> bool:
-        """Add ``key``; True when it was absent. Reruns ``_insert``,
-        pausing after each failed pass, until a pass returns a result."""
+        """Add ``key``; True when it was absent. Each pass descends, then
+        runs ``_insert`` unless the key is there; a failed pass pauses."""
         check_key(key)
-        while (result := self._insert(key)) is _RETRY:
+        while True:
+            curr = self.root
+            while curr.left is not None:
+                pred = curr
+                curr = curr.left if key < curr.key else curr.right
+            if curr.key == key:
+                return False
+            if (result := self._insert(key, pred, curr)) is not _RETRY:
+                return result
             self._count_retry()
             pause()
-        return result
 
     def delete(self, key: int) -> bool:
-        """Remove ``key``; True when it was present. Reruns ``_delete``,
-        pausing after each failed pass, until a pass returns a result."""
+        """Remove ``key``; True when it was present. Each pass descends, then
+        runs ``_delete`` if the key is there; a failed pass pauses."""
         check_key(key)
-        while (result := self._delete(key)) is _RETRY:
+        while True:
+            pred = None
+            curr = self.root
+            while curr.left is not None:
+                ppred = pred
+                pred = curr
+                curr = curr.left if key < curr.key else curr.right
+            if curr.key != key:
+                return False
+            if (result := self._delete(key, ppred, pred, curr)) is not _RETRY:
+                return result
             self._count_retry()
             pause()
-        return result
 
     def _router_above(self, key, curr):
         """Build the router that replaces leaf ``curr`` when inserting key.
@@ -328,25 +346,17 @@ class TreeBase:
 class SeqTree(TreeBase):
     """Unsynchronised baseline; correct only under a single thread.
 
-    It never retries, so it overrides the retry loops with direct bodies.
+    Its control phases link without locking or validating, so no pass fails.
     """
 
     variant = "seq"
 
-    def insert(self, key: int) -> bool:
-        check_key(key)
-        _, _, pred, right, curr = self._find(key)
-        if curr.key == key:
-            return False
-        _link(pred, right, self._router_above(key, curr))
+    def _insert(self, key, pred, curr):
+        _link(pred, key >= pred.key, self._router_above(key, curr))
         return True
 
-    def delete(self, key: int) -> bool:
-        check_key(key)
-        ppred, pright, pred, right, curr = self._find(key)
-        if curr.key != key:
-            return False
-        _link(ppred, pright, pred.left if right else pred.right)
+    def _delete(self, key, ppred, pred, curr):
+        _link(ppred, key >= ppred.key, pred.left if key >= pred.key else pred.right)
         return True
 
 
@@ -381,7 +391,7 @@ class CoarseTree(SeqTree):
         while not big.acquire(False):
             pause()
         try:
-            return SeqTree.insert(self, key)
+            return TreeBase.insert(self, key)
         finally:
             big.release()
 
@@ -390,7 +400,7 @@ class CoarseTree(SeqTree):
         while not big.acquire(False):
             pause()
         try:
-            return SeqTree.delete(self, key)
+            return TreeBase.delete(self, key)
         finally:
             big.release()
 
@@ -409,16 +419,14 @@ class FnTree(TreeBase):
     variant = "fn"
     _router = _leaf = LockedNode
 
-    def _insert(self, key):
-        _, _, pred, right, curr = self._find(key)
-        if curr.key == key:
-            return False
+    def _insert(self, key, pred, curr):
         plock = pred.lock
         if not plock.acquire(False):
             return _abort()
         clock = curr.lock
         if not clock.acquire(False):
             return _abort(plock)
+        right = key >= pred.key
         if (pred.right if right else pred.left) is not curr:
             return _abort(clock, plock)
         _link(pred, right, self._router_above(key, curr))
@@ -426,10 +434,7 @@ class FnTree(TreeBase):
         plock.release()
         return True
 
-    def _delete(self, key):
-        ppred, pright, pred, right, curr = self._find(key)
-        if curr.key != key:
-            return False
+    def _delete(self, key, ppred, pred, curr):
         glock = ppred.lock
         if not glock.acquire(False):
             return _abort()
@@ -439,6 +444,8 @@ class FnTree(TreeBase):
         clock = curr.lock
         if not clock.acquire(False):
             return _abort(plock, glock)
+        pright = key >= ppred.key
+        right = key >= pred.key
         if (
             (ppred.right if pright else ppred.left) is not pred
             or (pred.right if right else pred.left) is not curr
@@ -466,24 +473,18 @@ class FeTree(TreeBase):
     variant = "fe"
     _router = _leaf = LockedNode
 
-    def _insert(self, key):
-        _, _, pred, right, curr = self._find(key)
-        if curr.key == key:
-            return False
+    def _insert(self, key, pred, curr):
         clock = curr.lock
         if not clock.acquire(False):
             return _abort()
         _, _, fpred, _, fcurr = self._find(key)
         if fpred is not pred or fcurr is not curr:
             return _abort(clock)
-        _link(pred, right, self._router_above(key, curr))
+        _link(pred, key >= pred.key, self._router_above(key, curr))
         clock.release()
         return True
 
-    def _delete(self, key):
-        ppred, pright, pred, right, curr = self._find(key)
-        if curr.key != key:
-            return False
+    def _delete(self, key, ppred, pred, curr):
         plock = pred.lock
         if not plock.acquire(False):
             return _abort()
@@ -493,7 +494,7 @@ class FeTree(TreeBase):
         fppred, _, fpred, _, fcurr = self._find(key)
         if fppred is not ppred or fpred is not pred or fcurr is not curr:
             return _abort(clock, plock)
-        _link_locked_sibling(ppred, pright, pred, right)
+        _link_locked_sibling(ppred, key >= ppred.key, pred, key >= pred.key)
         clock.release()
         plock.release()
         return True
@@ -515,31 +516,28 @@ class FemTree(TreeBase):
     variant = "fem"
     _router = _leaf = MarkedNode
 
-    def _insert(self, key):
-        _, _, pred, right, curr = self._find(key)
-        if curr.key == key:
-            return False
+    def _insert(self, key, pred, curr):
         clock = curr.lock
         if not clock.acquire(False):
             return _abort()
+        right = key >= pred.key
         if pred.marked or (pred.right if right else pred.left) is not curr:
             return _abort(clock)
         _link(pred, right, self._router_above(key, curr))
         clock.release()
         return True
 
-    def _delete(self, key):
-        ppred, pright, pred, right, curr = self._find(key)
-        if curr.key != key:
-            return False
+    def _delete(self, key, ppred, pred, curr):
         if pred.marked or not pred.lock.acquire(False):
             return _abort()
         pred.marked = True
+        pright = key >= ppred.key
         if ppred.marked or (ppred.right if pright else ppred.left) is not pred:
             return _unmark_abort(pred)
         if not curr.lock.acquire(False):
             return _unmark_abort(pred)
         curr.marked = True
+        right = key >= pred.key
         if (pred.right if right else pred.left) is not curr:
             return _unmark_abort(curr, pred)
         _link_settled_sibling(ppred, pright, pred, right)
@@ -552,9 +550,12 @@ class FemTree(TreeBase):
 class TnTree(TreeBase):
     """Per-node locks with version-stamp validation.
 
-    The descent samples each router's version before reading its child
-    pointer. insert then locks pred and commits only if pred's version still
-    equals that stamp; delete locks ppred then pred the same way, top-down.
+    tn runs its own copies of the two retry loops. Their descent samples
+    each router's version after the leaf test, which reads no mutable state,
+    and before reading the child pointer it follows; no leaf's version is
+    ever read. insert's control phase then locks pred and commits only if
+    pred's version still equals that stamp; delete's locks ppred then pred
+    the same way, top-down.
     A commit stores the link, then bumps the locked node's version, then
     releases, so an unchanged stamp under a held lock means no write
     committed on that node since its pointer was read, which pins the whole
@@ -566,47 +567,52 @@ class TnTree(TreeBase):
     variant = "tn"
     _router = StampedNode
 
-    def _find_stamped(self, key):
-        """``_find``'s tuple plus (pred_stamp, ppred_stamp).
+    def insert(self, key: int) -> bool:
+        check_key(key)
+        while True:
+            curr = self.root
+            while curr.left is not None:
+                pred = curr
+                pstamp = curr.version
+                curr = curr.left if key < curr.key else curr.right
+            if curr.key == key:
+                return False
+            if (result := self._insert(key, pred, pstamp, curr)) is not _RETRY:
+                return result
+            self._count_retry()
+            pause()
 
-        Each stamp is sampled after the leaf test and before the child
-        pointer the descent follows is read, so an unchanged stamp under a
-        held lock proves that pointer is still current, and no leaf's version
-        is ever read. The leaf test reads no mutable state: a router's
-        children are never None and a leaf's always are.
-        """
-        ppred = None
-        gstamp = 0
-        pred = None
-        pstamp = 0
-        curr = self.root
-        while curr.left is not None:
-            ppred = pred
-            gstamp = pstamp
-            pred = curr
-            pstamp = curr.version
-            curr = curr.left if key < curr.key else curr.right
-        return (ppred, ppred is not None and key >= ppred.key, pred, key >= pred.key,
-                curr, pstamp, gstamp)
+    def delete(self, key: int) -> bool:
+        check_key(key)
+        while True:
+            pred = None
+            pstamp = 0
+            curr = self.root
+            while curr.left is not None:
+                ppred = pred
+                gstamp = pstamp
+                pred = curr
+                pstamp = curr.version
+                curr = curr.left if key < curr.key else curr.right
+            if curr.key != key:
+                return False
+            if (result := self._delete(key, ppred, gstamp, pred, pstamp, curr)) is not _RETRY:
+                return result
+            self._count_retry()
+            pause()
 
-    def _insert(self, key):
-        _, _, pred, right, curr, pstamp, _ = self._find_stamped(key)
-        if curr.key == key:
-            return False
+    def _insert(self, key, pred, pstamp, curr):
         plock = pred.lock
         if not plock.acquire(False):
             return _abort()
         if pred.version != pstamp:
             return _abort(plock)
-        _link(pred, right, self._router_above(key, curr))
+        _link(pred, key >= pred.key, self._router_above(key, curr))
         pred.version += 1
         plock.release()
         return True
 
-    def _delete(self, key):
-        ppred, pright, pred, right, curr, pstamp, gstamp = self._find_stamped(key)
-        if curr.key != key:
-            return False
+    def _delete(self, key, ppred, gstamp, pred, pstamp, curr):
         glock = ppred.lock
         if not glock.acquire(False):
             return _abort()
@@ -617,7 +623,7 @@ class TnTree(TreeBase):
             return _abort(glock)
         if pred.version != pstamp:
             return _abort(plock, glock)
-        _link(ppred, pright, pred.left if right else pred.right)
+        _link(ppred, key >= ppred.key, pred.left if key >= pred.key else pred.right)
         ppred.version += 1
         glock.release()
         # pred's lock is never released and its version never moves again:

@@ -238,6 +238,16 @@ class TestBenchCommand:
             main(["bench", "--variant", "fem", flag, value])
         assert exc.value.code == 2
 
+    def test_key_range_past_cap_refused_before_prefill(self, capsys, monkeypatch):
+        # Ten times the largest preset bucket; prefill would insert half.
+        prefilled = []
+        monkeypatch.setattr(cli.bench_mod, "prefill", lambda *args: prefilled.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--variant", "fem", "--key-range", "1000001"])
+        assert exc.value.code == 2
+        assert "must be at most 1000000" in capsys.readouterr().err
+        assert prefilled == []
+
 
 class TestCheckReplay:
     def test_stored_fixture_rejected(self, capsys):

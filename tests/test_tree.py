@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cbst.tree
-from cbst.core import NEG_SENTINEL, POS_SENTINEL, OpKind, SeqOracle
+from cbst.core import NEG_SENTINEL, POS_SENTINEL, OpKind, SeqOracle, draw_op
 from cbst.tree import (
     _RETRY,
     CONCURRENT_VARIANTS,
@@ -19,6 +19,7 @@ from cbst.tree import (
     Node,
     Snapshot,
     StampedNode,
+    TreeBase,
     new_tree,
 )
 from cbst.verify import check_structure
@@ -49,6 +50,27 @@ def is_held(node):
     coarse node, every tn leaf) cannot be held."""
     lock = getattr(node, "lock", None)
     return lock is not None and lock.locked()
+
+
+def control_args(tree, op, key):
+    """The arguments that ``tree``'s ``op`` ("insert" or "delete") of
+    ``key`` hands its control phase now; the key must be absent (insert) or
+    present (delete). The control phase is swapped for a recorder that
+    returns False, so the tree is left unchanged."""
+    seen = []
+    name = "_" + op
+
+    def record(*args):
+        seen.append(args)
+        return False
+
+    setattr(tree, name, record)
+    try:
+        getattr(tree, op)(key)
+    finally:
+        delattr(tree, name)
+    (args,) = seen
+    return args
 
 
 def leaked_locks(tree):
@@ -120,33 +142,55 @@ class TestInitialStructure:
             new_tree("avl")
 
 
+def _churned(variant):
+    t = new_tree(variant)
+    rng = random.Random(variant.encode()[-1])
+    for k in rng.sample(range(400), 250):
+        t.insert(k)
+    for k in rng.sample(range(400), 120):
+        t.delete(k)
+    return t
+
+
 class TestDescentSides:
-    """The descent derives right and pright from keys after its loop; they
-    must still name the pointers that link ppred to pred to curr."""
+    """The descent derives right and pright from keys after its loop, as
+    the control phases do; they must still name the pointers that link
+    ppred to pred to curr."""
 
     @pytest.mark.parametrize("variant", ALL)
     def test_sides_name_the_linking_pointers(self, variant):
-        t = new_tree(variant)
-        rng = random.Random(variant.encode()[-1])
-        for k in rng.sample(range(400), 250):
-            t.insert(k)
-        for k in rng.sample(range(400), 120):
-            t.delete(k)
-        finders = [t._find] + ([t._find_stamped] if variant == "tn" else [])
+        t = _churned(variant)
+        for key in range(-1, 402):
+            ppred, pright, pred, right, curr = t._find(key)
+            assert (pred.right if right else pred.left) is curr, (key, right)
+            if ppred is None:
+                assert pred is t.root and pright is False
+            else:
+                assert (ppred.right if pright else ppred.left) is pred, (key, pright)
+
+    @pytest.mark.parametrize("variant", ALL)
+    def test_each_pass_hands_its_control_phase_the_descended_path(self, variant):
+        # The retry loops' inline descent must reach _find's nodes, and tn's
+        # must also stamp each with its router's version (a quiescent tree).
+        t = _churned(variant)
+        present = set(t.collect_leaf_keys())
         bumped = 0
-        for finder in finders:
-            for key in range(-1, 402):
-                ppred, pright, pred, right, curr, *stamps = finder(key)
-                assert (pred.right if right else pred.left) is curr, (key, right)
-                if ppred is None:
-                    assert pred is t.root and pright is False
+        for key in range(-1, 402):
+            ppred, _, pred, _, curr = t._find(key)
+            if key in present:
+                args = control_args(t, "delete", key)
+                if variant == "tn":
+                    expected = (key, ppred, ppred.version, pred, pred.version, curr)
+                    bumped += pred.version > 0 and ppred.version > 0
                 else:
-                    assert (ppred.right if pright else ppred.left) is pred, (key, pright)
-                if stamps:
-                    # A quiescent tree: each stamp is its router's version.
-                    gversion = 0 if ppred is None else ppred.version
-                    assert stamps == [pred.version, gversion], key
-                    bumped += pred.version > 0 and gversion > 0
+                    expected = (key, ppred, pred, curr)
+            else:
+                args = control_args(t, "insert", key)
+                if variant == "tn":
+                    expected = (key, pred, pred.version, curr)
+                else:
+                    expected = (key, pred, curr)
+            assert args == expected, key
         if variant == "tn":
             assert bumped > 0
 
@@ -252,6 +296,35 @@ class TestOracleEquivalence:
             assert apply_op(t, op, key) == oracle.apply(op, key)
         assert t.collect_leaf_keys() == oracle.contents()
 
+    @pytest.mark.parametrize("variant", ALL)
+    def test_one_descent_per_pass(self, variant, monkeypatch):
+        # The retry loops descend inline, so no variant calls _find on an
+        # update except fe, whose control phase re-traverses once per pass.
+        finds = []
+        find = TreeBase._find
+
+        def counting_find(self, key):
+            finds.append(key)
+            return find(self, key)
+
+        monkeypatch.setattr(TreeBase, "_find", counting_find)
+        t = new_tree(variant)
+        passes = []
+        for name in ("_insert", "_delete"):
+            def counted(*args, control=getattr(t, name)):
+                passes.append(args[0])
+                return control(*args)
+
+            setattr(t, name, counted)
+        oracle = SeqOracle()
+        rng = random.Random(12)
+        for i in range(3000):
+            op, key = draw_op(rng, 40, 40, 64)
+            assert apply_op(t, op, key) == oracle.apply(op, key), (i, op, key)
+        assert t.collect_leaf_keys() == oracle.contents()
+        assert t.retry_count() == 0 and len(passes) > 1000
+        assert finds == (passes if variant == "fe" else [])
+
 
 # The snapshot node whose lock each update pass takes first.
 FIRST_LOCKED = {
@@ -329,26 +402,24 @@ class TestRollbackSites:
     must fail and leave no reachable node held or marked."""
 
     @pytest.mark.parametrize("variant, op, key, moves, busy", STALE_PASSES)
-    def test_stale_pass_rolls_back(self, variant, op, key, moves, busy, monkeypatch):
+    def test_stale_pass_rolls_back(self, variant, op, key, moves, busy):
         t = new_tree(variant)
         for k in (10, 30):
             t.insert(k)
-        finder = "_find_stamped" if variant == "tn" else "_find"
-        real = getattr(t, finder)
-        stale = [real(key)]
+        snap = t.find(key)
+        stale = control_args(t, op, key)
         for k in moves:
             if k > 0:
                 t.insert(k)
             else:
                 t.delete(-k)
-        snap = Snapshot(*stale[0][:5])
         names = ("ppred", "pred", "curr")
         held = [is_held(getattr(snap, n)) or getattr(getattr(snap, n), "marked", False)
                 for n in names]
         assert held == [n == busy for n in names]
-        # Only the pass's first descent is stale; fe's re-traversal is not.
-        monkeypatch.setattr(t, finder, lambda k: stale.pop() if stale else real(k))
-        assert getattr(t, "_" + op)(key) is _RETRY
+        # Only the snapshot handed to the control phase is stale; fe's
+        # re-traversal descends the tree as it is now.
+        assert getattr(t, "_" + op)(*stale) is _RETRY
         assert leaked_locks(t) == []
 
 
@@ -584,7 +655,7 @@ class TestTnStamps:
 
     def test_stamp_taken_before_a_commit_no_longer_matches(self):
         t = self._tree()
-        _, _, pred, _, _, pstamp, _ = t._find_stamped(25)
+        _, pred, pstamp, _ = control_args(t, "insert", 25)
         assert pred.version == pstamp
         # Another insert under the same pred commits in between.
         assert t.find(26).pred is pred

@@ -75,9 +75,10 @@ def test_small_histories_linearizable(variant):
 
 
 def hold_one_key_until_retry(tree, hold_s):
-    """Make one update pass of ``tree`` first lock the leaf its key reaches
-    and that leaf's parent, and hold both until some pass fails (at most
-    ``hold_s`` seconds). tn leaves carry no lock, so for tn it holds the
+    """Make one update pass of ``tree``, once its descent is done, first
+    lock the leaf its key reaches and that leaf's parent, and hold both
+    until some pass fails (at most ``hold_s`` seconds), before it runs its
+    control phase. tn leaves carry no lock, so for tn it holds the
     parent alone.
 
     Every insert or delete of that key locks the leaf or its parent (in tn,
@@ -110,15 +111,15 @@ def hold_one_key_until_retry(tree, hold_s):
         for node in reversed(taken):
             node.lock.release()
 
-    def holding_first(run_pass):
-        def hooked(key):
+    def holding_first(control):
+        def hooked(key, *snapshot):
             if not held and claim.acquire(False):
                 try:
                     if not held:
                         hold(key)
                 finally:
                     claim.release()
-            return run_pass(key)
+            return control(key, *snapshot)
 
         return hooked
 
