@@ -31,6 +31,12 @@ descends again. After a failed pass the thread calls
 for it instead of spinning through futile passes until the switch interval
 ends, so a retry counts a real conflict, not GIL preemption.
 
+Every pass pays only what its protocol needs. The public operations test
+the key inline and call :func:`~cbst.core.check_key` only to raise its
+error. Each ``_insert`` builds its router and leaf from its own node
+classes, named directly, and fe's re-traversal is a loop of the same shape
+as the retry loops' descent.
+
 Variant summary::
 
     name    locks                          validation after locking
@@ -218,7 +224,8 @@ class TreeBase:
     """Shared structure, descent, retry loops and bookkeeping for all variants."""
 
     variant = "base"
-    # The node classes a variant builds its routers and its leaves from.
+    # The node classes of the sentinel frame; each ``_insert`` names its
+    # own node classes directly.
     _router = Node
     _leaf = Node
 
@@ -232,13 +239,15 @@ class TreeBase:
 
     # -- descent ---------------------------------------------------------
 
-    def _find(self, key):
-        """Unlocked descent to ``key``'s leaf; ``Snapshot``'s fields as a tuple.
+    def find(self, key: int) -> Snapshot:
+        """Unlocked descent to ``key``'s leaf; validates the key and returns
+        the full snapshot.
 
         Reading curr.left twice per level is safe: a router's children are
         never None, and a leaf's never change. Keys never change either, so
         the sides taken out of ppred and pred follow from their keys.
         """
+        check_key(key)
         ppred = None
         pred = None
         curr = self.root
@@ -246,16 +255,14 @@ class TreeBase:
             ppred = pred
             pred = curr
             curr = curr.left if key < curr.key else curr.right
-        return ppred, ppred is not None and key >= ppred.key, pred, key >= pred.key, curr
-
-    def find(self, key: int) -> Snapshot:
-        """Public descent: validates the key, returns the full snapshot."""
-        check_key(key)
-        return Snapshot(*self._find(key))
+        return Snapshot(
+            ppred, ppred is not None and key >= ppred.key, pred, key >= pred.key, curr
+        )
 
     def search(self, key: int) -> bool:
         """Optimistic membership test; never acquires a lock."""
-        check_key(key)
+        if type(key) is not int or not NEG_SENTINEL < key < POS_SENTINEL:
+            check_key(key)
         node = self.root
         # Reading node.left twice per level is safe: a router's children are
         # never None, and a leaf's never change.
@@ -268,7 +275,8 @@ class TreeBase:
     def insert(self, key: int) -> bool:
         """Add ``key``; True when it was absent. Each pass descends, then
         runs ``_insert`` unless the key is there; a failed pass pauses."""
-        check_key(key)
+        if type(key) is not int or not NEG_SENTINEL < key < POS_SENTINEL:
+            check_key(key)
         while True:
             curr = self.root
             while curr.left is not None:
@@ -284,7 +292,8 @@ class TreeBase:
     def delete(self, key: int) -> bool:
         """Remove ``key``; True when it was present. Each pass descends, then
         runs ``_delete`` if the key is there; a failed pass pauses."""
-        check_key(key)
+        if type(key) is not int or not NEG_SENTINEL < key < POS_SENTINEL:
+            check_key(key)
         while True:
             pred = None
             curr = self.root
@@ -298,16 +307,6 @@ class TreeBase:
                 return result
             self._count_retry()
             pause()
-
-    def _router_above(self, key, curr):
-        """Build the router that replaces leaf ``curr`` when inserting key.
-
-        The router's key is the larger of the two, so the smaller key hangs
-        on the left and a search for either key routes correctly.
-        """
-        if key < curr.key:
-            return self._router(curr.key, self._leaf(key), curr)
-        return self._router(key, curr, self._leaf(key))
 
     def _count_retry(self):
         mu = self._retry_mu
@@ -352,7 +351,13 @@ class SeqTree(TreeBase):
     variant = "seq"
 
     def _insert(self, key, pred, curr):
-        _link(pred, key >= pred.key, self._router_above(key, curr))
+        # The new router takes the larger of the two keys, so the smaller
+        # one hangs on its left and a search for either routes correctly.
+        if key < curr.key:
+            router = Node(curr.key, Node(key), curr)
+        else:
+            router = Node(key, curr, Node(key))
+        _link(pred, key >= pred.key, router)
         return True
 
     def _delete(self, key, ppred, pred, curr):
@@ -429,7 +434,11 @@ class FnTree(TreeBase):
         right = key >= pred.key
         if (pred.right if right else pred.left) is not curr:
             return _abort(clock, plock)
-        _link(pred, right, self._router_above(key, curr))
+        if key < curr.key:
+            router = LockedNode(curr.key, LockedNode(key), curr)
+        else:
+            router = LockedNode(key, curr, LockedNode(key))
+        _link(pred, right, router)
         clock.release()
         plock.release()
         return True
@@ -477,10 +486,17 @@ class FeTree(TreeBase):
         clock = curr.lock
         if not clock.acquire(False):
             return _abort()
-        _, _, fpred, _, fcurr = self._find(key)
+        fcurr = self.root
+        while fcurr.left is not None:
+            fpred = fcurr
+            fcurr = fcurr.left if key < fcurr.key else fcurr.right
         if fpred is not pred or fcurr is not curr:
             return _abort(clock)
-        _link(pred, key >= pred.key, self._router_above(key, curr))
+        if key < curr.key:
+            router = LockedNode(curr.key, LockedNode(key), curr)
+        else:
+            router = LockedNode(key, curr, LockedNode(key))
+        _link(pred, key >= pred.key, router)
         clock.release()
         return True
 
@@ -491,7 +507,12 @@ class FeTree(TreeBase):
         clock = curr.lock
         if not clock.acquire(False):
             return _abort(plock)
-        fppred, _, fpred, _, fcurr = self._find(key)
+        fpred = None
+        fcurr = self.root
+        while fcurr.left is not None:
+            fppred = fpred
+            fpred = fcurr
+            fcurr = fcurr.left if key < fcurr.key else fcurr.right
         if fppred is not ppred or fpred is not pred or fcurr is not curr:
             return _abort(clock, plock)
         _link_locked_sibling(ppred, key >= ppred.key, pred, key >= pred.key)
@@ -523,7 +544,11 @@ class FemTree(TreeBase):
         right = key >= pred.key
         if pred.marked or (pred.right if right else pred.left) is not curr:
             return _abort(clock)
-        _link(pred, right, self._router_above(key, curr))
+        if key < curr.key:
+            router = MarkedNode(curr.key, MarkedNode(key), curr)
+        else:
+            router = MarkedNode(key, curr, MarkedNode(key))
+        _link(pred, right, router)
         clock.release()
         return True
 
@@ -568,7 +593,8 @@ class TnTree(TreeBase):
     _router = StampedNode
 
     def insert(self, key: int) -> bool:
-        check_key(key)
+        if type(key) is not int or not NEG_SENTINEL < key < POS_SENTINEL:
+            check_key(key)
         while True:
             curr = self.root
             while curr.left is not None:
@@ -583,7 +609,8 @@ class TnTree(TreeBase):
             pause()
 
     def delete(self, key: int) -> bool:
-        check_key(key)
+        if type(key) is not int or not NEG_SENTINEL < key < POS_SENTINEL:
+            check_key(key)
         while True:
             pred = None
             pstamp = 0
@@ -607,7 +634,11 @@ class TnTree(TreeBase):
             return _abort()
         if pred.version != pstamp:
             return _abort(plock)
-        _link(pred, key >= pred.key, self._router_above(key, curr))
+        if key < curr.key:
+            router = StampedNode(curr.key, Node(key), curr)
+        else:
+            router = StampedNode(key, curr, Node(key))
+        _link(pred, key >= pred.key, router)
         pred.version += 1
         plock.release()
         return True

@@ -482,6 +482,9 @@ class StressConfig:
     and the yielder usually takes the GIL back before the other thread
     wakes, and only 50-75 % of operations overlapped (2-vCPU x86-64 VM,
     CPython 3.11).
+
+    A 1-thread run has no one to hand over to, so it never pauses; it still
+    draws the hand-over roll, so its operation stream is the same.
     """
 
     variant: str = "fem"
@@ -559,7 +562,7 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
                 # buffer grows only by its own thread's appends.
                 before = sum(map(len, buffers))
                 buf.append(Event(tid, seq, INVOKE, op, key, None, now()))
-                if rng.random() < 0.7:
+                if rng.random() < 0.7 and nt > 1:
                     # This thread holds no tree lock yet, so it blocks no
                     # one. Two waiters cannot both see only their own stamp
                     # added: the later one's ``before`` counts the earlier's.

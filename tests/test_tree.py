@@ -19,7 +19,6 @@ from cbst.tree import (
     Node,
     Snapshot,
     StampedNode,
-    TreeBase,
     new_tree,
 )
 from cbst.verify import check_structure
@@ -142,6 +141,27 @@ class TestInitialStructure:
             new_tree("avl")
 
 
+class _IntSubclass(int):
+    pass
+
+
+# Keys every operation refuses: the sentinels, values just past them or far
+# out of range, non-ints, bools and an int subclass.
+BAD_KEYS = (
+    NEG_SENTINEL,
+    POS_SENTINEL,
+    NEG_SENTINEL - 1,
+    POS_SENTINEL + 1,
+    2**64,
+    "7",
+    2.5,
+    None,
+    True,
+    False,
+    _IntSubclass(7),
+)
+
+
 def _churned(variant):
     t = new_tree(variant)
     rng = random.Random(variant.encode()[-1])
@@ -161,7 +181,7 @@ class TestDescentSides:
     def test_sides_name_the_linking_pointers(self, variant):
         t = _churned(variant)
         for key in range(-1, 402):
-            ppred, pright, pred, right, curr = t._find(key)
+            ppred, pright, pred, right, curr = t.find(key)
             assert (pred.right if right else pred.left) is curr, (key, right)
             if ppred is None:
                 assert pred is t.root and pright is False
@@ -170,13 +190,14 @@ class TestDescentSides:
 
     @pytest.mark.parametrize("variant", ALL)
     def test_each_pass_hands_its_control_phase_the_descended_path(self, variant):
-        # The retry loops' inline descent must reach _find's nodes, and tn's
-        # must also stamp each with its router's version (a quiescent tree).
+        # The retry loops' inline descent must reach find()'s nodes, and
+        # tn's must also stamp each with its router's version (a quiescent
+        # tree).
         t = _churned(variant)
         present = set(t.collect_leaf_keys())
         bumped = 0
         for key in range(-1, 402):
-            ppred, _, pred, _, curr = t._find(key)
+            ppred, _, pred, _, curr = t.find(key)
             if key in present:
                 args = control_args(t, "delete", key)
                 if variant == "tn":
@@ -236,13 +257,37 @@ class TestInsertDelete:
     @pytest.mark.parametrize("variant", ALL)
     def test_sentinel_keys_rejected(self, variant):
         t = new_tree(variant)
-        for bad in (NEG_SENTINEL, POS_SENTINEL, "7", 2.5, True, False):
+        for bad in BAD_KEYS:
             with pytest.raises(ValueError):
                 t.insert(bad)
             with pytest.raises(ValueError):
                 t.delete(bad)
             with pytest.raises(ValueError):
                 t.search(bad)
+
+    @pytest.mark.parametrize("variant", ALL)
+    def test_key_test_calls_check_key_only_to_raise(self, variant, monkeypatch):
+        # The operations test the key inline; check_key keeps the one
+        # definition of the error, so only a refused key may reach it.
+        calls = []
+        check_key = cbst.tree.check_key
+
+        def counting_check_key(key):
+            calls.append(key)
+            check_key(key)
+
+        monkeypatch.setattr(cbst.tree, "check_key", counting_check_key)
+        t = new_tree(variant)
+        for op in ("insert", "search", "delete"):
+            for key in (NEG_SENTINEL + 1, -1, 0, 7, POS_SENTINEL - 1):
+                getattr(t, op)(key)
+        assert calls == []
+        for op in ("insert", "delete", "search"):
+            for bad in BAD_KEYS:
+                del calls[:]
+                with pytest.raises(ValueError):
+                    getattr(t, op)(bad)
+                assert len(calls) == 1 and calls[0] is bad, (op, bad)
 
     @pytest.mark.parametrize("variant", ALL)
     def test_negative_keys_work(self, variant):
@@ -297,33 +342,48 @@ class TestOracleEquivalence:
         assert t.collect_leaf_keys() == oracle.contents()
 
     @pytest.mark.parametrize("variant", ALL)
-    def test_one_descent_per_pass(self, variant, monkeypatch):
-        # The retry loops descend inline, so no variant calls _find on an
-        # update except fe, whose control phase re-traverses once per pass.
-        finds = []
-        find = TreeBase._find
+    def test_one_descent_per_pass(self, variant):
+        # Every descent starts with one read of self.root. An operation
+        # descends once, in its retry loop; a pass that reaches its control
+        # phase descends once more there in fe, which validates by a fresh
+        # re-traversal, and never in any other variant.
+        log = []
 
-        def counting_find(self, key):
-            finds.append(key)
-            return find(self, key)
+        def read_root(self):
+            log.append("R")
+            return self.__dict__["root"]
 
-        monkeypatch.setattr(TreeBase, "_find", counting_find)
-        t = new_tree(variant)
-        passes = []
+        def write_root(self, node):
+            self.__dict__["root"] = node
+
+        counting = type("Counting", (type(new_tree(variant)),), {
+            "root": property(read_root, write_root),
+        })
+        t = counting()
         for name in ("_insert", "_delete"):
             def counted(*args, control=getattr(t, name)):
-                passes.append(args[0])
-                return control(*args)
+                log.append("(")
+                result = control(*args)
+                log.append(")")
+                return result
 
             setattr(t, name, counted)
+        control_phase = "(R)" if variant == "fe" else "()"
         oracle = SeqOracle()
         rng = random.Random(12)
+        passes = 0
         for i in range(3000):
             op, key = draw_op(rng, 40, 40, 64)
-            assert apply_op(t, op, key) == oracle.apply(op, key), (i, op, key)
+            expected = oracle.apply(op, key)
+            # A single thread never retries, so an update that changes the
+            # set runs exactly one pass.
+            ran_pass = op is not OpKind.SEARCH and expected
+            passes += ran_pass
+            del log[:]
+            assert apply_op(t, op, key) == expected, (i, op, key)
+            assert "".join(log) == "R" + (control_phase if ran_pass else ""), (i, op, key)
         assert t.collect_leaf_keys() == oracle.contents()
-        assert t.retry_count() == 0 and len(passes) > 1000
-        assert finds == (passes if variant == "fe" else [])
+        assert t.retry_count() == 0 and passes > 1000
 
 
 # The snapshot node whose lock each update pass takes first.
@@ -559,6 +619,50 @@ def test_tree_module_never_blocks_on_a_lock():
             if not (isinstance(first, ast.Constant) and first.value is False):
                 blocking.append((node.lineno, "acquire"))
     assert blocking == []
+
+
+# The operations, their retry loops and the control phases: the code every
+# operation runs.
+HOT_PATHS = {"search", "insert", "delete", "_insert", "_delete"}
+
+
+def test_hot_paths_pay_no_fixed_per_call_costs():
+    # A control phase names its node classes directly, fe re-traverses in
+    # place, and a key is tested inline with check_key called only to raise.
+    module = ast.parse(Path(cbst.tree.__file__).read_text(encoding="utf-8"))
+    seen = set()
+    costs = []
+    for cls in module.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in HOT_PATHS):
+                continue
+            seen.add(fn.name)
+            raising = {
+                id(node)
+                for branch in ast.walk(fn)
+                if isinstance(branch, ast.If)
+                for stmt in branch.body + branch.orelse
+                for node in ast.walk(stmt)
+            }
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr in ("_router", "_leaf", "_find")
+                ):
+                    costs.append((cls.name, fn.name, node.lineno, node.attr))
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "check_key"
+                    and id(node) not in raising
+                ):
+                    costs.append((cls.name, fn.name, node.lineno, "check_key"))
+    assert seen == HOT_PATHS
+    assert costs == []
 
 
 class TestCoarseMutex:

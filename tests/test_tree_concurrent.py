@@ -96,7 +96,7 @@ def hold_one_key_until_retry(tree, hold_s):
         retried.set()
 
     def hold(key):
-        _, _, pred, _, curr = tree._find(key)
+        _, _, pred, _, curr = tree.find(key)
         nodes = (pred,) if tree.variant == "tn" else (pred, curr)
         taken = []
         for node in nodes:
@@ -105,7 +105,7 @@ def hold_one_key_until_retry(tree, hold_s):
             taken.append(node)
         else:
             # All reachable: nothing can unlink them while they are held.
-            if tree._find(key)[2::2] == (pred, curr):
+            if tree.find(key)[2::2] == (pred, curr):
                 held.append(key)
                 retried.wait(hold_s)
         for node in reversed(taken):

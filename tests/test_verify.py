@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cbst.verify
-from cbst.core import OpKind
+from cbst.core import OpKind, draw_op, thread_rng
 from cbst.tree import VARIANT_NAMES, new_tree
 from cbst.verify import (
     DeadlockSuspectedError,
@@ -427,6 +427,34 @@ class TestRunStress:
         ]
         assert streams[0] == streams[1]
         assert t1.collect_leaf_keys() == t2.collect_leaf_keys()
+
+    @pytest.mark.parametrize("variant, threads", [("seq", 1), ("fem", 1), ("fem", 2)])
+    def test_only_multi_thread_runs_hand_over(self, variant, threads, monkeypatch):
+        # A lone thread has no one to hand over to, so it never pauses; two
+        # threads pause on about 70 % of their operations.
+        pauses = []
+        monkeypatch.setattr(cbst.verify, "pause", lambda: pauses.append(None))
+        cfg = StressConfig(variant=variant, threads=threads, key_range=16, seed=3,
+                           ops_per_thread=200)
+        run_stress(cfg)
+        if threads == 1:
+            assert pauses == []
+        else:
+            assert len(pauses) >= 200
+
+    def test_single_thread_stream_keeps_the_hand_over_roll(self):
+        # Skipping the pause keeps its random() draw, so the op stream is
+        # draw_op plus one roll per operation on the thread's generator.
+        cfg = StressConfig(variant="seq", threads=1, key_range=16, seed=5,
+                           ops_per_thread=300)
+        h, _ = run_stress(cfg)
+        got = [(e.op, e.key) for e in h.events if e.kind == "INVOKE"]
+        rng = thread_rng(cfg.seed, 0)
+        expected = []
+        for _ in range(cfg.ops_per_thread):
+            expected.append(draw_op(rng, cfg.insert_pct, cfg.delete_pct, cfg.key_range))
+            rng.random()
+        assert got == expected
 
     def test_multi_thread_op_streams_deterministic(self):
         cfg = StressConfig(variant="fem", threads=3, key_range=8, seed=7,
