@@ -3,13 +3,12 @@
 Wires the benchmark driver, the verification harness, and the speedup model
 into scriptable experiments. Exit codes follow the usual CI contract: 0 when
 everything passed, 1 when a run or check failed, 2 for usage errors (bad
-flags or flag combinations) and for a refused replay, one whose operations
-overlap on a key too much for the checker's state bound.
+flags or flag combinations).
 
-``cbst check`` makes one recorded stress run and decides it three ways: the
-final tree's structure, the history's linearizability, and the history's
-balance against the final contents. ``cbst check --history PATH`` replays a
-saved history through the linearizability check instead.
+``cbst check`` makes one recorded stress run and decides it two ways: the
+final tree's structure, and the history's linearizability ending at the
+final contents. ``cbst check --history PATH`` replays a saved history
+through the linearizability check instead.
 
 Machine-readable output of bench and model goes to --out when given,
 otherwise to stdout; their human summary table is printed only when --out
@@ -31,10 +30,8 @@ from .tree import CONCURRENT_VARIANTS, VARIANT_NAMES
 from .verify import (
     History,
     HistoryFormatError,
-    HistoryTooLargeError,
     StressConfig,
-    check_balance,
-    check_linearizable,
+    _first_violation,
     check_structure,
     run_stress,
 )
@@ -249,13 +246,12 @@ def _replay(path) -> int:
     except (OSError, HistoryFormatError) as exc:
         print(f"cannot load history: {exc}", file=sys.stderr)
         return 1
-    try:
-        ok = check_linearizable(history)
-    except HistoryTooLargeError as exc:
-        print(f"refusing replay: {exc}", file=sys.stderr)
-        return 2
-    print(f"linearizable: {'true' if ok else 'false'}")
-    return 0 if ok else 1
+    violation = _first_violation(history)
+    print(f"linearizable: {'false' if violation else 'true'}")
+    if violation is None:
+        return 0
+    print(f"first violation: {violation}", file=sys.stderr)
+    return 1
 
 
 def cmd_check(args, parser) -> int:
@@ -277,11 +273,10 @@ def cmd_check(args, parser) -> int:
         timeout_s=args.timeout_s,
     )
     history, tree = run_stress(config)
-    linearizable = check_linearizable(history)
+    violation = _first_violation(history, tree.collect_leaf_keys())
     violations = {
         "structure": check_structure(tree).violations,
-        "linearizable": [] if linearizable else ["the history is not linearizable"],
-        "balance": check_balance(history, tree.collect_leaf_keys()),
+        "linearizable": [] if violation is None else [violation],
     }
     for name, found in violations.items():
         print(f"{name}: {'VIOLATED' if found else 'ok'}")
@@ -293,7 +288,7 @@ def cmd_check(args, parser) -> int:
     if not failures:
         return 0
     print(f"first violation: {failures[0]}", file=sys.stderr)
-    if not linearizable:
+    if violation is not None:
         print("\n".join(history.to_lines()), file=sys.stderr)
     return 1
 

@@ -268,9 +268,10 @@ class TestCheckReplay:
         assert rc == 0
         assert "linearizable: true" in out
 
-    def test_oversized_history_refused(self, capsys, tmp_path):
-        # 10,000 sequential operations replay; 21 mutually overlapping
-        # searches on one key, one reading true, reach the state bound.
+    def test_overlapping_history_decided_not_refused(self, capsys, tmp_path):
+        # 10,000 sequential operations replay, and so do 21 mutually
+        # overlapping searches on one key, one reading true; the verdict
+        # names the key and the blocked search.
         lines = []
         for i in range(5000):
             lines.append(f"0 {4 * i} INVOKE INSERT {i} {20 * i}")
@@ -289,9 +290,11 @@ class TestCheckReplay:
             lines.append(f"{t} 1 RESPOND SEARCH 7 {'true' if t == 10 else 'false'} {100 + t}")
         path = tmp_path / "big.history"
         path.write_text("\n".join(lines) + "\n")
-        rc, _, err = run(capsys, "check", "--history", str(path))
-        assert rc == 2
-        assert "refusing replay" in err
+        rc, out, err = run(capsys, "check", "--history", str(path))
+        assert rc == 1
+        assert out == "linearizable: false\n"
+        assert err == ("first violation: key 7: no operation can take effect next "
+                       "with the key absent: thread 10 SEARCH true [10, 110]\n")
 
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "check", "--history", str(tmp_path / "ghost.history"))
@@ -312,7 +315,7 @@ class TestCheckReplay:
         assert exc.value.code == 2
 
 
-CHECK_LINES = ["structure: ok", "linearizable: ok", "balance: ok"]
+CHECK_LINES = ["structure: ok", "linearizable: ok"]
 
 
 class TestCheckInvariants:
@@ -341,7 +344,7 @@ class TestCheckInvariants:
                        "--out", str(out_path))
         assert rc == 0
         assert out_path.read_text().splitlines() == [
-            "check,ok", "structure,true", "linearizable,true", "balance,true"]
+            "check,ok", "structure,true", "linearizable,true"]
 
     def test_violation_exits_1_with_history(self, capsys, monkeypatch):
         # A recorded run whose history is not linearizable: the stored
@@ -352,10 +355,10 @@ class TestCheckInvariants:
         monkeypatch.setattr(cli, "run_stress", lambda config: (history, tree))
         rc, out, err = run(capsys, "check")
         assert rc == 1
-        assert out.splitlines() == ["structure: ok", "linearizable: VIOLATED",
-                                    "balance: ok"]
+        assert out.splitlines() == ["structure: ok", "linearizable: VIOLATED"]
         first, *replay = err.splitlines()
-        assert first == "first violation: the history is not linearizable"
+        assert first == ("first violation: key 5: no operation can take effect next "
+                         "with the key present: thread 1 SEARCH false [3000, 4000]")
         assert History.from_lines(replay).to_lines() == history.to_lines()
 
 
@@ -398,7 +401,7 @@ class TestCheckLinearizability:
             texts.append(out_path.read_text())
         assert texts[0] == texts[1]
         assert texts[0].splitlines() == [
-            "check,ok", "structure,true", "linearizable,true", "balance,true"]
+            "check,ok", "structure,true", "linearizable,true"]
 
 
 class TestParser:

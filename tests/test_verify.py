@@ -4,6 +4,7 @@ import random
 import statistics
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,6 @@ from cbst.verify import (
     Event,
     History,
     HistoryFormatError,
-    HistoryTooLargeError,
     IncompleteHistoryError,
     StressConfig,
     brute_force_linearizable,
@@ -246,14 +246,39 @@ class TestCheckLinearizable:
         assert check_linearizable(h) is False
         assert brute_force_linearizable(h) is False
 
-    def test_oversized_history_refused(self):
-        # The cost follows overlap per key, not length: 10,000 sequential
-        # operations are decided, while 21 mutually overlapping searches on
-        # one key, never linearizable because one of them reads true, reach
-        # the engine's state bound.
+    def test_overlapping_history_decided_not_refused(self):
+        # The cost follows each key's operation count, not how they overlap:
+        # 10,000 sequential operations are decided, and so, within a second,
+        # are 21 mutually overlapping searches on one key, never
+        # linearizable because one of them reads true.
         assert check_linearizable(sequential_history(10_000)) is True
-        with pytest.raises(HistoryTooLargeError):
-            check_linearizable(overlapping_searches(21))
+        t0 = time.perf_counter()
+        assert check_linearizable(overlapping_searches(21)) is False
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_final_keys_bind_every_key(self):
+        h = make_history([
+            (0, "INVOKE", OpKind.INSERT, 5, None, 1),
+            (0, "RESPOND", OpKind.INSERT, 5, True, 2),
+            (0, "INVOKE", OpKind.SEARCH, 6, None, 3),
+            (0, "RESPOND", OpKind.SEARCH, 6, False, 4),
+        ])
+        assert check_linearizable(h, [5]) is True
+        assert check_linearizable(h, []) is False
+        assert check_linearizable(h, [5, 6]) is False
+        # A final key that no operation touched has no witness.
+        assert check_linearizable(h, [5, 9]) is False
+
+    def test_wide_overlap_at_scale(self):
+        # 5,000 operations on one key around a sequential witness, each
+        # interval overlapping about 50 others: decided for the witness's
+        # final presence and against the other, each within a second.
+        h, present = point_history(random.Random(7), 5000, 500_000, 5_000)
+        for final_keys, expected in (([0] if present else [], True),
+                                     ([] if present else [0], False)):
+            t0 = time.perf_counter()
+            assert check_linearizable(h, final_keys) is expected
+            assert time.perf_counter() - t0 < 1.0
 
     def test_set_starts_empty(self):
         h = make_history([
@@ -307,6 +332,31 @@ def overlapping_searches(n_ops):
     return make_history(spec)
 
 
+def point_history(rng, n_ops, span, width):
+    """n_ops operations on key 0, each on its own thread, with random
+    intervals (invoked in [0, span), lasting under ``width``) and results
+    legal in the order of a random point inside each; 4 in 5 are the insert
+    or delete that flips the key. Returns the history and the key's final
+    presence."""
+    points = []
+    for tid in range(n_ops):
+        invoke = rng.randrange(span)
+        respond = invoke + rng.randrange(width)
+        points.append((rng.uniform(invoke, respond), tid, invoke, respond))
+    spec, present = [], False
+    for _, tid, invoke, respond in sorted(points):
+        if rng.random() < 0.8:
+            op = OpKind.DELETE if present else OpKind.INSERT
+        else:
+            op = rng.choice((OpKind.SEARCH, OpKind.INSERT, OpKind.DELETE))
+        result = present if op is not OpKind.INSERT else not present
+        if result and op is not OpKind.SEARCH:
+            present = not present
+        spec += [(tid, "INVOKE", op, 0, None, invoke),
+                 (tid, "RESPOND", op, 0, result, respond)]
+    return make_history(spec), present
+
+
 def random_history(rng, max_ops):
     """Synthetic well-formed history with random overlap and random results."""
     n_threads = rng.randint(1, 3)
@@ -355,6 +405,34 @@ class TestCheckerAgainstBruteForce:
                 seen_false += 1
         # the generator must produce both outcomes or the test is vacuous
         assert seen_true > 10 and seen_false > 10
+
+    def test_final_presence_agrees_with_brute_force(self):
+        # A final presence is the same constraint as one more search per
+        # key, after every response, that reads it.
+        rng = random.Random(2718)
+        outcomes = []
+        for _ in range(200):
+            # point_history touches key 0 only.
+            point, _ = point_history(rng, rng.randint(1, 7), 10, 10)
+            for h, finals in ((random_history(rng, max_ops=7), ([], [0], [1], [0, 1])),
+                              (point, ([], [0]))):
+                end = h.events[-1].timestamp_ns
+                for final_keys in finals:
+                    searches = []
+                    for i, key in enumerate((0, 1)):
+                        searches += [
+                            Event(-1, 2 * i, "INVOKE", OpKind.SEARCH, key, None, end + 1 + 2 * i),
+                            Event(-1, 2 * i + 1, "RESPOND", OpKind.SEARCH, key, key in final_keys,
+                                  end + 2 + 2 * i),
+                        ]
+                    fast = check_linearizable(h, final_keys)
+                    slow = brute_force_linearizable(History(h.events + searches))
+                    assert fast == slow, ("\n".join(h.to_lines()), final_keys)
+                    outcomes.append((check_linearizable(h), fast))
+        # Both outcomes occur, and so do linearizable histories that end
+        # at the wrong contents.
+        assert outcomes.count((True, True)) > 10 and outcomes.count((False, False)) > 10
+        assert outcomes.count((True, False)) > 10
 
 
 class TestCheckBalance:
