@@ -22,9 +22,12 @@ entry points run it:
 BST shape, key order, and the immortal sentinel structure.
 
 :func:`run_stress` drives a variant with several threads of randomized
-operations and returns the recorded history plus the quiescent tree; it
-aborts with :class:`DeadlockSuspectedError` naming a stuck thread's last
-invocation if the run fails to terminate within its grace period.
+operations and returns the recorded history plus the quiescent tree. It
+draws every thread's operations before the threads start, so a worker's
+loop only calls the tree and, when recording, stamps each call and keeps
+its result; the events are built from those after the join. It aborts with
+:class:`DeadlockSuspectedError` naming a stuck thread's last invocation if
+the run fails to terminate within its grace period.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import chain, cycle, repeat
+from operator import itemgetter, length_hint
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
@@ -80,6 +85,14 @@ class Operation(NamedTuple):
     respond_ts: int
 
 
+# Sort keys: built-in getters cost about half what a lambda does per item.
+_SEQ = itemgetter(1)
+_THREAD = itemgetter(0)
+_TIMESTAMP = itemgetter(6)
+_TIME_THREAD_SEQ = itemgetter(6, 0, 1)
+_INVOKE_TS = itemgetter(4)
+
+
 class HistoryFormatError(ValueError):
     """A serialized history line could not be parsed."""
 
@@ -114,7 +127,17 @@ class History:
     __slots__ = ("events",)
 
     def __init__(self, events: Iterable[Event]):
-        self.events = sorted(events, key=lambda e: (e.timestamp_ns, e.thread_id, e.seq))
+        self.events = sorted(events, key=_TIME_THREAD_SEQ)
+
+    @classmethod
+    def _from_thread_order(cls, events: list[Event]) -> "History":
+        """Take ``events`` already in (thread, seq) order; a stable sort on
+        the timestamp alone then gives (timestamp, thread, seq) order at
+        about a third of the cost of sorting on all three."""
+        events.sort(key=_TIMESTAMP)
+        history = cls.__new__(cls)
+        history.events = events
+        return history
 
     def __len__(self):
         return len(self.events)
@@ -126,39 +149,46 @@ class History:
         not strictly alternate INVOKE/RESPOND over the same operation, or a
         response is stamped before its invocation.
         """
+        # Two stable sorts on int keys put the events in (thread, seq)
+        # order faster than one sort on a tuple key.
+        events = sorted(self.events, key=_SEQ)
+        events.sort(key=_THREAD)
         pending: dict[int, Event] = {}
         ops: list[Operation] = []
-        for e in sorted(self.events, key=lambda e: (e.thread_id, e.seq)):
-            if e.kind == INVOKE:
-                if e.thread_id in pending:
+        append = ops.append
+        new = tuple.__new__
+        for e in events:
+            tid, _, kind, op, key, result, ts = e
+            if kind == INVOKE:
+                if tid in pending:
                     raise IncompleteHistoryError(
-                        f"thread {e.thread_id}: INVOKE while an operation is still open"
+                        f"thread {tid}: INVOKE while an operation is still open"
                     )
-                pending[e.thread_id] = e
-            elif e.kind == RESPOND:
-                inv = pending.pop(e.thread_id, None)
-                if inv is None or inv.op is not e.op or inv.key != e.key:
+                pending[tid] = e
+            elif kind == RESPOND:
+                inv = pending.pop(tid, None)
+                if inv is None or inv.op is not op or inv.key != key:
                     raise IncompleteHistoryError(
-                        f"thread {e.thread_id}: RESPOND does not match the open INVOKE"
+                        f"thread {tid}: RESPOND does not match the open INVOKE"
                     )
-                if e.result is None:
+                if result is None:
                     raise IncompleteHistoryError(
-                        f"thread {e.thread_id}: RESPOND carries no result"
+                        f"thread {tid}: RESPOND carries no result"
                     )
-                if e.timestamp_ns < inv.timestamp_ns:
+                if ts < inv.timestamp_ns:
                     raise IncompleteHistoryError(
-                        f"thread {e.thread_id}: RESPOND stamped before its INVOKE"
+                        f"thread {tid}: RESPOND stamped before its INVOKE"
                     )
-                ops.append(
-                    Operation(e.thread_id, e.op, e.key, e.result, inv.timestamp_ns, e.timestamp_ns)
-                )
+                append(new(Operation, (tid, op, key, result, inv.timestamp_ns, ts)))
             else:
-                raise IncompleteHistoryError(f"unknown event kind {e.kind!r}")
+                raise IncompleteHistoryError(f"unknown event kind {kind!r}")
         if pending:
             raise IncompleteHistoryError(
                 f"unanswered INVOKE on thread(s) {sorted(pending)}"
             )
-        ops.sort(key=lambda o: (o.invoke_ts, o.thread_id))
+        # The operations are in thread order, so a stable sort on the
+        # invocation alone orders them by (invoke_ts, thread_id).
+        ops.sort(key=_INVOKE_TS)
         return ops
 
     # -- serialization ----------------------------------------------------
@@ -480,6 +510,11 @@ class StressConfig:
 
     A 1-thread run has no one to hand over to, so it never pauses; it still
     draws the hand-over roll, so its operation stream is the same.
+
+    Each thread's stream, its hand-over rolls included, is drawn before the
+    workers start. The timed loop only calls the tree and, in a recorded
+    run, stamps the clock before and after each call and keeps its result;
+    the events are built from those after the workers are joined.
     """
 
     variant: str = "fem"
@@ -510,24 +545,58 @@ class StressConfig:
 def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     """Run one randomized multi-thread workload and record its history.
 
-    All threads start together at a 10 us switch interval. Each draws
-    operations from its own seeded generator, so the per-thread operation
-    streams are fully determined by (seed, thread index). Returns the merged
-    history and the quiescent tree; raises :class:`DeadlockSuspectedError`
-    when any thread outlives the grace period, naming the last invocation
-    of a stuck thread that is not waiting in a hand-over (see
-    :class:`StressConfig`).
+    Each thread's operations come from its own seeded generator, so the
+    per-thread operation streams are fully determined by (seed, thread
+    index). They are drawn, with each operation's tree method bound, on the
+    calling thread before any worker starts. The workers then start together
+    at a 10 us switch interval, and each one's timed loop only runs its
+    operations; a recorded run also stamps each invocation and response and
+    keeps each result, and the events are built from these after the join.
+    Returns the merged history and the quiescent tree; raises
+    :class:`DeadlockSuspectedError` when any thread outlives the grace
+    period, naming the last invocation of a stuck thread that is not waiting
+    in a hand-over (see :class:`StressConfig`).
     """
     tree = new_tree(config.variant)
     nt = config.threads
-    buffers: list[list[Event]] = [[] for _ in range(nt)]
-    last_op: list[tuple[OpKind, int] | None] = [None] * nt
-
-    ins_pct = config.insert_pct
-    del_pct = config.delete_pct
-    kr = config.key_range
+    n = config.ops_per_thread
     record = config.record_events
+    # A lone thread never hands over; random() < 0.0 still takes the roll.
+    hand_share = 0.7 if nt > 1 else 0.0
+    # Per thread: the operations, their keys, their bound tree methods and,
+    # in a recorded run, whether each hands over.
+    ops: list[list[OpKind]] = []
+    keys: list[list[int]] = []
+    calls: list[list] = []
+    hands: list[list[bool]] = []
+    insert, delete, search = tree.insert, tree.delete, tree.search
+    ins, dels, kr = config.insert_pct, config.delete_pct, config.key_range
+    SEARCH, INSERT = OpKind.SEARCH, OpKind.INSERT
+    for tid in range(nt):
+        rng = thread_rng(config.seed, tid)
+        roll = rng.random
+        t_ops, t_keys, t_calls, t_hands = [], [], [], []
+        for _ in range(n):
+            op, key = draw_op(rng, ins, dels, kr)
+            t_ops.append(op)
+            t_keys.append(key)
+            # Identity tests: an OpKind dict lookup runs Enum.__hash__.
+            t_calls.append(search if op is SEARCH else insert if op is INSERT else delete)
+            if record:
+                t_hands.append(roll() < hand_share)
+        ops.append(t_ops)
+        keys.append(t_keys)
+        calls.append(t_calls)
+        hands.append(t_hands)
+
     now = time.monotonic_ns
+    # Each thread's invocation and response stamps, two per operation, and
+    # its results; each list grows only by its own thread's appends.
+    stamps: list[list[int]] = [[] for _ in range(nt)]
+    results: list[list[bool]] = [[] for _ in range(nt)]
+    # An unrecorded run's key iterators; what is left of one shows how far
+    # its thread has got.
+    left = [iter(k) for k in keys]
     # Threads still running; a lost decrement would hang a hand-over.
     running = [nt]
     running_lock = threading.Lock()
@@ -535,42 +604,35 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
 
     def worker(tid: int, _start_ns: int) -> None:
         try:
-            run_ops(tid)
+            if record:
+                run_recorded(tid)
+            else:
+                for call, key in zip(calls[tid], left[tid]):
+                    call(key)
         finally:
             with running_lock:
                 running[0] -= 1
 
-    def run_ops(tid: int) -> None:
-        rng = thread_rng(config.seed, tid)
-        buf = buffers[tid]
-        methods = {
-            OpKind.INSERT: tree.insert,
-            OpKind.DELETE: tree.delete,
-            OpKind.SEARCH: tree.search,
-        }
-        seq = 0
-        for _ in range(config.ops_per_thread):
-            op, key = draw_op(rng, ins_pct, del_pct, kr)
-            last_op[tid] = (op, key)
-            if record:
-                # Events of all threads before this one's invocation; each
-                # buffer grows only by its own thread's appends.
-                before = sum(map(len, buffers))
-                buf.append(Event(tid, seq, INVOKE, op, key, None, now()))
-                if rng.random() < 0.7 and nt > 1:
-                    # This thread holds no tree lock yet, so it blocks no
-                    # one. Two waiters cannot both see only their own stamp
-                    # added: the later one's ``before`` counts the earlier's.
+    def run_recorded(tid: int) -> None:
+        stamp = stamps[tid].append
+        answer = results[tid].append
+        for call, key, hand in zip(calls[tid], keys[tid], hands[tid]):
+            if hand:
+                # Stamps of all threads before this one's invocation. This
+                # thread holds no tree lock yet, so it blocks no one. Two
+                # waiters cannot both see only their own stamp added: the
+                # later one's ``before`` counts the earlier's.
+                before = sum(map(len, stamps))
+                stamp(now())
+                pause()
+                handing_over[tid] = True
+                while sum(map(len, stamps)) == before + 1 and running[0] > 1:
                     pause()
-                    handing_over[tid] = True
-                    while sum(map(len, buffers)) == before + 1 and running[0] > 1:
-                        pause()
-                    handing_over[tid] = False
-                result = methods[op](key)
-                buf.append(Event(tid, seq + 1, RESPOND, op, key, result, now()))
-                seq += 2
+                handing_over[tid] = False
             else:
-                methods[op](key)
+                stamp(now())
+            answer(call(key))
+            stamp(now())
 
     # A short scheduling quantum makes small runs actually interleave.
     stuck = run_threads(worker, nt, config.timeout_s, switch_interval=1e-5)
@@ -582,10 +644,25 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
             # Let the waiters go, so that none spins for the rest of the
             # process.
             running[0] = 0
-        op, key = last_op[tid] or (None, None)
+        if record:
+            invoked = (len(stamps[tid]) + 1) // 2
+        else:
+            invoked = n - length_hint(left[tid])
+        op, key = (ops[tid][invoked - 1], keys[tid][invoked - 1]) if invoked else (None, None)
         raise DeadlockSuspectedError(tid, op, key, len(stuck), nt)
 
     events: list[Event] = []
-    for buf in buffers:
-        events.extend(buf)
-    return History(events), tree
+    if record:
+        new = tuple.__new__
+        for tid in range(nt):
+            # Each operation gives its INVOKE then its RESPOND, in seq order.
+            events.extend(map(new, repeat(Event), zip(
+                repeat(tid),
+                range(2 * n),
+                cycle((INVOKE, RESPOND)),
+                chain.from_iterable(zip(ops[tid], ops[tid])),
+                chain.from_iterable(zip(keys[tid], keys[tid])),
+                chain.from_iterable(zip(repeat(None), results[tid])),
+                stamps[tid],
+            )))
+    return History._from_thread_order(events), tree

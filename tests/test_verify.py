@@ -87,13 +87,40 @@ def recorded_shares(measure):
 def on_worker_start(monkeypatch, hook):
     """Call ``hook(tid)`` on each run_stress worker thread as it starts,
     before its first operation."""
-    thread_rng = cbst.verify.thread_rng
+    run_threads = cbst.verify.run_threads
 
-    def start(seed, tid):
-        hook(tid)
-        return thread_rng(seed, tid)
+    def hooked(body, *args, **kwargs):
+        def start(tid, start_ns):
+            hook(tid)
+            body(tid, start_ns)
 
-    monkeypatch.setattr(cbst.verify, "thread_rng", start)
+        return run_threads(start, *args, **kwargs)
+
+    monkeypatch.setattr(cbst.verify, "run_threads", hooked)
+
+
+def drawn_streams(cfg, roll):
+    """Each thread's (op, key) stream as run_stress draws it: draw_op on the
+    thread's generator, followed by one hand-over roll per operation when
+    ``roll`` is true."""
+    streams = {}
+    for tid in range(cfg.threads):
+        rng = thread_rng(cfg.seed, tid)
+        stream = streams[tid] = []
+        for _ in range(cfg.ops_per_thread):
+            stream.append(draw_op(rng, cfg.insert_pct, cfg.delete_pct, cfg.key_range))
+            if roll:
+                rng.random()
+    return streams
+
+
+def invoked_streams(history):
+    """Each thread's (op, key) invocations in a history, in seq order."""
+    streams = {}
+    for e in sorted(history.events, key=lambda e: (e.thread_id, e.seq)):
+        if e.kind == "INVOKE":
+            streams.setdefault(e.thread_id, []).append((e.op, e.key))
+    return streams
 
 
 def make_history(spec):
@@ -526,26 +553,64 @@ class TestRunStress:
         cfg = StressConfig(variant="seq", threads=1, key_range=16, seed=5,
                            ops_per_thread=300)
         h, _ = run_stress(cfg)
-        got = [(e.op, e.key) for e in h.events if e.kind == "INVOKE"]
-        rng = thread_rng(cfg.seed, 0)
-        expected = []
-        for _ in range(cfg.ops_per_thread):
-            expected.append(draw_op(rng, cfg.insert_pct, cfg.delete_pct, cfg.key_range))
-            rng.random()
-        assert got == expected
+        assert invoked_streams(h) == drawn_streams(cfg, roll=True)
+
+    def test_unrecorded_streams_take_no_roll(self, monkeypatch):
+        # An unrecorded run never hands over and draws no roll. It leaves
+        # no history, so its operations are observed in the tree's methods.
+        tids, seen = {}, {}
+
+        def note_thread(tid):
+            tids[threading.current_thread()] = tid
+            seen[tid] = []
+
+        def observed_tree(variant):
+            tree = new_tree(variant)
+            for op in OpKind:
+                name = op.value.lower()
+
+                def call(key, op=op, method=getattr(tree, name)):
+                    seen[tids[threading.current_thread()]].append((op, key))
+                    return method(key)
+
+                setattr(tree, name, call)
+            return tree
+
+        on_worker_start(monkeypatch, note_thread)
+        monkeypatch.setattr(cbst.verify, "new_tree", observed_tree)
+        cfg = StressConfig(variant="fem", threads=3, key_range=16, seed=5,
+                           ops_per_thread=300, record_events=False)
+        h, _ = run_stress(cfg)
+        assert len(h) == 0
+        assert seen == drawn_streams(cfg, roll=False)
+        assert seen != drawn_streams(cfg, roll=True)
+
+    def test_workers_never_draw(self, monkeypatch):
+        # Every stream is drawn on the calling thread before the workers
+        # start, so a worker's loop only runs and stamps its operations.
+        workers, drawers = set(), []
+        on_worker_start(monkeypatch, lambda tid: workers.add(threading.current_thread()))
+        draw = cbst.verify.draw_op
+
+        def noted_draw(*args):
+            drawers.append(threading.current_thread())
+            return draw(*args)
+
+        monkeypatch.setattr(cbst.verify, "draw_op", noted_draw)
+        for record in (True, False):
+            run_stress(StressConfig(variant="fem", threads=3, key_range=16, seed=2,
+                                    ops_per_thread=50, record_events=record))
+        assert len(workers) == 6
+        assert len(drawers) == 2 * 3 * 50
+        assert not workers & set(drawers)
 
     def test_multi_thread_op_streams_deterministic(self):
         cfg = StressConfig(variant="fem", threads=3, key_range=8, seed=7,
                            ops_per_thread=50)
-        streams = []
-        for _ in range(2):
-            h, _ = run_stress(cfg)
-            per_thread = {}
-            for e in sorted(h.events, key=lambda e: (e.thread_id, e.seq)):
-                if e.kind == "INVOKE":
-                    per_thread.setdefault(e.thread_id, []).append((e.op, e.key))
-            streams.append(per_thread)
+        streams = [invoked_streams(run_stress(cfg)[0]) for _ in range(2)]
         assert streams[0] == streams[1]
+        # Each thread draws its own stream, with the hand-over rolls.
+        assert streams[0] == drawn_streams(cfg, roll=True)
 
     def test_event_counts_match_ops(self):
         cfg = StressConfig(variant="tn", threads=2, key_range=8, seed=1,
@@ -622,17 +687,23 @@ class TestRunStress:
 
         real = verify_mod.new_tree
         verify_mod.new_tree = lambda v: Stuck()
+        verdicts = []
         try:
-            cfg = StressConfig(variant="fem", threads=2, key_range=4, seed=0,
-                               ops_per_thread=3, timeout_s=0.5)
-            with pytest.raises(DeadlockSuspectedError) as err:
-                run_stress(cfg)
+            for record in (True, False):
+                cfg = StressConfig(variant="fem", threads=2, key_range=4, seed=0,
+                                   ops_per_thread=3, timeout_s=0.5, record_events=record)
+                with pytest.raises(DeadlockSuspectedError) as err:
+                    run_stress(cfg)
+                verdicts.append((cfg, err.value))
         finally:
             gate.set()
             verify_mod.new_tree = real
-        assert err.value.thread_id in (0, 1)
-        assert err.value.op is not None
-        assert "last invoked" in str(err.value)
+        for cfg, verdict in verdicts:
+            assert verdict.thread_id in (0, 1)
+            # Every operation hangs, so the stuck thread is in its first one.
+            streams = drawn_streams(cfg, roll=cfg.record_events)
+            assert (verdict.op, verdict.key) == streams[verdict.thread_id][0]
+            assert "last invoked" in str(verdict)
 
     def test_recorded_runs_overlap(self):
         # The hand-over between stamping an invocation and running it is
