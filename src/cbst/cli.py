@@ -30,6 +30,7 @@ from .tree import CONCURRENT_VARIANTS, VARIANT_NAMES
 from .verify import (
     History,
     HistoryFormatError,
+    IncompleteHistoryError,
     StressConfig,
     _first_violation,
     check_structure,
@@ -243,7 +244,7 @@ def _write_lines(path, lines) -> None:
 def _replay(path) -> int:
     try:
         history = History.load(path)
-    except (OSError, HistoryFormatError) as exc:
+    except (OSError, HistoryFormatError, IncompleteHistoryError) as exc:
         print(f"cannot load history: {exc}", file=sys.stderr)
         return 1
     violation = _first_violation(history)

@@ -1,10 +1,12 @@
 """Verification harness: histories, linearizability, invariants, stress runs.
 
-The harness treats a concurrent execution as a *history*: a time-ordered
-sequence of INVOKE/RESPOND event pairs, two per completed operation. A
+The harness treats a concurrent execution as a *history*: its completed
+operations, each an interval from its invocation to its response stamp. A
 history is linearizable when every operation can be assigned a single atomic
 point between its invocation and response such that the resulting sequential
-execution is legal for a set that starts empty.
+execution is legal for a set that starts empty. INVOKE/RESPOND events exist
+only in the line format a history is saved and loaded in; loading pairs them
+into operations once.
 
 Every set operation touches one key, so by locality (Herlihy & Wing 1990) a
 history is linearizable exactly when each key's sub-history is. One engine,
@@ -25,9 +27,9 @@ BST shape, key order, and the immortal sentinel structure.
 operations and returns the recorded history plus the quiescent tree. It
 draws every thread's operations before the threads start, so a worker's
 loop only calls the tree and, when recording, stamps each call and keeps
-its result; the events are built from those after the join. It aborts with
-:class:`DeadlockSuspectedError` naming a stuck thread's last invocation if
-the run fails to terminate within its grace period.
+its result; the operations are built from those after the join. It aborts
+with :class:`DeadlockSuspectedError` naming a stuck thread's last
+invocation if the run fails to terminate within its grace period.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from itertools import chain, cycle, repeat
+from itertools import repeat
 from operator import itemgetter, length_hint
 from typing import Iterable, Iterator, NamedTuple
 
@@ -58,7 +60,7 @@ RESPOND = "RESPOND"
 
 
 class Event(NamedTuple):
-    """One endpoint of an operation: its invocation or its response.
+    """One line of a saved history: an operation's invocation or response.
 
     ``seq`` numbers events within a thread, ``result`` is None on INVOKE,
     and timestamps come from a monotonic nanosecond clock shared by all
@@ -75,7 +77,8 @@ class Event(NamedTuple):
 
 
 class Operation(NamedTuple):
-    """A completed operation reconstructed from its event pair."""
+    """A completed operation: what it did and when it was invoked and
+    answered."""
 
     thread_id: int
     op: OpKind
@@ -88,8 +91,6 @@ class Operation(NamedTuple):
 # Sort keys: built-in getters cost about half what a lambda does per item.
 _SEQ = itemgetter(1)
 _THREAD = itemgetter(0)
-_TIMESTAMP = itemgetter(6)
-_TIME_THREAD_SEQ = itemgetter(6, 0, 1)
 _INVOKE_TS = itemgetter(4)
 
 
@@ -116,47 +117,26 @@ class DeadlockSuspectedError(RuntimeError):
 
 
 class History:
-    """An ordered record of INVOKE/RESPOND events from one run.
+    """The completed operations of one run, sorted by (invoke_ts, thread_id).
 
-    Events are kept sorted by (timestamp, thread, seq). Well-formedness
-    (per-thread INVOKE/RESPOND alternation with matching operation and key,
-    every invocation answered, no response stamped before its invocation) is
-    enforced lazily by :meth:`operations`.
+    ``History(events)`` pairs each thread's events, in seq order, into
+    operations and raises :class:`IncompleteHistoryError` when they do not
+    strictly alternate INVOKE/RESPOND over the same operation and key, an
+    invocation goes unanswered, or a response is stamped before its
+    invocation. Events exist only in the saved line format
+    (:meth:`to_lines`, :meth:`from_lines`), which numbers each thread's seqs
+    from 0 again. ``len(history)`` counts events, two per operation.
     """
 
-    __slots__ = ("events",)
+    __slots__ = ("_ops",)
 
     def __init__(self, events: Iterable[Event]):
-        self.events = sorted(events, key=_TIME_THREAD_SEQ)
-
-    @classmethod
-    def _from_thread_order(cls, events: list[Event]) -> "History":
-        """Take ``events`` already in (thread, seq) order; a stable sort on
-        the timestamp alone then gives (timestamp, thread, seq) order at
-        about a third of the cost of sorting on all three."""
-        events.sort(key=_TIMESTAMP)
-        history = cls.__new__(cls)
-        history.events = events
-        return history
-
-    def __len__(self):
-        return len(self.events)
-
-    def operations(self) -> list[Operation]:
-        """Pair events into operations, sorted by invocation time.
-
-        Raises :class:`IncompleteHistoryError` when any thread's events do
-        not strictly alternate INVOKE/RESPOND over the same operation, or a
-        response is stamped before its invocation.
-        """
         # Two stable sorts on int keys put the events in (thread, seq)
         # order faster than one sort on a tuple key.
-        events = sorted(self.events, key=_SEQ)
+        events = sorted(events, key=_SEQ)
         events.sort(key=_THREAD)
         pending: dict[int, Event] = {}
         ops: list[Operation] = []
-        append = ops.append
-        new = tuple.__new__
         for e in events:
             tid, _, kind, op, key, result, ts = e
             if kind == INVOKE:
@@ -179,7 +159,7 @@ class History:
                     raise IncompleteHistoryError(
                         f"thread {tid}: RESPOND stamped before its INVOKE"
                     )
-                append(new(Operation, (tid, op, key, result, inv.timestamp_ns, ts)))
+                ops.append(Operation(tid, op, key, result, inv.timestamp_ns, ts))
             else:
                 raise IncompleteHistoryError(f"unknown event kind {kind!r}")
         if pending:
@@ -189,22 +169,44 @@ class History:
         # The operations are in thread order, so a stable sort on the
         # invocation alone orders them by (invoke_ts, thread_id).
         ops.sort(key=_INVOKE_TS)
-        return ops
+        self._ops = ops
+
+    @classmethod
+    def _of(cls, ops: list[Operation]) -> "History":
+        """Take ``ops`` in thread order, each thread's in invocation order,
+        and sort them as ``__init__`` does."""
+        ops.sort(key=_INVOKE_TS)
+        history = cls.__new__(cls)
+        history._ops = ops
+        return history
+
+    def __len__(self):
+        return 2 * len(self._ops)
+
+    def operations(self) -> list[Operation]:
+        """The operations, sorted by (invoke_ts, thread_id); the history's
+        own list, not a copy."""
+        return self._ops
 
     # -- serialization ----------------------------------------------------
     #
     # One event per line:
     #   <thread> <seq> <INVOKE|RESPOND> <SEARCH|INSERT|DELETE> <key> [<true|false>] <timestamp_ns>
-    # INVOKE lines carry no result field.
+    # INVOKE lines carry no result field. Lines are written in (timestamp,
+    # thread, seq) order, each thread's seqs numbered from 0.
 
     def to_lines(self) -> list[str]:
-        lines = []
-        for e in self.events:
-            res = "" if e.result is None else (" true" if e.result else " false")
-            lines.append(
-                f"{e.thread_id} {e.seq} {e.kind} {e.op.value} {e.key}{res} {e.timestamp_ns}"
-            )
-        return lines
+        seqs: dict[int, int] = {}
+        events = []
+        for tid, op, key, result, invoke_ts, respond_ts in self._ops:
+            seq = seqs.get(tid, 0)
+            seqs[tid] = seq + 2
+            events.append((invoke_ts, tid, seq, f"{tid} {seq} INVOKE {op.value} {key} {invoke_ts}"))
+            events.append((respond_ts, tid, seq + 1, f"{tid} {seq + 1} RESPOND {op.value} {key} "
+                                                     f"{'true' if result else 'false'} {respond_ts}"))
+        # (thread, seq) is unique, so the sort never compares the lines.
+        events.sort()
+        return [e[3] for e in events]
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "History":
@@ -350,56 +352,6 @@ def check_linearizable(history: History, final_keys: Iterable[int] | None = None
     return _first_violation(history, final_keys) is None
 
 
-def brute_force_linearizable(history: History) -> bool:
-    """Reference decision procedure: enumerate every real-time-respecting
-    total order and replay each one wholesale from the empty set.
-
-    No memoization and no incremental pruning, so it shares no machinery
-    with :func:`check_linearizable`; exponential, use only on tiny
-    histories.
-    """
-    ops = history.operations()
-    n = len(ops)
-
-    def replay(order: list[int]) -> bool:
-        members = set()
-        for i in order:
-            op = ops[i]
-            present = op.key in members
-            if op.op is OpKind.SEARCH:
-                if op.result != present:
-                    return False
-            elif op.op is OpKind.INSERT:
-                if op.result == present:
-                    return False
-                if op.result:
-                    members.add(op.key)
-            else:
-                if op.result != present:
-                    return False
-                if op.result:
-                    members.discard(op.key)
-        return True
-
-    def orders(remaining: set, prefix: list) -> bool:
-        if not remaining:
-            return replay(prefix)
-        for i in sorted(remaining):
-            if any(ops[j].respond_ts < ops[i].invoke_ts for j in remaining if j != i):
-                continue
-            remaining.discard(i)
-            prefix.append(i)
-            if orders(remaining, prefix):
-                remaining.add(i)
-                prefix.pop()
-                return True
-            prefix.pop()
-            remaining.add(i)
-        return False
-
-    return orders(set(range(n)), [])
-
-
 # -- structural invariants -------------------------------------------------
 
 
@@ -497,24 +449,26 @@ class StressConfig:
 
     On 70 % of operations a recorded run hands over between stamping an
     invocation and running it: it calls :data:`~cbst.core.pause` (a
-    GIL-releasing ``sched_yield``) until another thread has stamped an event
-    or no other thread is left running. Short bursts would otherwise execute
-    one whole thread at a time, and about half the recorded operations, not
-    98 %, would overlap another thread's. The hand-over widens operation
-    windows without falsifying anything, since the response is stamped only
-    after the operation really returns. A single pause is not enough when
-    the threads sit on separate CPUs: ``sched_yield`` then returns at once
-    and the yielder usually takes the GIL back before the other thread
-    wakes, and only 50-75 % of operations overlapped (2-vCPU x86-64 VM,
-    CPython 3.11).
+    GIL-releasing ``sched_yield``) until another thread has stamped an
+    invocation or a response, or no other thread is left running. Short
+    bursts would otherwise execute one whole thread at a time, and about
+    half the recorded operations, not 98 %, would overlap another thread's.
+    The hand-over widens operation windows without falsifying anything,
+    since the response is stamped only after the operation really returns.
+    A single pause is not enough when the threads sit on separate CPUs:
+    ``sched_yield`` then returns at once and the yielder usually takes the
+    GIL back before the other thread wakes, and only 50-75 % of operations
+    overlapped (2-vCPU x86-64 VM, CPython 3.11).
 
     A 1-thread run has no one to hand over to, so it never pauses; it still
     draws the hand-over roll, so its operation stream is the same.
 
     Each thread's stream, its hand-over rolls included, is drawn before the
     workers start. The timed loop only calls the tree and, in a recorded
-    run, stamps the clock before and after each call and keeps its result;
-    the events are built from those after the workers are joined.
+    run, stamps the clock before and after each call and keeps its result.
+    After the workers are joined, each operation becomes one
+    :class:`Operation` from its two stamps and its result; no event is
+    built, since events exist only in a saved history's lines.
     """
 
     variant: str = "fem"
@@ -551,8 +505,9 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     calling thread before any worker starts. The workers then start together
     at a 10 us switch interval, and each one's timed loop only runs its
     operations; a recorded run also stamps each invocation and response and
-    keeps each result, and the events are built from these after the join.
-    Returns the merged history and the quiescent tree; raises
+    keeps each result, and one :class:`Operation` per call is built from
+    these after the join. Returns the history, holding those operations, and
+    the quiescent tree (an unrecorded run's history is empty); raises
     :class:`DeadlockSuspectedError` when any thread outlives the grace
     period, naming the last invocation of a stuck thread that is not waiting
     in a hand-over (see :class:`StressConfig`).
@@ -651,18 +606,12 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
         op, key = (ops[tid][invoked - 1], keys[tid][invoked - 1]) if invoked else (None, None)
         raise DeadlockSuspectedError(tid, op, key, len(stuck), nt)
 
-    events: list[Event] = []
+    done: list[Operation] = []
     if record:
         new = tuple.__new__
         for tid in range(nt):
-            # Each operation gives its INVOKE then its RESPOND, in seq order.
-            events.extend(map(new, repeat(Event), zip(
-                repeat(tid),
-                range(2 * n),
-                cycle((INVOKE, RESPOND)),
-                chain.from_iterable(zip(ops[tid], ops[tid])),
-                chain.from_iterable(zip(keys[tid], keys[tid])),
-                chain.from_iterable(zip(repeat(None), results[tid])),
-                stamps[tid],
+            t_stamps = stamps[tid]
+            done.extend(map(new, repeat(Operation), zip(
+                repeat(tid), ops[tid], keys[tid], results[tid], t_stamps[::2], t_stamps[1::2],
             )))
-    return History._from_thread_order(events), tree
+    return History._of(done), tree

@@ -30,11 +30,12 @@ from cbst.verify import (
     History,
     StressConfig,
     _first_violation,
-    brute_force_linearizable,
     check_linearizable,
     check_structure,
     run_stress,
 )
+
+from oracle import brute_force_linearizable
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

@@ -308,6 +308,14 @@ class TestCheckReplay:
         assert rc == 1
         assert "cannot load history" in err
 
+    def test_unpaired_events_are_a_load_error(self, capsys, tmp_path):
+        path = tmp_path / "open.history"
+        path.write_text("0 0 INVOKE INSERT 5 100\n")
+        rc, out, err = run(capsys, "check", "--history", str(path))
+        assert rc == 1
+        assert out == ""
+        assert err == "cannot load history: unanswered INVOKE on thread(s) [0]\n"
+
     def test_replay_requires_history_flag(self):
         # --history names the file to replay; without a path it is a usage error.
         with pytest.raises(SystemExit) as exc:

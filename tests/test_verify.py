@@ -1,3 +1,4 @@
+import ast
 import bisect
 import os
 import random
@@ -19,12 +20,13 @@ from cbst.verify import (
     HistoryFormatError,
     IncompleteHistoryError,
     StressConfig,
-    brute_force_linearizable,
     check_balance,
     check_linearizable,
     check_structure,
     run_stress,
 )
+
+from oracle import brute_force_linearizable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -115,11 +117,11 @@ def drawn_streams(cfg, roll):
 
 
 def invoked_streams(history):
-    """Each thread's (op, key) invocations in a history, in seq order."""
+    """Each thread's (op, key) invocations in a history, in invocation
+    order."""
     streams = {}
-    for e in sorted(history.events, key=lambda e: (e.thread_id, e.seq)):
-        if e.kind == "INVOKE":
-            streams.setdefault(e.thread_id, []).append((e.op, e.key))
+    for o in history.operations():
+        streams.setdefault(o.thread_id, []).append((o.op, o.key))
     return streams
 
 
@@ -134,6 +136,19 @@ def make_history(spec):
     return History(events)
 
 
+def spec_lines(spec):
+    """The saved-history lines of (tid, kind, op, key, result, ts) tuples,
+    numbered as make_history numbers them."""
+    lines = []
+    seqs = {}
+    for tid, kind, op, key, result, ts in spec:
+        seq = seqs.get(tid, 0)
+        seqs[tid] = seq + 1
+        res = "" if result is None else f" {str(result).lower()}"
+        lines.append(f"{tid} {seq} {kind} {op.value} {key}{res} {ts}")
+    return lines
+
+
 class TestHistorySerialization:
     def test_round_trip(self):
         h = make_history([
@@ -143,7 +158,8 @@ class TestHistorySerialization:
             (1, "RESPOND", OpKind.SEARCH, 5, True, 250),
         ])
         again = History.from_lines(h.to_lines())
-        assert again.events == h.events
+        assert again.to_lines() == h.to_lines()
+        assert again.operations() == h.operations()
 
     def test_line_format(self):
         h = make_history([
@@ -162,7 +178,9 @@ class TestHistorySerialization:
         ])
         path = tmp_path / "run.history"
         h.save(path)
-        assert History.load(path).events == h.events
+        again = History.load(path)
+        assert again.to_lines() == h.to_lines()
+        assert again.operations() == h.operations()
 
     @pytest.mark.parametrize("bad", [
         "0 0 PING INSERT 5 100",
@@ -181,36 +199,43 @@ class TestHistorySerialization:
                                 "0 1 RESPOND INSERT 5 true 200"])
         assert len(h) == 2
 
+    def test_skipped_seqs_renumbered_from_zero(self):
+        # Only each thread's seq order matters: seqs 0 and 5 pair, decide,
+        # and are written back as 0 and 1.
+        h = History.from_lines(["0 0 INVOKE INSERT 5 100", "0 5 RESPOND INSERT 5 true 200"])
+        assert check_linearizable(h, [5]) is True
+        assert h.to_lines() == ["0 0 INVOKE INSERT 5 100", "0 1 RESPOND INSERT 5 true 200"]
+
 
 class TestOperationPairing:
-    def test_unanswered_invoke_rejected(self):
-        h = make_history([(0, "INVOKE", OpKind.INSERT, 5, None, 100)])
+    @staticmethod
+    def assert_rejected(spec):
+        # Pairing happens when a history is built, from events or from lines.
         with pytest.raises(IncompleteHistoryError):
-            h.operations()
+            make_history(spec)
+        with pytest.raises(IncompleteHistoryError):
+            History.from_lines(spec_lines(spec))
+
+    def test_unanswered_invoke_rejected(self):
+        self.assert_rejected([(0, "INVOKE", OpKind.INSERT, 5, None, 100)])
 
     def test_mismatched_respond_rejected(self):
-        h = make_history([
+        self.assert_rejected([
             (0, "INVOKE", OpKind.INSERT, 5, None, 100),
             (0, "RESPOND", OpKind.DELETE, 5, True, 200),
         ])
-        with pytest.raises(IncompleteHistoryError):
-            h.operations()
 
     def test_respond_before_invoke_rejected(self):
-        h = make_history([
+        self.assert_rejected([
             (0, "INVOKE", OpKind.INSERT, 5, None, 200),
             (0, "RESPOND", OpKind.INSERT, 5, True, 100),
         ])
-        with pytest.raises(IncompleteHistoryError):
-            h.operations()
 
     def test_double_invoke_rejected(self):
-        h = make_history([
+        self.assert_rejected([
             (0, "INVOKE", OpKind.INSERT, 5, None, 100),
             (0, "INVOKE", OpKind.INSERT, 6, None, 150),
         ])
-        with pytest.raises(IncompleteHistoryError):
-            h.operations()
 
     def test_operations_sorted_by_invocation(self):
         h = make_history([
@@ -443,17 +468,20 @@ class TestCheckerAgainstBruteForce:
             point, _ = point_history(rng, rng.randint(1, 7), 10, 10)
             for h, finals in ((random_history(rng, max_ops=7), ([], [0], [1], [0, 1])),
                               (point, ([], [0]))):
-                end = h.events[-1].timestamp_ns
+                spec = []
+                for o in h.operations():
+                    spec += [(o.thread_id, "INVOKE", o.op, o.key, None, o.invoke_ts),
+                             (o.thread_id, "RESPOND", o.op, o.key, o.result, o.respond_ts)]
+                end = max(o.respond_ts for o in h.operations())
                 for final_keys in finals:
                     searches = []
                     for i, key in enumerate((0, 1)):
                         searches += [
-                            Event(-1, 2 * i, "INVOKE", OpKind.SEARCH, key, None, end + 1 + 2 * i),
-                            Event(-1, 2 * i + 1, "RESPOND", OpKind.SEARCH, key, key in final_keys,
-                                  end + 2 + 2 * i),
+                            (-1, "INVOKE", OpKind.SEARCH, key, None, end + 1 + 2 * i),
+                            (-1, "RESPOND", OpKind.SEARCH, key, key in final_keys, end + 2 + 2 * i),
                         ]
                     fast = check_linearizable(h, final_keys)
-                    slow = brute_force_linearizable(History(h.events + searches))
+                    slow = brute_force_linearizable(make_history(spec + searches))
                     assert fast == slow, ("\n".join(h.to_lines()), final_keys)
                     outcomes.append((check_linearizable(h), fast))
         # Both outcomes occur, and so do linearizable histories that end
@@ -619,6 +647,18 @@ class TestRunStress:
         assert len(h) == 2 * 2 * 25
         assert len(h.operations()) == 50
 
+    def test_recorded_run_builds_operations_only(self, monkeypatch):
+        # A recorded history is its operations: run_stress builds no Event,
+        # and operations() hands back the history's one list.
+        def no_event(*args):
+            raise AssertionError("run_stress built an Event")
+
+        monkeypatch.setattr(cbst.verify, "Event", no_event)
+        h, _ = run_stress(StressConfig(variant="fem", threads=2, key_range=8, seed=4,
+                                       ops_per_thread=50))
+        assert len(h.operations()) == 100
+        assert h.operations() is h.operations()
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="ops_per_thread must be set"):
             StressConfig(variant="fem")
@@ -770,3 +810,23 @@ class TestRunStress:
         history, tree = run_stress(cfg)
         assert check_structure(tree).ok
         assert check_balance(history, tree.collect_leaf_keys()) == []
+
+
+def test_only_from_lines_names_event():
+    # Events are the saved-history line format: outside annotations and its
+    # own class, verify.py names Event only where lines are parsed.
+    module = ast.parse(Path(cbst.verify.__file__).read_text(encoding="utf-8"))
+    annotations = {
+        id(node)
+        for owner in ast.walk(module)
+        for ann in (getattr(owner, "annotation", None), getattr(owner, "returns", None))
+        if ann is not None
+        for node in ast.walk(ann)
+    }
+    naming = set()
+    for fn in ast.walk(module):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name) and node.id == "Event" and id(node) not in annotations:
+                    naming.add(fn.name)
+    assert naming == {"from_lines"}
