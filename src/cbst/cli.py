@@ -10,10 +10,13 @@ final tree's structure, and the history's linearizability ending at the
 final contents. ``cbst check --history PATH`` replays a saved history
 through the linearizability check instead.
 
-Machine-readable output of bench and model goes to --out when given,
-otherwise to stdout; their human summary table is printed only when --out
-keeps stdout free. check always prints its verdicts, and --out also writes
-them as a check,ok table.
+Machine-readable output goes to --out when given, otherwise to stdout:
+bench records and every model action (the --eval value, the --curve-alpha
+CSV and the --compare CSV). bench and --compare print a human summary
+table only when --out keeps stdout free. check always prints its verdicts,
+and --out also writes them as a check,ok table. A model input out of range
+or an unusable set of records prints one ``error: ...`` line to stderr and
+exits 1.
 """
 
 from __future__ import annotations
@@ -160,6 +163,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(args, write) -> None:
+    """Hand the machine-readable output stream to ``write``: the --out file
+    when it is given, otherwise stdout."""
+    with bench_mod.open_text(args.out or sys.stdout, "w") as fp:
+        write(fp)
+
+
 # -- bench -------------------------------------------------------------------
 
 
@@ -202,18 +212,11 @@ def cmd_bench(args, parser) -> int:
                 bench_mod.sweep(base, variant_threads, [variant], repeats=args.repeats)
             )
 
+    write = bench_mod.write_json if args.format == "json" else bench_mod.write_csv
+    _emit(args, lambda fp: write(records, fp))
     if args.out:
-        if args.format == "json":
-            bench_mod.write_json(records, args.out)
-        else:
-            bench_mod.write_csv(records, args.out)
         _print_bench_summary(records)
         print(f"{len(records)} records written to {args.out}")
-    else:
-        if args.format == "json":
-            bench_mod.write_json(records, sys.stdout)
-        else:
-            bench_mod.write_csv(records, sys.stdout)
     return 0
 
 
@@ -233,12 +236,6 @@ def _print_bench_summary(records) -> None:
 
 
 # -- check -------------------------------------------------------------------
-
-
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="ascii") as fp:
-        fp.write("\n".join(lines))
-        fp.write("\n")
 
 
 def _replay(path) -> int:
@@ -282,9 +279,8 @@ def cmd_check(args, parser) -> int:
     for name, found in violations.items():
         print(f"{name}: {'VIOLATED' if found else 'ok'}")
     if args.out:
-        _write_lines(args.out, ["check,ok"] + [
-            f"{name},{str(not found).lower()}" for name, found in violations.items()
-        ])
+        rows = [f"{name},{str(not found).lower()}" for name, found in violations.items()]
+        _emit(args, lambda fp: print("check,ok", *rows, sep="\n", file=fp))
     failures = [v for found in violations.values() for v in found]
     if not failures:
         return 0
@@ -298,76 +294,45 @@ def cmd_check(args, parser) -> int:
 
 
 def cmd_model(args, parser) -> int:
-    if args.eval:
-        if args.P is None or args.c is None:
-            parser.error("--eval requires --P and --c")
-        params = model_mod.ModelParams(
-            processors=args.P,
-            contention=args.c,
-            alpha=args.alpha,
-            beta=args.beta,
-            parallel_work=1.0,
-            snapshot_work=args.ws_ratio,
-            control_work=args.wc_ratio,
-        )
-        try:
-            value = model_mod.concurrent_speedup(params)
-        except model_mod.ModelDomainError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        print(f"{value:g}")
-        return 0
-
-    if args.curve_alpha:
-        if args.h is None or args.asymptote is None:
-            parser.error("--curve-alpha requires --h and --asymptote")
-        try:
-            points = model_mod.alpha_curve(args.h, args.asymptote, args.t_max, args.step)
-        except model_mod.ModelDomainError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        lines = ["t,alpha"] + [f"{t:g},{alpha:.10g}" for t, alpha in points]
-        if args.out:
-            _write_lines(args.out, lines)
-        else:
-            print("\n".join(lines))
-        return 0
-
-    # compare
-    if not args.records:
+    if args.eval and (args.P is None or args.c is None):
+        parser.error("--eval requires --P and --c")
+    if args.curve_alpha and (args.h is None or args.asymptote is None):
+        parser.error("--curve-alpha requires --h and --asymptote")
+    if args.compare and not args.records:
         parser.error("--compare requires --records")
-    try:
-        if args.records.endswith(".json"):
-            records = bench_mod.read_json(args.records)
-        else:
-            records = bench_mod.read_csv(args.records)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load records: {exc}", file=sys.stderr)
-        return 1
-    template = model_mod.ModelParams(
-        processors=1,
-        contention=0.0,
+    # --compare sets P and c per benchmark point; --eval has both.
+    params = model_mod.ModelParams(
+        processors=1 if args.P is None else args.P,
+        contention=0.0 if args.c is None else args.c,
         alpha=args.alpha,
         beta=args.beta,
-        parallel_work=1.0,
         snapshot_work=args.ws_ratio,
         control_work=args.wc_ratio,
     )
-    try:
-        rows = model_mod.predict_vs_measured(records, template)
-    except (model_mod.ModelInputError, model_mod.ModelDomainError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    if args.out:
-        model_mod.write_comparison_csv(rows, args.out)
-        print(f"{'variant':<8} {'threads':>7} {'measured':>9} {'predicted':>9} {'ratio':>7}")
-        for row in rows:
-            print(
-                f"{row.variant:<8} {row.threads:>7} {row.measured_speedup:>9.3f} "
-                f"{row.predicted_speedup:>9.3f} {row.ratio:>7.3f}"
-            )
+
+    if args.eval:
+        value = model_mod.concurrent_speedup(params)
+        _emit(args, lambda fp: print(f"{value:g}", file=fp))
+    elif args.curve_alpha:
+        points = model_mod.alpha_curve(args.h, args.asymptote, args.t_max, args.step)
+        lines = [f"{t:g},{alpha:.10g}" for t, alpha in points]
+        _emit(args, lambda fp: print("t,alpha", *lines, sep="\n", file=fp))
     else:
-        model_mod.write_comparison_csv(rows, sys.stdout)
+        read = bench_mod.read_json if args.records.endswith(".json") else bench_mod.read_csv
+        try:
+            records = read(args.records)
+        except (OSError, ValueError) as exc:
+            print(f"cannot load records: {exc}", file=sys.stderr)
+            return 1
+        rows = model_mod.predict_vs_measured(records, params)
+        _emit(args, lambda fp: model_mod.write_comparison_csv(rows, fp))
+        if args.out:
+            print(f"{'variant':<8} {'threads':>7} {'measured':>9} {'predicted':>9} {'ratio':>7}")
+            for row in rows:
+                print(
+                    f"{row.variant:<8} {row.threads:>7} {row.measured_speedup:>9.3f} "
+                    f"{row.predicted_speedup:>9.3f} {row.ratio:>7.3f}"
+                )
     return 0
 
 

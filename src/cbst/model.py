@@ -63,60 +63,68 @@ class ModelParams:
     hardness: float = 2.0
 
 
+# (symbol, inequality, value, holds): one bound checked against one value.
+_Bound = tuple[str, str, float, bool]
+
+
+def _bounds(params: ModelParams) -> list[_Bound]:
+    """The five bounds that the speedup formula and the published constraint
+    block share. Each test is written so that NaN fails it."""
+    P, c, alpha = params.processors, params.contention, params.alpha
+    w_p, w_c = params.parallel_work, params.control_work
+    return [
+        ("P", "P >= 1", P, P >= 1),
+        ("c", "0 <= c <= 1", c, 0.0 <= c <= 1.0),
+        ("alpha", "0 <= alpha <= 1", alpha, 0.0 <= alpha <= 1.0),
+        ("w_p", "w_p > 0", w_p, w_p > 0),
+        ("w_control", "w_control >= 0", w_c, w_c >= 0),
+    ]
+
+
+def _hardness_bound(h: float) -> _Bound:
+    return ("h", "h > 1", h, h > 1)
+
+
+def _violation(sym: str, ineq: str, value) -> str:
+    return f"violates {ineq} ({sym} = {value})"
+
+
+def _require(*bounds: _Bound) -> None:
+    """Raise ModelDomainError for the first bound that does not hold."""
+    for sym, ineq, value, holds in bounds:
+        if not holds:
+            raise ModelDomainError(f"{sym} out of range: {_violation(sym, ineq, value)}")
+
+
 def amdahl_speedup(p_fraction: float, processors: float) -> float:
     """The classic law: 1 / ((1 - p) + p/P)."""
-    if not 0.0 <= p_fraction <= 1.0:
-        raise ModelDomainError(
-            f"p out of range: violates 0 <= p <= 1 (p = {p_fraction})"
-        )
-    if not processors >= 1:
-        raise ModelDomainError(f"P out of range: violates P >= 1 (P = {processors})")
+    # P takes the shared bound; the other four hold at their defaults.
+    _require(
+        ("p", "0 <= p <= 1", p_fraction, 0.0 <= p_fraction <= 1.0),
+        *_bounds(ModelParams(processors, 0.0)),
+    )
     return 1.0 / ((1.0 - p_fraction) + p_fraction / processors)
 
 
-def effective_parallelism(params: ModelParams) -> float:
-    """P * (1 - c) * alpha, the threads that make committed progress."""
-    return params.processors * (1.0 - params.contention) * params.alpha
-
-
-def _check_speedup_inputs(params: ModelParams) -> None:
-    # Only what the speedup formula itself needs; the full constraint block
-    # lives in validate(). Every check is written so that NaN fails it.
-    if not params.processors >= 1:
-        raise ModelDomainError(
-            f"P out of range: violates P >= 1 (P = {params.processors})"
-        )
-    if not 0.0 <= params.contention <= 1.0:
-        raise ModelDomainError(
-            f"c out of range: violates 0 <= c <= 1 (c = {params.contention})"
-        )
-    if not 0.0 <= params.alpha <= 1.0:
-        raise ModelDomainError(
-            f"alpha out of range: violates 0 <= alpha <= 1 (alpha = {params.alpha})"
-        )
-    if not params.parallel_work > 0:
-        raise ModelDomainError(
-            f"w_p out of range: violates w_p > 0 (w_p = {params.parallel_work})"
-        )
-    if not params.snapshot_work >= 0:
-        raise ModelDomainError(
-            f"w_snapshot out of range: violates w_snapshot >= 0 "
-            f"(w_snapshot = {params.snapshot_work})"
-        )
-    if not params.control_work >= 0:
-        raise ModelDomainError(
-            f"w_control out of range: violates w_control >= 0 "
-            f"(w_control = {params.control_work})"
-        )
-
-
 def concurrent_speedup(params: ModelParams) -> float:
-    """P(1-c)alpha / (1 + w_snapshot/w_p + w_control/w_p)."""
-    _check_speedup_inputs(params)
-    overhead = 1.0 + params.snapshot_work / params.parallel_work + (
-        params.control_work / params.parallel_work
+    """P(1-c)alpha / (1 + w_snapshot/w_p + w_control/w_p).
+
+    The numerator P(1-c)alpha counts the threads that make committed
+    progress; the denominator taxes each by its snapshot and control work.
+    """
+    ws = params.snapshot_work
+    _require(*_bounds(params), ("w_snapshot", "w_snapshot >= 0", ws, ws >= 0))
+    overhead = 1.0 + ws / params.parallel_work + params.control_work / params.parallel_work
+    return params.processors * (1.0 - params.contention) * params.alpha / overhead
+
+
+def _alpha_points(hardness: float, asymptote: float, ts) -> list[tuple[float, float]]:
+    """(t, asymptote * (1 - h**(-t))) for each t in ``ts``."""
+    _require(
+        _hardness_bound(hardness),
+        ("asymptote", "-inf < asymptote < inf", asymptote, math.isfinite(asymptote)),
     )
-    return effective_parallelism(params) / overhead
+    return [(t, asymptote * (1.0 - hardness ** (-t))) for t in ts]
 
 
 def alpha_at(t: float, params: ModelParams) -> float:
@@ -125,24 +133,11 @@ def alpha_at(t: float, params: ModelParams) -> float:
     The asymptote is w_snapshot * beta / w_control; alpha climbs toward it
     from 0 at t = 0, faster for harder structures (larger h).
     """
-    if not params.hardness > 1:
-        raise ModelDomainError(
-            f"h out of domain: violates h > 1 (h = {params.hardness})"
-        )
-    if not params.control_work > 0:
-        raise ModelDomainError(
-            f"w_control out of domain: the alpha(t) asymptote needs w_control > 0 "
-            f"(w_control = {params.control_work})"
-        )
-    if not t >= 0:
-        raise ModelDomainError(f"t out of domain: violates t >= 0 (t = {t})")
-    asymptote = params.snapshot_work * params.beta / params.control_work
-    if not math.isfinite(asymptote):
-        raise ModelDomainError(
-            f"asymptote out of domain: w_snapshot*beta/w_control must be finite "
-            f"(asymptote = {asymptote})"
-        )
-    return asymptote * (1.0 - params.hardness ** (-t))
+    w_c = params.control_work
+    # The asymptote divides by w_control, so it is checked before the division.
+    _require(("w_control", "w_control > 0", w_c, w_c > 0), ("t", "t >= 0", t, t >= 0))
+    asymptote = params.snapshot_work * params.beta / w_c
+    return _alpha_points(params.hardness, asymptote, [t])[0][1]
 
 
 def alpha_curve(hardness: float, asymptote: float, t_max: float, step: float) -> list[tuple[float, float]]:
@@ -150,58 +145,36 @@ def alpha_curve(hardness: float, asymptote: float, t_max: float, step: float) ->
 
     The asymptote, t_max and step must be finite, or the grid is undefined.
     """
-    if not hardness > 1:
-        raise ModelDomainError(f"h out of domain: violates h > 1 (h = {hardness})")
-    if not math.isfinite(asymptote):
-        raise ModelDomainError(f"asymptote out of domain: must be finite (asymptote = {asymptote})")
-    if not 0 < step < math.inf:
-        raise ModelDomainError(f"step out of domain: violates 0 < step < inf (step = {step})")
-    if not 0 <= t_max < math.inf:
-        raise ModelDomainError(f"t_max out of domain: violates 0 <= t_max < inf (t_max = {t_max})")
-    points = []
+    _require(
+        ("step", "0 < step < inf", step, 0 < step < math.inf),
+        ("t_max", "0 <= t_max < inf", t_max, 0 <= t_max < math.inf),
+    )
     n = int(math.floor(t_max / step + 1e-9))
-    for i in range(n + 1):
-        t = i * step
-        points.append((t, asymptote * (1.0 - hardness ** (-t))))
-    return points
+    return _alpha_points(hardness, asymptote, [i * step for i in range(n + 1)])
 
 
 def validate(params: ModelParams) -> list[str]:
     """Check the full constraint block; one entry per violated inequality.
 
-    The trailing cap in 0 <= alpha <= w_snapshot*beta/w_control <= 1 binds
-    alpha, not the ratio: alpha may never exceed 1 even when the ratio
-    does. Every check is written so that NaN fails it.
+    Beyond the bounds the speedup formula checks, the block tightens the
+    formula's w_snapshot >= 0 to w_snapshot > 0 and asks for a hardness
+    above 1, beta between 1/w_snapshot and 1, and alpha under
+    w_snapshot*beta/w_control. That cap binds alpha, not the ratio: alpha
+    may never exceed 1 even when the ratio does, and an alpha above both is
+    reported against both. Every check is written so that NaN fails it.
     """
-    v = []
-    if not params.processors >= 1:
-        v.append(f"violates P >= 1 (P = {params.processors})")
-    if not 0.0 <= params.contention <= 1.0:
-        v.append(f"violates 0 <= c <= 1 (c = {params.contention})")
-    if not params.parallel_work > 0:
-        v.append(f"violates w_p > 0 (w_p = {params.parallel_work})")
-    if not params.snapshot_work > 0:
-        v.append(f"violates w_snapshot > 0 (w_snapshot = {params.snapshot_work})")
-    if not params.control_work >= 0:
-        v.append(f"violates w_control >= 0 (w_control = {params.control_work})")
-    if not params.hardness > 1:
-        v.append(f"violates h > 1 (h = {params.hardness})")
-    if params.snapshot_work > 0 and not (
-        1.0 / params.snapshot_work <= params.beta <= 1.0
-    ):
-        v.append(
-            f"violates 1/w_snapshot <= beta <= 1 "
-            f"(1/w_snapshot = {1.0 / params.snapshot_work}, beta = {params.beta})"
-        )
-    if not 0.0 <= params.alpha <= 1.0:
-        v.append(f"violates 0 <= alpha <= 1 (alpha = {params.alpha})")
-    elif params.control_work > 0:
-        bound = params.snapshot_work * params.beta / params.control_work
-        if not params.alpha <= bound:
-            v.append(
-                f"violates alpha <= w_snapshot*beta/w_control "
-                f"(alpha = {params.alpha}, bound = {bound})"
-            )
+    ws = params.snapshot_work
+    bounds = [
+        *_bounds(params),
+        ("w_snapshot", "w_snapshot > 0", ws, ws > 0),
+        _hardness_bound(params.hardness),
+    ]
+    v = [_violation(sym, ineq, value) for sym, ineq, value, holds in bounds if not holds]
+    beta, alpha, w_c = params.beta, params.alpha, params.control_work
+    if ws > 0 and not 1.0 / ws <= beta <= 1.0:
+        v.append(f"violates 1/w_snapshot <= beta <= 1 (1/w_snapshot = {1.0 / ws}, beta = {beta})")
+    if w_c > 0 and not alpha <= (bound := ws * beta / w_c):
+        v.append(f"violates alpha <= w_snapshot*beta/w_control (alpha = {alpha}, bound = {bound})")
     return v
 
 

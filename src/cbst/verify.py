@@ -123,9 +123,10 @@ class History:
     operations and raises :class:`IncompleteHistoryError` when they do not
     strictly alternate INVOKE/RESPOND over the same operation and key, an
     invocation goes unanswered, or a response is stamped before its
-    invocation. Events exist only in the saved line format
-    (:meth:`to_lines`, :meth:`from_lines`), which numbers each thread's seqs
-    from 0 again. ``len(history)`` counts events, two per operation.
+    invocation or an invocation before the thread's previous response.
+    Events exist only in the saved line format (:meth:`to_lines`,
+    :meth:`from_lines`), which numbers each thread's seqs from 0 again.
+    ``len(history)`` counts events, two per operation.
     """
 
     __slots__ = ("_ops",)
@@ -143,6 +144,12 @@ class History:
                 if tid in pending:
                     raise IncompleteHistoryError(
                         f"thread {tid}: INVOKE while an operation is still open"
+                    )
+                # Events come in thread order, so ops[-1] is this thread's
+                # previous operation when its thread matches.
+                if ops and ops[-1].thread_id == tid and ts < ops[-1].respond_ts:
+                    raise IncompleteHistoryError(
+                        f"thread {tid}: INVOKE stamped before its previous RESPOND"
                     )
                 pending[tid] = e
             elif kind == RESPOND:

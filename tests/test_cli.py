@@ -50,6 +50,22 @@ class TestModelEval:
         assert out == ""
         assert len(err.splitlines()) == 1 and "nan" in err
 
+    def test_eval_to_file(self, capsys, tmp_path):
+        out_path = tmp_path / "speedup.txt"
+        rc, out, _ = run(capsys, "model", "--eval", "--P", "16", "--c", "0.5",
+                         "--alpha", "0.5", "--ws-ratio", "0.25",
+                         "--wc-ratio", "0.25", "--out", str(out_path))
+        assert rc == 0
+        assert out == ""
+        assert out_path.read_text() == "2.66667\n"
+
+    def test_zero_processors_fails(self, capsys):
+        # --P 0 is checked as given, not replaced by a default.
+        rc, out, err = run(capsys, "model", "--eval", "--P", "0", "--c", "0")
+        assert rc == 1
+        assert out == ""
+        assert err == "error: P out of range: violates P >= 1 (P = 0)\n"
+
     def test_eval_requires_p_and_c(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["model", "--eval", "--P", "4"])
@@ -295,6 +311,20 @@ class TestCheckReplay:
         assert out == "linearizable: false\n"
         assert err == ("first violation: key 7: no operation can take effect next "
                        "with the key absent: thread 10 SEARCH true [10, 110]\n")
+
+    def test_overlapping_operations_of_one_thread_are_a_load_error(self, capsys, tmp_path):
+        path = tmp_path / "overlap.history"
+        path.write_text(
+            "0 0 INVOKE INSERT 5 100\n"
+            "0 1 RESPOND INSERT 5 true 300\n"
+            "0 2 INVOKE SEARCH 5 200\n"
+            "0 3 RESPOND SEARCH 5 true 400\n"
+        )
+        rc, out, err = run(capsys, "check", "--history", str(path))
+        assert rc == 1
+        assert out == ""
+        assert err == ("cannot load history: thread 0: INVOKE stamped before "
+                       "its previous RESPOND\n")
 
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "check", "--history", str(tmp_path / "ghost.history"))

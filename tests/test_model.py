@@ -1,11 +1,14 @@
+import ast
 import io
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbst.model
 from cbst.bench import BenchRecord
 from cbst.model import (
     COMPARISON_HEADER,
@@ -16,7 +19,6 @@ from cbst.model import (
     alpha_curve,
     amdahl_speedup,
     concurrent_speedup,
-    effective_parallelism,
     fit_contention,
     predict_vs_measured,
     validate,
@@ -61,11 +63,13 @@ class TestAmdahl:
 
 class TestWorkloadTerms:
     def test_effective_parallelism(self):
-        assert effective_parallelism(params(processors=32, contention=0.0)) == 32
-        assert effective_parallelism(params(processors=32, contention=1.0,
-                                            alpha=0.7)) == 0
-        assert effective_parallelism(params(processors=16, contention=0.5,
-                                            alpha=0.5)) == pytest.approx(4.0)
+        # With no snapshot or control work the speedup is P(1-c)alpha, the
+        # threads that make committed progress.
+        assert concurrent_speedup(params(processors=32, contention=0.0)) == 32
+        assert concurrent_speedup(params(processors=32, contention=1.0,
+                                         alpha=0.7)) == 0
+        assert concurrent_speedup(params(processors=16, contention=0.5,
+                                         alpha=0.5)) == pytest.approx(4.0)
 
 
 class TestConcurrentSpeedup:
@@ -324,6 +328,32 @@ class TestValidate:
                 rejected += 1
         assert accepted > 20 and rejected > 20
 
+    def test_formula_bounds_are_validate_bounds(self):
+        # Every inequality concurrent_speedup raises on is listed by
+        # validate too, over the region check's vectors plus a NaN P and a
+        # negative w_control. A negative w_snapshot is left out: validate
+        # tightens the formula's w_snapshot >= 0 to w_snapshot > 0.
+        rng = random.Random(4321)
+        raised = 0
+        for _ in range(1000):
+            p = ModelParams(
+                processors=rng.choice([0, 1, 2, 8, 16, NAN]),
+                contention=rng.choice([-0.1, 0.0, rng.random(), 1.0, 1.2]),
+                alpha=rng.choice([-0.1, 0.0, rng.random(), 1.0, 1.3]),
+                beta=rng.choice([0.05, rng.random(), 1.0, 1.4]),
+                parallel_work=rng.choice([0.0, 0.5, 1.0]),
+                snapshot_work=rng.choice([0.0, 0.5, 1.0, 2.0, 5.0]),
+                control_work=rng.choice([-0.5, 0.0, 0.5, 1.0, 3.0]),
+                hardness=rng.choice([0.5, 1.0, 1.5, 2.0]),
+            )
+            try:
+                concurrent_speedup(p)
+            except ModelDomainError as exc:
+                raised += 1
+                violation = str(exc).split(": ", 1)[1]
+                assert violation in validate(p), (violation, validate(p))
+        assert raised > 100
+
     def test_boundary_equalities_accepted(self):
         p = ModelParams(processors=1, contention=0.0, alpha=0.0, beta=1.0,
                         parallel_work=0.125, snapshot_work=1.0,
@@ -413,3 +443,17 @@ class TestPredictVsMeasured:
         assert lines[0] == ("variant,threads,measured_speedup,"
                             "predicted_speedup,ratio,c_fitted")
         assert len(lines) == 3
+
+
+# The inequalities that the speedup formula, the constraint block and the
+# alpha(t) curve share.
+SHARED_INEQUALITIES = ["P >= 1", "0 <= c <= 1", "0 <= alpha <= 1", "w_p > 0",
+                       "w_control >= 0", "h > 1"]
+
+
+def test_each_shared_inequality_written_once():
+    module = ast.parse(Path(cbst.model.__file__).read_text(encoding="utf-8"))
+    texts = [node.value for node in ast.walk(module)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    counts = {ineq: sum(ineq in text for text in texts) for ineq in SHARED_INEQUALITIES}
+    assert counts == dict.fromkeys(SHARED_INEQUALITIES, 1)

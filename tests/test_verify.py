@@ -237,6 +237,23 @@ class TestOperationPairing:
             (0, "INVOKE", OpKind.INSERT, 6, None, 150),
         ])
 
+    def test_overlapping_operations_of_one_thread_rejected(self):
+        # A thread's next INVOKE may share its previous RESPOND's stamp but
+        # not precede it.
+        self.assert_rejected([
+            (0, "INVOKE", OpKind.INSERT, 5, None, 100),
+            (0, "RESPOND", OpKind.INSERT, 5, True, 300),
+            (0, "INVOKE", OpKind.SEARCH, 5, None, 200),
+            (0, "RESPOND", OpKind.SEARCH, 5, True, 400),
+        ])
+        h = make_history([
+            (0, "INVOKE", OpKind.INSERT, 5, None, 100),
+            (0, "RESPOND", OpKind.INSERT, 5, True, 300),
+            (0, "INVOKE", OpKind.SEARCH, 5, None, 300),
+            (0, "RESPOND", OpKind.SEARCH, 5, True, 400),
+        ])
+        assert [op.invoke_ts for op in h.operations()] == [100, 300]
+
     def test_operations_sorted_by_invocation(self):
         h = make_history([
             (1, "INVOKE", OpKind.SEARCH, 2, None, 50),
