@@ -115,12 +115,17 @@ def prefill(tree: TreeBase, workload: WorkloadSpec, seed: int) -> int:
     target = workload.key_range // 2
     kr = workload.key_range
     insert = tree.insert
-    randrange = rng.randrange
+    # rng.randrange(kr)'s own rejection loop, as in draw_op.
+    getrandbits = rng.getrandbits
+    bits = kr.bit_length()
     size = 0
     attempts = 0
     while size < target:
         attempts += 1
-        if insert(randrange(kr)):
+        key = getrandbits(bits)
+        while key >= kr:
+            key = getrandbits(bits)
+        if insert(key):
             size += 1
     return attempts
 

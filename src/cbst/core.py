@@ -7,7 +7,9 @@ pins down that contract once so the trees, the verification harness, and the
 benchmark driver all agree on what counts as a key and what each operation
 returns. Stress runs and benchmark runs also draw their operations
 (:func:`draw_op`) and run their threads (:func:`run_threads`) through this
-module, and every wait of one thread for another goes through :data:`pause`.
+module. A tree operation waits for another thread through :data:`pause`; a
+recorded stress run's hand-over also blocks on a lock when one other thread
+is left.
 
 Keys are signed 64-bit integers with the two extremes reserved: the trees use
 them as immortal routing sentinels, so application code may only store keys
@@ -28,7 +30,7 @@ import time
 NEG_SENTINEL = -(2**63)
 POS_SENTINEL = 2**63 - 1
 
-# The one way a thread waits for another: give up the GIL and the CPU
+# How a tree operation waits for another thread: give up the GIL and the CPU
 # without arming a timer. ``sleep(0)`` also releases the GIL, but it goes
 # through the kernel's timed sleep and costs 56-80 us of timer slack per
 # call, against about 0.5 us for ``sched_yield`` (2-vCPU x86-64 VM, CPython
@@ -190,12 +192,18 @@ def run_threads(
 def draw_op(rng, insert_pct: float, delete_pct: float, key_range: int):
     """Draw one (operation, key) pair from a percentage mix.
 
-    Consumes exactly two values from ``rng`` in a fixed order (mix roll,
-    then key), so identical seeds replay identical operation streams. The
-    remaining probability mass after insert and delete goes to search.
+    Consumes the mix roll, then the key, in a fixed order, so identical
+    seeds replay identical operation streams. The remaining probability
+    mass after insert and delete goes to search. ``rng`` is a
+    ``random.Random``: the key is drawn with the ``getrandbits`` rejection
+    loop that its ``randrange(key_range)`` runs (CPython 3.11), so the
+    stream is the same, without that method's argument checks.
     """
     r = rng.random() * 100.0
-    key = rng.randrange(key_range)
+    bits = key_range.bit_length()
+    key = rng.getrandbits(bits)
+    while key >= key_range:
+        key = rng.getrandbits(bits)
     if r < insert_pct:
         return OpKind.INSERT, key
     if r < insert_pct + delete_pct:

@@ -455,19 +455,24 @@ class StressConfig:
     time the run may take before it is declared stuck.
 
     On 70 % of operations a recorded run hands over between stamping an
-    invocation and running it: it calls :data:`~cbst.core.pause` (a
-    GIL-releasing ``sched_yield``) until another thread has stamped an
-    invocation or a response, or no other thread is left running. Short
+    invocation and running it: it waits until another thread has stamped
+    an invocation or a response, or no other thread is left running. Short
     bursts would otherwise execute one whole thread at a time, and about
     half the recorded operations, not 98 %, would overlap another thread's.
     The hand-over widens operation windows without falsifying anything,
     since the response is stamped only after the operation really returns.
-    A single pause is not enough when the threads sit on separate CPUs:
-    ``sched_yield`` then returns at once and the yielder usually takes the
-    GIL back before the other thread wakes, and only 50-75 % of operations
-    overlapped (2-vCPU x86-64 VM, CPython 3.11).
 
-    A 1-thread run has no one to hand over to, so it never pauses; it still
+    While two or more other threads run, the wait calls
+    :data:`~cbst.core.pause` (a GIL-releasing ``sched_yield``) until the
+    stamp lands. One pause is not enough: with the threads on separate
+    CPUs the yielder usually takes the GIL back before the other thread
+    wakes, and only 50-75 % of operations overlapped. While one other runs,
+    the wait blocks on a lock that the other's next stamp, or its end,
+    releases. Yielding to it starved it: the yielder retook the GIL on
+    every call, about 8 times per hand-over (2-vCPU x86-64 VM, CPython
+    3.11).
+
+    A 1-thread run has no one to hand over to, so it never waits; it still
     draws the hand-over roll, so its operation stream is the same.
 
     Each thread's stream, its hand-over rolls included, is drawn before the
@@ -517,7 +522,8 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     the quiescent tree (an unrecorded run's history is empty); raises
     :class:`DeadlockSuspectedError` when any thread outlives the grace
     period, naming the last invocation of a stuck thread that is not waiting
-    in a hand-over (see :class:`StressConfig`).
+    in a hand-over (see :class:`StressConfig`), after letting every waiting
+    one go.
     """
     tree = new_tree(config.variant)
     nt = config.threads
@@ -559,10 +565,26 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     # An unrecorded run's key iterators; what is left of one shows how far
     # its thread has got.
     left = [iter(k) for k in keys]
-    # Threads still running; a lost decrement would hang a hand-over.
+    # Threads still running; a lost decrement would hang a hand-over. The
+    # lock also guards ``waiters``, the gates of threads blocked in a
+    # hand-over: each gate is held from the start, and releasing it lets
+    # its thread go.
     running = [nt]
     running_lock = threading.Lock()
     handing_over = [False] * nt
+    waiters: list = []
+    gates = [threading.Lock() for _ in range(nt)]
+    for gate in gates:
+        gate.acquire()
+
+    def release_waiters() -> None:
+        # The caller holds running_lock.
+        while waiters:
+            waiters.pop().release()
+
+    def wake() -> None:
+        with running_lock:
+            release_waiters()
 
     def worker(tid: int, _start_ns: int) -> None:
         try:
@@ -574,27 +596,49 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
         finally:
             with running_lock:
                 running[0] -= 1
+                release_waiters()
 
     def run_recorded(tid: int) -> None:
         stamp = stamps[tid].append
         answer = results[tid].append
+        gate = gates[tid]
         for call, key, hand in zip(calls[tid], keys[tid], hands[tid]):
             if hand:
                 # Stamps of all threads before this one's invocation. This
-                # thread holds no tree lock yet, so it blocks no one. Two
-                # waiters cannot both see only their own stamp added: the
-                # later one's ``before`` counts the earlier's.
+                # thread holds no tree lock yet, so it blocks no one.
                 before = sum(map(len, stamps))
                 stamp(now())
-                pause()
                 handing_over[tid] = True
-                while sum(map(len, stamps)) == before + 1 and running[0] > 1:
+                # With two or more others running, yield to one that is
+                # already awake. Two yielders cannot both see only their
+                # own stamp added: the later one's ``before`` counts the
+                # earlier's.
+                while running[0] > 2:
                     pause()
+                    if sum(map(len, stamps)) != before + 1:
+                        break
+                else:
+                    # At most one other is left, and yielding would starve
+                    # it: block until its next stamp or its end. Blocking
+                    # lets go any thread already blocked, so two never wait
+                    # on each other; that may end a wait early, which
+                    # falsifies nothing.
+                    with running_lock:
+                        release_waiters()
+                        blocks = running[0] > 1
+                        if blocks:
+                            waiters.append(gate)
+                    if blocks:
+                        gate.acquire()
                 handing_over[tid] = False
             else:
                 stamp(now())
+                if waiters:
+                    wake()
             answer(call(key))
             stamp(now())
+            if waiters:
+                wake()
 
     # A short scheduling quantum makes small runs actually interleave.
     stuck = run_threads(worker, nt, config.timeout_s, switch_interval=1e-5)
@@ -603,9 +647,10 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
         # one is; name one of the others.
         tid = next((t for t in stuck if not handing_over[t]), stuck[0])
         with running_lock:
-            # Let the waiters go, so that none spins for the rest of the
+            # Let the waiters go, so that none waits for the rest of the
             # process.
             running[0] = 0
+            release_waiters()
         if record:
             invoked = (len(stamps[tid]) + 1) // 2
         else:

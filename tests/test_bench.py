@@ -19,6 +19,7 @@ from cbst.bench import (
     write_csv,
     write_json,
 )
+from cbst.core import thread_rng
 from cbst.tree import new_tree
 from cbst.verify import check_structure
 
@@ -91,6 +92,24 @@ class TestPrefill:
         prefill(t1, workload(100), seed=9)
         prefill(t2, workload(100), seed=9)
         assert t1.collect_leaf_keys() == t2.collect_leaf_keys()
+
+    @pytest.mark.parametrize("kr", [2, 3, 64, 100, 1000])
+    def test_keys_are_randranges(self, kr):
+        # prefill draws each key with the loop randrange runs, so the keys
+        # are the ones randrange gives on the prefill stream.
+        class Recorder:
+            def __init__(self):
+                self.keys = []
+
+            def insert(self, key):
+                self.keys.append(key)
+                return self.keys.count(key) == 1
+
+        tree = Recorder()
+        attempts = prefill(tree, workload(kr), seed=4)
+        rng = thread_rng(4, bench_mod._PREFILL_STREAM)
+        assert tree.keys == [rng.randrange(kr) for _ in range(attempts)]
+        assert len(set(tree.keys)) == kr // 2
 
     def test_structure_stays_valid(self):
         tree = new_tree("fn")

@@ -111,6 +111,17 @@ class TestDrawOp:
         for _ in range(500):
             assert draw_op(a, 20, 10, 64) == draw_op(b, 20, 10, 64)
 
+    @pytest.mark.parametrize("key_range", [1, 2, 3, 64, 100, 1000, 2**20 + 1, 10**6, 2**63 - 1])
+    def test_keys_are_randranges(self, key_range):
+        # The key is drawn with the loop randrange runs, so the stream is
+        # the one randrange gives.
+        for seed in range(3):
+            drawn, expected = random.Random(seed), random.Random(seed)
+            for _ in range(300):
+                _, key = draw_op(drawn, 20, 10, key_range)
+                expected.random()
+                assert key == expected.randrange(key_range)
+
     def test_key_in_range(self):
         rng = random.Random(1)
         for _ in range(1000):

@@ -579,18 +579,48 @@ class TestRunStress:
         assert t1.collect_leaf_keys() == t2.collect_leaf_keys()
 
     @pytest.mark.parametrize("variant, threads", [("seq", 1), ("fem", 1), ("fem", 2)])
-    def test_only_multi_thread_runs_hand_over(self, variant, threads, monkeypatch):
-        # A lone thread has no one to hand over to, so it never pauses; two
-        # threads pause on about 70 % of their operations.
-        pauses = []
-        monkeypatch.setattr(cbst.verify, "pause", lambda: pauses.append(None))
+    def test_only_multi_thread_runs_hand_over(self, variant, threads):
+        # A lone thread has no one to hand over to, so it never waits; two
+        # threads wait, on their gate or in pauses, on about 70 % of their
+        # operations. The waits are the pause and lock acquire calls that
+        # verify.py makes on the workers; the gates are taken before the
+        # workers start.
+        waits = []
+
+        def profile(frame, event, arg):
+            if (event == "c_call" and frame.f_code.co_filename == cbst.verify.__file__
+                    and (arg is cbst.verify.pause or arg.__name__ == "acquire")):
+                waits.append(arg.__name__)
+
         cfg = StressConfig(variant=variant, threads=threads, key_range=16, seed=3,
                            ops_per_thread=200)
-        run_stress(cfg)
+        threading.setprofile(profile)
+        try:
+            run_stress(cfg)
+        finally:
+            threading.setprofile(None)
         if threads == 1:
-            assert pauses == []
+            assert waits == []
         else:
-            assert len(pauses) >= 200
+            assert len(waits) >= 200
+
+    def test_two_thread_hand_overs_block_rather_than_spin(self, monkeypatch):
+        # With one other thread left, a hand-over blocks until that thread
+        # stamps. Spinning on pause instead made about 11,000 calls in a
+        # 2 x 1,000-op run, about 8 per hand-over.
+        pauses = []
+        real_pause = cbst.verify.pause
+
+        def counted_pause():
+            pauses.append(None)
+            real_pause()
+
+        monkeypatch.setattr(cbst.verify, "pause", counted_pause)
+        cfg = StressConfig(variant="fem", threads=2, key_range=64, seed=0,
+                           ops_per_thread=1000)
+        history, tree = run_stress(cfg)
+        assert check_linearizable(history, tree.collect_leaf_keys())
+        assert len(pauses) < 100
 
     def test_single_thread_stream_keeps_the_hand_over_roll(self):
         # Skipping the pause keeps its random() draw, so the op stream is
