@@ -154,25 +154,23 @@ def run_bench(config: BenchConfig, repeat: int = 0) -> BenchRecord:
     warmup_ns = config.warmup_ms * 1_000_000
     duration_ns = config.duration_ms * 1_000_000
     now = time.monotonic_ns
+    SEARCH, INSERT = OpKind.SEARCH, OpKind.INSERT
 
     def worker(tid: int, start_ns: int) -> None:
         rng = thread_rng(config.seed, tid)
-        methods = {
-            OpKind.INSERT: tree.insert,
-            OpKind.DELETE: tree.delete,
-            OpKind.SEARCH: tree.search,
-        }
+        # Identity tests: an OpKind dict lookup runs Enum.__hash__.
+        insert, delete, search = tree.insert, tree.delete, tree.search
         warm_end = start_ns + warmup_ns
         deadline = warm_end + duration_ns
         while now() < warm_end:
             op, key = draw_op(rng, ins_pct, del_pct, kr)
-            methods[op](key)
+            (search if op is SEARCH else insert if op is INSERT else delete)(key)
         if tid == 0:
             retries_before[0] = tree.retry_count()
         done = 0
         while now() < deadline:
             op, key = draw_op(rng, ins_pct, del_pct, kr)
-            methods[op](key)
+            (search if op is SEARCH else insert if op is INSERT else delete)(key)
             done += 1
         counts[tid] = done
         spans[tid] = now() - warm_end

@@ -14,9 +14,10 @@ Machine-readable output goes to --out when given, otherwise to stdout:
 bench records and every model action (the --eval value, the --curve-alpha
 CSV and the --compare CSV). bench and --compare print a human summary
 table only when --out keeps stdout free. check always prints its verdicts,
-and --out also writes them as a check,ok table. A model input out of range
-or an unusable set of records prints one ``error: ...`` line to stderr and
-exits 1.
+and --out also writes them as a check,ok table. bench and check open --out
+before their sweep or stress run. A model input out of range, an unusable
+set of records or an --out path that cannot be opened prints one
+``error: ...`` line to stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -163,11 +164,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, write) -> None:
-    """Hand the machine-readable output stream to ``write``: the --out file
-    when it is given, otherwise stdout."""
-    with bench_mod.open_text(args.out or sys.stdout, "w") as fp:
-        write(fp)
+def _out(args):
+    """The machine-readable output stream: the --out file when it is given,
+    otherwise stdout. Commands enter it before their work, so a path that
+    cannot be opened fails before a sweep or a stress run is spent."""
+    return bench_mod.open_text(args.out or sys.stdout, "w")
 
 
 # -- bench -------------------------------------------------------------------
@@ -196,24 +197,24 @@ def _bench_grid(args, parser):
 def cmd_bench(args, parser) -> int:
     variants, threads, buckets, mix = _bench_grid(args, parser)
     records = []
-    for key_range in buckets:
-        workload = bench_mod.WorkloadSpec(mix[0], mix[1], mix[2], key_range)
-        base = bench_mod.BenchConfig(
-            variant="fem",
-            threads=1,
-            duration_ms=args.duration_ms,
-            workload=workload,
-            seed=args.seed,
-            warmup_ms=args.warmup_ms,
-        )
-        for variant in variants:
-            variant_threads = [1] if variant == "seq" else threads
-            records.extend(
-                bench_mod.sweep(base, variant_threads, [variant], repeats=args.repeats)
+    with _out(args) as out:
+        for key_range in buckets:
+            workload = bench_mod.WorkloadSpec(mix[0], mix[1], mix[2], key_range)
+            base = bench_mod.BenchConfig(
+                variant="fem",
+                threads=1,
+                duration_ms=args.duration_ms,
+                workload=workload,
+                seed=args.seed,
+                warmup_ms=args.warmup_ms,
             )
-
-    write = bench_mod.write_json if args.format == "json" else bench_mod.write_csv
-    _emit(args, lambda fp: write(records, fp))
+            for variant in variants:
+                variant_threads = [1] if variant == "seq" else threads
+                records.extend(
+                    bench_mod.sweep(base, variant_threads, [variant], repeats=args.repeats)
+                )
+        write = bench_mod.write_json if args.format == "json" else bench_mod.write_csv
+        write(records, out)
     if args.out:
         _print_bench_summary(records)
         print(f"{len(records)} records written to {args.out}")
@@ -270,17 +271,18 @@ def cmd_check(args, parser) -> int:
         ops_per_thread=args.ops,
         timeout_s=args.timeout_s,
     )
-    history, tree = run_stress(config)
-    violation = _first_violation(history, tree.collect_leaf_keys())
-    violations = {
-        "structure": check_structure(tree).violations,
-        "linearizable": [] if violation is None else [violation],
-    }
-    for name, found in violations.items():
-        print(f"{name}: {'VIOLATED' if found else 'ok'}")
-    if args.out:
-        rows = [f"{name},{str(not found).lower()}" for name, found in violations.items()]
-        _emit(args, lambda fp: print("check,ok", *rows, sep="\n", file=fp))
+    with _out(args) as out:
+        history, tree = run_stress(config)
+        violation = _first_violation(history, tree.collect_leaf_keys())
+        violations = {
+            "structure": check_structure(tree).violations,
+            "linearizable": [] if violation is None else [violation],
+        }
+        for name, found in violations.items():
+            print(f"{name}: {'VIOLATED' if found else 'ok'}")
+        if args.out:
+            rows = [f"{name},{str(not found).lower()}" for name, found in violations.items()]
+            print("check,ok", *rows, sep="\n", file=out)
     failures = [v for found in violations.values() for v in found]
     if not failures:
         return 0
@@ -312,11 +314,13 @@ def cmd_model(args, parser) -> int:
 
     if args.eval:
         value = model_mod.concurrent_speedup(params)
-        _emit(args, lambda fp: print(f"{value:g}", file=fp))
+        with _out(args) as out:
+            print(f"{value:g}", file=out)
     elif args.curve_alpha:
         points = model_mod.alpha_curve(args.h, args.asymptote, args.t_max, args.step)
         lines = [f"{t:g},{alpha:.10g}" for t, alpha in points]
-        _emit(args, lambda fp: print("t,alpha", *lines, sep="\n", file=fp))
+        with _out(args) as out:
+            print("t,alpha", *lines, sep="\n", file=out)
     else:
         read = bench_mod.read_json if args.records.endswith(".json") else bench_mod.read_csv
         try:
@@ -325,7 +329,8 @@ def cmd_model(args, parser) -> int:
             print(f"cannot load records: {exc}", file=sys.stderr)
             return 1
         rows = model_mod.predict_vs_measured(records, params)
-        _emit(args, lambda fp: model_mod.write_comparison_csv(rows, fp))
+        with _out(args) as out:
+            model_mod.write_comparison_csv(rows, out)
         if args.out:
             print(f"{'variant':<8} {'threads':>7} {'measured':>9} {'predicted':>9} {'ratio':>7}")
             for row in rows:
@@ -345,7 +350,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(args, parser)
         return cmd_model(args, parser)
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,11 +5,11 @@ Every tree variant in this package implements the same abstract object, a set
 of integer keys with three operations (search, insert, delete). This module
 pins down that contract once so the trees, the verification harness, and the
 benchmark driver all agree on what counts as a key and what each operation
-returns. Stress runs and benchmark runs also draw their operations
-(:func:`draw_op`) and run their threads (:func:`run_threads`) through this
-module. A tree operation waits for another thread through :data:`pause`; a
-recorded stress run's hand-over also blocks on a lock when one other thread
-is left.
+returns. :func:`draw_op` defines the operation stream: benchmark runs draw
+through it, and stress runs run its rule inline before their workers start.
+Both run their threads through :func:`run_threads`. A tree operation waits
+for another thread through :data:`pause`; a recorded stress run's hand-over
+also blocks on a lock when one other thread is left.
 
 Keys are signed 64-bit integers with the two extremes reserved: the trees use
 them as immortal routing sentinels, so application code may only store keys
@@ -198,6 +198,8 @@ def draw_op(rng, insert_pct: float, delete_pct: float, key_range: int):
     ``random.Random``: the key is drawn with the ``getrandbits`` rejection
     loop that its ``randrange(key_range)`` runs (CPython 3.11), so the
     stream is the same, without that method's argument checks.
+    :func:`cbst.verify.run_stress` runs this rule inline, and its tests pin
+    the two to the same streams.
     """
     r = rng.random() * 100.0
     bits = key_range.bit_length()

@@ -25,11 +25,12 @@ BST shape, key order, and the immortal sentinel structure.
 
 :func:`run_stress` drives a variant with several threads of randomized
 operations and returns the recorded history plus the quiescent tree. It
-draws every thread's operations before the threads start, so a worker's
-loop only calls the tree and, when recording, stamps each call and keeps
-its result; the operations are built from those after the join. It aborts
-with :class:`DeadlockSuspectedError` naming a stuck thread's last
-invocation if the run fails to terminate within its grace period.
+draws every thread's operations before the threads start, by
+:func:`~cbst.core.draw_op`'s rule run inline, so a worker's loop only calls
+the tree and, when recording, stamps each call and keeps its result; the
+operations are built from those after the join. It aborts with
+:class:`DeadlockSuspectedError` naming a stuck thread's last invocation if
+the run fails to terminate within its grace period.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .core import (
     POS_SENTINEL,
     OpKind,
     check_mix,
-    draw_op,
     pause,
     run_threads,
     thread_rng,
@@ -476,7 +476,9 @@ class StressConfig:
     draws the hand-over roll, so its operation stream is the same.
 
     Each thread's stream, its hand-over rolls included, is drawn before the
-    workers start. The timed loop only calls the tree and, in a recorded
+    workers start. :func:`~cbst.core.draw_op` defines the stream, and
+    :func:`run_stress` runs that rule inline, each operation's hand-over
+    roll after its key. The timed loop only calls the tree and, in a recorded
     run, stamps the clock before and after each call and keeps its result.
     After the workers are joined, each operation becomes one
     :class:`Operation` from its two stamps and its result; no event is
@@ -513,17 +515,18 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
 
     Each thread's operations come from its own seeded generator, so the
     per-thread operation streams are fully determined by (seed, thread
-    index). They are drawn, with each operation's tree method bound, on the
-    calling thread before any worker starts. The workers then start together
-    at a 10 us switch interval, and each one's timed loop only runs its
-    operations; a recorded run also stamps each invocation and response and
-    keeps each result, and one :class:`Operation` per call is built from
-    these after the join. Returns the history, holding those operations, and
-    the quiescent tree (an unrecorded run's history is empty); raises
-    :class:`DeadlockSuspectedError` when any thread outlives the grace
-    period, naming the last invocation of a stuck thread that is not waiting
-    in a hand-over (see :class:`StressConfig`), after letting every waiting
-    one go.
+    index). They are drawn on the calling thread before any worker starts,
+    by :func:`~cbst.core.draw_op`'s rule inlined into one loop per thread
+    that also picks each operation's bound tree method. The workers then
+    start together at a 10 us switch interval, and each one's timed loop
+    only runs its operations; a recorded run also stamps each invocation
+    and response and keeps each result, and one :class:`Operation` per call
+    is built from these after the join. Returns the history, holding those
+    operations, and the quiescent tree (an unrecorded run's history is
+    empty); raises :class:`DeadlockSuspectedError` when any thread outlives
+    the grace period, naming the last invocation of a stuck thread that is
+    not waiting in a hand-over (see :class:`StressConfig`), after letting
+    every waiting one go.
     """
     tree = new_tree(config.variant)
     nt = config.threads
@@ -532,26 +535,41 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     # A lone thread never hands over; random() < 0.0 still takes the roll.
     hand_share = 0.7 if nt > 1 else 0.0
     # Per thread: the operations, their keys, their bound tree methods and,
-    # in a recorded run, whether each hands over.
+    # in a recorded run, whether each hands over. Each operation is drawn
+    # by draw_op's rule, inlined: the mix roll, the key's getrandbits
+    # rejection loop, then the hand-over roll.
     ops: list[list[OpKind]] = []
     keys: list[list[int]] = []
     calls: list[list] = []
     hands: list[list[bool]] = []
     insert, delete, search = tree.insert, tree.delete, tree.search
-    ins, dels, kr = config.insert_pct, config.delete_pct, config.key_range
-    SEARCH, INSERT = OpKind.SEARCH, OpKind.INSERT
+    ins, kr = config.insert_pct, config.key_range
+    ins_del = ins + config.delete_pct
+    bits = kr.bit_length()
+    SEARCH, INSERT, DELETE = OpKind.SEARCH, OpKind.INSERT, OpKind.DELETE
     for tid in range(nt):
         rng = thread_rng(config.seed, tid)
-        roll = rng.random
+        roll, getrandbits = rng.random, rng.getrandbits
         t_ops, t_keys, t_calls, t_hands = [], [], [], []
+        add_op, add_key, add_call, add_hand = (
+            t_ops.append, t_keys.append, t_calls.append, t_hands.append)
         for _ in range(n):
-            op, key = draw_op(rng, ins, dels, kr)
-            t_ops.append(op)
-            t_keys.append(key)
-            # Identity tests: an OpKind dict lookup runs Enum.__hash__.
-            t_calls.append(search if op is SEARCH else insert if op is INSERT else delete)
+            r = roll() * 100.0
+            key = getrandbits(bits)
+            while key >= kr:
+                key = getrandbits(bits)
+            if r < ins:
+                add_op(INSERT)
+                add_call(insert)
+            elif r < ins_del:
+                add_op(DELETE)
+                add_call(delete)
+            else:
+                add_op(SEARCH)
+                add_call(search)
+            add_key(key)
             if record:
-                t_hands.append(roll() < hand_share)
+                add_hand(roll() < hand_share)
         ops.append(t_ops)
         keys.append(t_keys)
         calls.append(t_calls)

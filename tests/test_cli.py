@@ -66,6 +66,15 @@ class TestModelEval:
         assert out == ""
         assert err == "error: P out of range: violates P >= 1 (P = 0)\n"
 
+    def test_unopenable_out_is_an_error(self, capsys, tmp_path):
+        bad = tmp_path / "missing" / "speedup.txt"
+        rc, out, err = run(capsys, "model", "--eval", "--P", "2", "--c", "0",
+                           "--out", str(bad))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(bad) in err
+        assert len(err.splitlines()) == 1
+
     def test_eval_requires_p_and_c(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["model", "--eval", "--P", "4"])
@@ -254,6 +263,16 @@ class TestBenchCommand:
             main(["bench", "--variant", "fem", flag, value])
         assert exc.value.code == 2
 
+    def test_unopenable_out_fails_before_the_sweep(self, capsys, monkeypatch, tmp_path):
+        swept = []
+        monkeypatch.setattr(cli.bench_mod, "sweep", lambda *args, **kwargs: swept.append(args))
+        bad = tmp_path / "missing" / "bench.csv"
+        rc, out, err = run(capsys, "bench", "--variant", "fem", "--out", str(bad))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(bad) in err
+        assert swept == []
+
     def test_key_range_past_cap_refused_before_prefill(self, capsys, monkeypatch):
         # Ten times the largest preset bucket; prefill would insert half.
         prefilled = []
@@ -383,6 +402,16 @@ class TestCheckInvariants:
         assert rc == 0
         assert out_path.read_text().splitlines() == [
             "check,ok", "structure,true", "linearizable,true"]
+
+    def test_unopenable_out_fails_before_the_run(self, capsys, monkeypatch, tmp_path):
+        runs = []
+        monkeypatch.setattr(cli, "run_stress", runs.append)
+        bad = tmp_path / "missing" / "checks.csv"
+        rc, out, err = run(capsys, "check", "--out", str(bad))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(bad) in err
+        assert runs == []
 
     def test_violation_exits_1_with_history(self, capsys, monkeypatch):
         # A recorded run whose history is not linearizable: the stored
