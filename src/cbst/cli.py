@@ -8,7 +8,8 @@ flags or flag combinations).
 ``cbst check`` makes one recorded stress run and decides it two ways: the
 final tree's structure, and the history's linearizability ending at the
 final contents. ``cbst check --history PATH`` replays a saved history
-through the linearizability check instead.
+through the linearizability check instead, and reports its one verdict the
+same way.
 
 Machine-readable output goes to --out when given, otherwise to stdout:
 bench records and every model action (the --eval value, the --curve-alpha
@@ -239,23 +240,36 @@ def _print_bench_summary(records) -> None:
 # -- check -------------------------------------------------------------------
 
 
-def _replay(path) -> int:
+def _report(args, out, violations: dict[str, list[str]]) -> int:
+    """Print one ``name: ok|VIOLATED`` line per check, write the same
+    verdicts to --out as a check,ok table, and print the first violation
+    to stderr. Returns the exit code: 0 when every check passed."""
+    for name, found in violations.items():
+        print(f"{name}: {'VIOLATED' if found else 'ok'}")
+    if args.out:
+        rows = [f"{name},{str(not found).lower()}" for name, found in violations.items()]
+        print("check,ok", *rows, sep="\n", file=out)
+    failures = [v for found in violations.values() for v in found]
+    if not failures:
+        return 0
+    print(f"first violation: {failures[0]}", file=sys.stderr)
+    return 1
+
+
+def _replay(args) -> int:
     try:
-        history = History.load(path)
+        history = History.load(args.history)
     except (OSError, HistoryFormatError, IncompleteHistoryError) as exc:
         print(f"cannot load history: {exc}", file=sys.stderr)
         return 1
     violation = _first_violation(history)
-    print(f"linearizable: {'false' if violation else 'true'}")
-    if violation is None:
-        return 0
-    print(f"first violation: {violation}", file=sys.stderr)
-    return 1
+    with _out(args) as out:
+        return _report(args, out, {"linearizable": [] if violation is None else [violation]})
 
 
 def cmd_check(args, parser) -> int:
     if args.history is not None:
-        return _replay(args.history)
+        return _replay(args)
     threads = args.threads or (1 if args.variant == "seq" else 4)
     if args.variant == "seq" and threads != 1:
         parser.error("the seq variant is single-threaded; use --threads 1")
@@ -274,22 +288,13 @@ def cmd_check(args, parser) -> int:
     with _out(args) as out:
         history, tree = run_stress(config)
         violation = _first_violation(history, tree.collect_leaf_keys())
-        violations = {
+        code = _report(args, out, {
             "structure": check_structure(tree).violations,
             "linearizable": [] if violation is None else [violation],
-        }
-        for name, found in violations.items():
-            print(f"{name}: {'VIOLATED' if found else 'ok'}")
-        if args.out:
-            rows = [f"{name},{str(not found).lower()}" for name, found in violations.items()]
-            print("check,ok", *rows, sep="\n", file=out)
-    failures = [v for found in violations.values() for v in found]
-    if not failures:
-        return 0
-    print(f"first violation: {failures[0]}", file=sys.stderr)
+        })
     if violation is not None:
         print("\n".join(history.to_lines()), file=sys.stderr)
-    return 1
+    return code
 
 
 # -- model -------------------------------------------------------------------

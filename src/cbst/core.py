@@ -7,9 +7,8 @@ pins down that contract once so the trees, the verification harness, and the
 benchmark driver all agree on what counts as a key and what each operation
 returns. :func:`draw_op` defines the operation stream: benchmark runs draw
 through it, and stress runs run its rule inline before their workers start.
-Both run their threads through :func:`run_threads`. A tree operation waits
-for another thread through :data:`pause`; a recorded stress run's hand-over
-also blocks on a lock when one other thread is left.
+Both run their threads through :func:`run_threads`. Only a tree operation
+waits for another thread, and it waits through :data:`pause`.
 
 Keys are signed 64-bit integers with the two extremes reserved: the trees use
 them as immortal routing sentinels, so application code may only store keys

@@ -28,16 +28,16 @@ operations and returns the recorded history plus the quiescent tree. It
 draws every thread's operations before the threads start, by
 :func:`~cbst.core.draw_op`'s rule run inline, so a worker's loop only calls
 the tree and, when recording, stamps each call and keeps its result; the
-operations are built from those after the join. It aborts with
-:class:`DeadlockSuspectedError` naming a stuck thread's last invocation if
-the run fails to terminate within its grace period.
+operations are built from those after the join. No worker waits for
+another, so threads switch inside tree calls as well as between them. It
+aborts with :class:`DeadlockSuspectedError` naming a stuck thread's last
+invocation if the run fails to terminate within its grace period.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -49,7 +49,6 @@ from .core import (
     POS_SENTINEL,
     OpKind,
     check_mix,
-    pause,
     run_threads,
     thread_rng,
 )
@@ -454,35 +453,15 @@ class StressConfig:
     percentages must sum to 100. ``timeout_s`` (positive and finite) is the
     time the run may take before it is declared stuck.
 
-    On 70 % of operations a recorded run hands over between stamping an
-    invocation and running it: it waits until another thread has stamped
-    an invocation or a response, or no other thread is left running. Short
-    bursts would otherwise execute one whole thread at a time, and about
-    half the recorded operations, not 98 %, would overlap another thread's.
-    The hand-over widens operation windows without falsifying anything,
-    since the response is stamped only after the operation really returns.
-
-    While two or more other threads run, the wait calls
-    :data:`~cbst.core.pause` (a GIL-releasing ``sched_yield``) until the
-    stamp lands. One pause is not enough: with the threads on separate
-    CPUs the yielder usually takes the GIL back before the other thread
-    wakes, and only 50-75 % of operations overlapped. While one other runs,
-    the wait blocks on a lock that the other's next stamp, or its end,
-    releases. Yielding to it starved it: the yielder retook the GIL on
-    every call, about 8 times per hand-over (2-vCPU x86-64 VM, CPython
-    3.11).
-
-    A 1-thread run has no one to hand over to, so it never waits; it still
-    draws the hand-over roll, so its operation stream is the same.
-
-    Each thread's stream, its hand-over rolls included, is drawn before the
-    workers start. :func:`~cbst.core.draw_op` defines the stream, and
-    :func:`run_stress` runs that rule inline, each operation's hand-over
-    roll after its key. The timed loop only calls the tree and, in a recorded
-    run, stamps the clock before and after each call and keeps its result.
-    After the workers are joined, each operation becomes one
-    :class:`Operation` from its two stamps and its result; no event is
-    built, since events exist only in a saved history's lines.
+    Each thread's stream is drawn before the workers start.
+    :func:`~cbst.core.draw_op` defines the stream, and :func:`run_stress`
+    runs that rule inline, so a recorded run, an unrecorded run and
+    ``draw_op`` give the same stream for a (seed, thread index). The timed
+    loop only calls the tree and, in a recorded run, stamps the clock
+    before and after each call and keeps its result. After the workers are
+    joined, each operation becomes one :class:`Operation` from its two
+    stamps and its result; no event is built, since events exist only in a
+    saved history's lines.
     """
 
     variant: str = "fem"
@@ -515,33 +494,30 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
 
     Each thread's operations come from its own seeded generator, so the
     per-thread operation streams are fully determined by (seed, thread
-    index). They are drawn on the calling thread before any worker starts,
-    by :func:`~cbst.core.draw_op`'s rule inlined into one loop per thread
-    that also picks each operation's bound tree method. The workers then
-    start together at a 10 us switch interval, and each one's timed loop
-    only runs its operations; a recorded run also stamps each invocation
-    and response and keeps each result, and one :class:`Operation` per call
-    is built from these after the join. Returns the history, holding those
-    operations, and the quiescent tree (an unrecorded run's history is
-    empty); raises :class:`DeadlockSuspectedError` when any thread outlives
-    the grace period, naming the last invocation of a stuck thread that is
-    not waiting in a hand-over (see :class:`StressConfig`), after letting
-    every waiting one go.
+    index), recorded or not. They are drawn on the calling thread before
+    any worker starts, by :func:`~cbst.core.draw_op`'s rule inlined into
+    one loop per thread that also picks each operation's bound tree method.
+    The workers then start together at a 10 us switch interval, and each
+    one's timed loop only runs its operations. No worker ever waits for
+    another, so thread switches fall inside tree calls as well as between
+    them, and that is where a locking protocol's races lie. A recorded run
+    also stamps each invocation and response and keeps each result, and one
+    :class:`Operation` per call is built from these after the join. Returns
+    the history, holding those operations, and the quiescent tree (an
+    unrecorded run's history is empty); raises
+    :class:`DeadlockSuspectedError`, naming the last invocation of the
+    first thread still running, when any thread outlives the grace period.
     """
     tree = new_tree(config.variant)
     nt = config.threads
     n = config.ops_per_thread
     record = config.record_events
-    # A lone thread never hands over; random() < 0.0 still takes the roll.
-    hand_share = 0.7 if nt > 1 else 0.0
-    # Per thread: the operations, their keys, their bound tree methods and,
-    # in a recorded run, whether each hands over. Each operation is drawn
-    # by draw_op's rule, inlined: the mix roll, the key's getrandbits
-    # rejection loop, then the hand-over roll.
+    # Per thread: the operations, their keys and their bound tree methods.
+    # Each operation is drawn by draw_op's rule, inlined: the mix roll, then
+    # the key's getrandbits rejection loop.
     ops: list[list[OpKind]] = []
     keys: list[list[int]] = []
     calls: list[list] = []
-    hands: list[list[bool]] = []
     insert, delete, search = tree.insert, tree.delete, tree.search
     ins, kr = config.insert_pct, config.key_range
     ins_del = ins + config.delete_pct
@@ -550,9 +526,8 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     for tid in range(nt):
         rng = thread_rng(config.seed, tid)
         roll, getrandbits = rng.random, rng.getrandbits
-        t_ops, t_keys, t_calls, t_hands = [], [], [], []
-        add_op, add_key, add_call, add_hand = (
-            t_ops.append, t_keys.append, t_calls.append, t_hands.append)
+        t_ops, t_keys, t_calls = [], [], []
+        add_op, add_key, add_call = t_ops.append, t_keys.append, t_calls.append
         for _ in range(n):
             r = roll() * 100.0
             key = getrandbits(bits)
@@ -568,12 +543,9 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
                 add_op(SEARCH)
                 add_call(search)
             add_key(key)
-            if record:
-                add_hand(roll() < hand_share)
         ops.append(t_ops)
         keys.append(t_keys)
         calls.append(t_calls)
-        hands.append(t_hands)
 
     now = time.monotonic_ns
     # Each thread's invocation and response stamps, two per operation, and
@@ -583,92 +555,23 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     # An unrecorded run's key iterators; what is left of one shows how far
     # its thread has got.
     left = [iter(k) for k in keys]
-    # Threads still running; a lost decrement would hang a hand-over. The
-    # lock also guards ``waiters``, the gates of threads blocked in a
-    # hand-over: each gate is held from the start, and releasing it lets
-    # its thread go.
-    running = [nt]
-    running_lock = threading.Lock()
-    handing_over = [False] * nt
-    waiters: list = []
-    gates = [threading.Lock() for _ in range(nt)]
-    for gate in gates:
-        gate.acquire()
-
-    def release_waiters() -> None:
-        # The caller holds running_lock.
-        while waiters:
-            waiters.pop().release()
-
-    def wake() -> None:
-        with running_lock:
-            release_waiters()
 
     def worker(tid: int, _start_ns: int) -> None:
-        try:
-            if record:
-                run_recorded(tid)
-            else:
-                for call, key in zip(calls[tid], left[tid]):
-                    call(key)
-        finally:
-            with running_lock:
-                running[0] -= 1
-                release_waiters()
-
-    def run_recorded(tid: int) -> None:
-        stamp = stamps[tid].append
-        answer = results[tid].append
-        gate = gates[tid]
-        for call, key, hand in zip(calls[tid], keys[tid], hands[tid]):
-            if hand:
-                # Stamps of all threads before this one's invocation. This
-                # thread holds no tree lock yet, so it blocks no one.
-                before = sum(map(len, stamps))
+        if record:
+            stamp = stamps[tid].append
+            answer = results[tid].append
+            for call, key in zip(calls[tid], keys[tid]):
                 stamp(now())
-                handing_over[tid] = True
-                # With two or more others running, yield to one that is
-                # already awake. Two yielders cannot both see only their
-                # own stamp added: the later one's ``before`` counts the
-                # earlier's.
-                while running[0] > 2:
-                    pause()
-                    if sum(map(len, stamps)) != before + 1:
-                        break
-                else:
-                    # At most one other is left, and yielding would starve
-                    # it: block until its next stamp or its end. Blocking
-                    # lets go any thread already blocked, so two never wait
-                    # on each other; that may end a wait early, which
-                    # falsifies nothing.
-                    with running_lock:
-                        release_waiters()
-                        blocks = running[0] > 1
-                        if blocks:
-                            waiters.append(gate)
-                    if blocks:
-                        gate.acquire()
-                handing_over[tid] = False
-            else:
+                answer(call(key))
                 stamp(now())
-                if waiters:
-                    wake()
-            answer(call(key))
-            stamp(now())
-            if waiters:
-                wake()
+        else:
+            for call, key in zip(calls[tid], left[tid]):
+                call(key)
 
     # A short scheduling quantum makes small runs actually interleave.
     stuck = run_threads(worker, nt, config.timeout_s, switch_interval=1e-5)
     if stuck:
-        # A thread that waits in a hand-over is stuck only because another
-        # one is; name one of the others.
-        tid = next((t for t in stuck if not handing_over[t]), stuck[0])
-        with running_lock:
-            # Let the waiters go, so that none waits for the rest of the
-            # process.
-            running[0] = 0
-            release_waiters()
+        tid = stuck[0]
         if record:
             invoked = (len(stamps[tid]) + 1) // 2
         else:

@@ -289,7 +289,7 @@ class TestCheckReplay:
         rc, out, _ = run(capsys, "check", "--history",
                          str(FIXTURES / "non_linearizable.history"))
         assert rc == 1
-        assert "linearizable: false" in out
+        assert "linearizable: VIOLATED" in out
 
     def test_legal_history_accepted(self, capsys, tmp_path):
         path = tmp_path / "ok.history"
@@ -301,7 +301,23 @@ class TestCheckReplay:
         )
         rc, out, _ = run(capsys, "check", "--history", str(path))
         assert rc == 0
-        assert "linearizable: true" in out
+        assert "linearizable: ok" in out
+
+    def test_out_file_lists_the_verdict(self, capsys, tmp_path):
+        # A replay reports its one verdict as a stress check does, --out
+        # table included.
+        out_path = tmp_path / "checks.csv"
+        rc, out, _ = run(capsys, "check", "--history",
+                         str(FIXTURES / "non_linearizable.history"), "--out", str(out_path))
+        assert rc == 1
+        assert out == "linearizable: VIOLATED\n"
+        assert out_path.read_text().splitlines() == ["check,ok", "linearizable,false"]
+        path = tmp_path / "ok.history"
+        path.write_text("0 0 INVOKE INSERT 5 100\n0 1 RESPOND INSERT 5 true 200\n")
+        rc, out, _ = run(capsys, "check", "--history", str(path), "--out", str(out_path))
+        assert rc == 0
+        assert out == "linearizable: ok\n"
+        assert out_path.read_text().splitlines() == ["check,ok", "linearizable,true"]
 
     def test_overlapping_history_decided_not_refused(self, capsys, tmp_path):
         # 10,000 sequential operations replay, and so do 21 mutually
@@ -317,7 +333,7 @@ class TestCheckReplay:
         path.write_text("\n".join(lines) + "\n")
         rc, out, _ = run(capsys, "check", "--history", str(path))
         assert rc == 0
-        assert "linearizable: true" in out
+        assert "linearizable: ok" in out
 
         lines = []
         for t in range(21):
@@ -327,7 +343,7 @@ class TestCheckReplay:
         path.write_text("\n".join(lines) + "\n")
         rc, out, err = run(capsys, "check", "--history", str(path))
         assert rc == 1
-        assert out == "linearizable: false\n"
+        assert out == "linearizable: VIOLATED\n"
         assert err == ("first violation: key 7: no operation can take effect next "
                        "with the key absent: thread 10 SEARCH true [10, 110]\n")
 

@@ -1,8 +1,5 @@
 import ast
-import bisect
-import os
 import random
-import statistics
 import sys
 import threading
 import time
@@ -31,61 +28,6 @@ from oracle import brute_force_linearizable
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def overlap_share(history):
-    """Share of operations whose interval overlaps, ends included, the
-    interval of some operation on another thread."""
-    ops = history.operations()
-    by_thread = {}
-    for op in ops:
-        by_thread.setdefault(op.thread_id, []).append(op)
-    # A thread's operations are sequential, so its responses ascend too.
-    responds = {tid: [o.respond_ts for o in tops] for tid, tops in by_thread.items()}
-    overlapping = 0
-    for op in ops:
-        for tid, tops in by_thread.items():
-            if tid == op.thread_id:
-                continue
-            i = bisect.bisect_left(responds[tid], op.invoke_ts)
-            if i < len(tops) and tops[i].invoke_ts <= op.respond_ts:
-                overlapping += 1
-                break
-    return overlapping / len(ops)
-
-
-def interrupted_share(history):
-    """Share of operations during whose interval, ends excluded, another
-    thread stamped an event."""
-    ops = history.operations()
-    stamps = {}
-    for op in ops:
-        stamps.setdefault(op.thread_id, []).extend((op.invoke_ts, op.respond_ts))
-    for ts in stamps.values():
-        ts.sort()
-    interrupted = 0
-    for op in ops:
-        for tid, ts in stamps.items():
-            if tid == op.thread_id:
-                continue
-            i = bisect.bisect_right(ts, op.invoke_ts)
-            if i < len(ts) and ts[i] < op.respond_ts:
-                interrupted += 1
-                break
-    return interrupted / len(ops)
-
-
-def recorded_shares(measure, threads=2):
-    """``measure`` of recorded fem runs, ``threads`` x 1,000 ops on 64 keys
-    at 20/10/70, seeds 0-2."""
-    shares = []
-    for seed in range(3):
-        cfg = StressConfig(variant="fem", threads=threads, key_range=64,
-                           insert_pct=20, delete_pct=10, search_pct=70,
-                           seed=seed, ops_per_thread=1000)
-        history, _ = run_stress(cfg)
-        shares.append(measure(history))
-    return shares
-
-
 def on_worker_start(monkeypatch, hook):
     """Call ``hook(tid)`` on each run_stress worker thread as it starts,
     before its first operation."""
@@ -101,18 +43,14 @@ def on_worker_start(monkeypatch, hook):
     monkeypatch.setattr(cbst.verify, "run_threads", hooked)
 
 
-def drawn_streams(cfg, roll, rng_of=thread_rng):
-    """Each thread's (op, key) stream as run_stress draws it: draw_op on the
-    thread's generator, ``rng_of(seed, tid)``, followed by one hand-over roll
-    per operation when ``roll`` is true."""
+def drawn_streams(cfg, rng_of=thread_rng):
+    """Each thread's (op, key) stream as draw_op draws it on the thread's
+    generator, ``rng_of(seed, tid)``."""
     streams = {}
     for tid in range(cfg.threads):
         rng = rng_of(cfg.seed, tid)
-        stream = streams[tid] = []
-        for _ in range(cfg.ops_per_thread):
-            stream.append(draw_op(rng, cfg.insert_pct, cfg.delete_pct, cfg.key_range))
-            if roll:
-                rng.random()
+        streams[tid] = [draw_op(rng, cfg.insert_pct, cfg.delete_pct, cfg.key_range)
+                        for _ in range(cfg.ops_per_thread)]
     return streams
 
 
@@ -607,57 +545,32 @@ class TestRunStress:
         assert streams[0] == streams[1]
         assert t1.collect_leaf_keys() == t2.collect_leaf_keys()
 
-    @pytest.mark.parametrize("variant, threads", [("seq", 1), ("fem", 1), ("fem", 2)])
-    def test_only_multi_thread_runs_hand_over(self, variant, threads):
-        # A lone thread has no one to hand over to, so it never waits; two
-        # threads wait, on their gate or in pauses, on about 70 % of their
-        # operations. The waits are the pause and lock acquire calls that
-        # verify.py makes on the workers; the gates are taken before the
-        # workers start.
-        waits = []
+    @pytest.mark.parametrize("record", [True, False], ids=["recorded", "unrecorded"])
+    @pytest.mark.parametrize("variant, threads", [("seq", 1), ("fem", 1), ("fem", 2), ("fem", 3)])
+    def test_workers_never_wait(self, variant, threads, record):
+        # A worker only calls the tree and, in a recorded run, stamps and
+        # keeps results: verify.py's code on the workers calls no
+        # sched_yield and takes no lock. A with block on a lock shows only
+        # as its __exit__ call. threading.setprofile reaches only the
+        # threads started after it, which are the workers.
+        calls = []
 
         def profile(frame, event, arg):
-            if (event == "c_call" and frame.f_code.co_filename == cbst.verify.__file__
-                    and (arg is cbst.verify.pause or arg.__name__ == "acquire")):
-                waits.append(arg.__name__)
+            if frame.f_code.co_filename == cbst.verify.__file__:
+                if event == "call":
+                    calls.append(frame.f_code.co_name)
+                elif event == "c_call":
+                    calls.append(arg.__name__)
 
         cfg = StressConfig(variant=variant, threads=threads, key_range=16, seed=3,
-                           ops_per_thread=200)
+                           ops_per_thread=200, record_events=record)
         threading.setprofile(profile)
         try:
             run_stress(cfg)
         finally:
             threading.setprofile(None)
-        if threads == 1:
-            assert waits == []
-        else:
-            assert len(waits) >= 200
-
-    def test_two_thread_hand_overs_block_rather_than_spin(self, monkeypatch):
-        # With one other thread left, a hand-over blocks until that thread
-        # stamps. Spinning on pause instead made about 11,000 calls in a
-        # 2 x 1,000-op run, about 8 per hand-over.
-        pauses = []
-        real_pause = cbst.verify.pause
-
-        def counted_pause():
-            pauses.append(None)
-            real_pause()
-
-        monkeypatch.setattr(cbst.verify, "pause", counted_pause)
-        cfg = StressConfig(variant="fem", threads=2, key_range=64, seed=0,
-                           ops_per_thread=1000)
-        history, tree = run_stress(cfg)
-        assert check_linearizable(history, tree.collect_leaf_keys())
-        assert len(pauses) < 100
-
-    def test_single_thread_stream_keeps_the_hand_over_roll(self):
-        # Skipping the pause keeps its random() draw, so the op stream is
-        # draw_op plus one roll per operation on the thread's generator.
-        cfg = StressConfig(variant="seq", threads=1, key_range=16, seed=5,
-                           ops_per_thread=300)
-        h, _ = run_stress(cfg)
-        assert invoked_streams(h) == drawn_streams(cfg, roll=True)
+        assert calls.count("worker") == threads
+        assert not {"sched_yield", "acquire", "__exit__"} & set(calls)
 
     @pytest.mark.parametrize("record", [True, False], ids=["recorded", "unrecorded"])
     @pytest.mark.parametrize("mix", [
@@ -666,11 +579,10 @@ class TestRunStress:
     @pytest.mark.parametrize("key_range", [1, 2, 3, 64, 1000, 2**63 - 1])
     def test_streams_run_as_drawn(self, monkeypatch, key_range, mix, record):
         # run_stress draws by draw_op's rule inline: each thread runs
-        # draw_op's stream on its generator, with one hand-over roll after
-        # each operation in a recorded run and none in an unrecorded one.
-        # The generators land on the mix thresholds, and the calls are
-        # observed in the tree's methods, since an unrecorded run leaves
-        # no history.
+        # draw_op's stream on its generator, so a recorded run, an
+        # unrecorded one and draw_op agree. The generators land on the mix
+        # thresholds, and the calls are observed in the tree's methods,
+        # since an unrecorded run leaves no history.
         tids, seen = {}, {}
 
         def note_thread(tid):
@@ -697,7 +609,7 @@ class TestRunStress:
         rng_of = edge_rng_of(cfg)
         monkeypatch.setattr(cbst.verify, "thread_rng", rng_of)
         h, _ = run_stress(cfg)
-        drawn = drawn_streams(cfg, roll=record, rng_of=rng_of)
+        drawn = drawn_streams(cfg, rng_of=rng_of)
         assert seen == drawn
         assert invoked_streams(h) == (drawn if record else {})
 
@@ -742,8 +654,8 @@ class TestRunStress:
                            ops_per_thread=50)
         streams = [invoked_streams(run_stress(cfg)[0]) for _ in range(2)]
         assert streams[0] == streams[1]
-        # Each thread draws its own stream, with the hand-over rolls.
-        assert streams[0] == drawn_streams(cfg, roll=True)
+        # Each thread runs draw_op's stream on its own generator.
+        assert streams[0] == drawn_streams(cfg)
 
     def test_event_counts_match_ops(self):
         cfg = StressConfig(variant="tn", threads=2, key_range=8, seed=1,
@@ -846,25 +758,14 @@ class TestRunStress:
         for cfg, verdict in verdicts:
             assert verdict.thread_id in (0, 1)
             # Every operation hangs, so the stuck thread is in its first one.
-            streams = drawn_streams(cfg, roll=cfg.record_events)
+            streams = drawn_streams(cfg)
             assert (verdict.op, verdict.key) == streams[verdict.thread_id][0]
             assert "last invoked" in str(verdict)
 
-    @pytest.mark.parametrize("threads, floor", [(2, 0.8), (3, 0.7)])
-    def test_recorded_runs_overlap(self, threads, floor):
-        # The hand-over between stamping an invocation and running it is
-        # what makes recorded operations overlap: at 2 threads about 98 % do
-        # with it, and 20-60 % without it. At 3 threads, where every
-        # hand-over pauses rather than blocks, 76-99 % did over two rounds
-        # of seeds 0-39 (medians 87 % and 85 %).
-        shares = recorded_shares(overlap_share, threads)
-        assert statistics.median(shares) >= floor, shares
-
-    def test_verdict_names_hung_thread_not_hand_over_waiter(self, monkeypatch):
+    def test_verdict_names_hung_thread_while_others_finish(self, monkeypatch):
         # Worker 1 hangs inside its first operation and holds no tree lock.
-        # Worker 0 never conflicts with it, but its next hand-over waits
-        # for a stamp from worker 1 that never comes. The verdict must name
-        # worker 1, and worker 0 must be let go rather than wait forever.
+        # Worker 0 never waits for it and runs to its end; the verdict must
+        # name worker 1.
         gate = threading.Event()
         workers = {}
 
@@ -898,18 +799,6 @@ class TestRunStress:
         finally:
             gate.set()
             workers[1].join(10)
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs thread CPU affinity")
-    def test_recorded_runs_interleave_on_separate_cpus(self, monkeypatch):
-        # Pin the threads to separate CPUs: a sched_yield then returns at
-        # once and the yielder takes the GIL straight back, so after a
-        # single pause another thread stamped an event inside only 2-8 % of
-        # operations. Waiting for that stamp puts it inside about 69 %:
-        # nearly all of the 70 % that hand over.
-        cpus = sorted(os.sched_getaffinity(0))
-        on_worker_start(monkeypatch, lambda tid: os.sched_setaffinity(0, {cpus[tid % len(cpus)]}))
-        shares = recorded_shares(interrupted_share)
-        assert statistics.median(shares) >= 0.6, shares
 
     def test_structure_and_balance_after_stress(self):
         cfg = StressConfig(variant="fe", threads=4, key_range=12,
