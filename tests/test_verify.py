@@ -572,6 +572,27 @@ class TestRunStress:
         assert calls.count("worker") == threads
         assert not {"sched_yield", "acquire", "__exit__"} & set(calls)
 
+    def test_two_thread_runs_never_pause(self):
+        # A long recorded 2-thread run stays linearizable while verify.py's
+        # code on the workers makes no pause call at all; a hand-over that
+        # spun made about 11,000 in this run.
+        pauses = []
+
+        def profile(frame, event, arg):
+            if (event == "c_call" and frame.f_code.co_filename == cbst.verify.__file__
+                    and arg.__name__ == "sched_yield"):
+                pauses.append(None)
+
+        cfg = StressConfig(variant="fem", threads=2, key_range=64, seed=0,
+                           ops_per_thread=1000)
+        threading.setprofile(profile)
+        try:
+            history, tree = run_stress(cfg)
+        finally:
+            threading.setprofile(None)
+        assert check_linearizable(history, tree.collect_leaf_keys())
+        assert pauses == []
+
     @pytest.mark.parametrize("record", [True, False], ids=["recorded", "unrecorded"])
     @pytest.mark.parametrize("mix", [
         (100, 0, 0), (0, 100, 0), (0, 0, 100), (20, 10, 70), (33.3, 33.3, 33.4),
