@@ -109,24 +109,31 @@ _PREFILL_STREAM = -1
 
 
 def prefill(tree: TreeBase, workload: WorkloadSpec, seed: int) -> int:
-    """Insert uniform-random keys until the set holds key_range // 2 of
-    them; returns the number of insert attempts (duplicates included)."""
+    """Fill an empty tree with uniform-random keys until it holds
+    key_range // 2 of them; returns the number of keys drawn (duplicates
+    included).
+
+    The tree is the one that inserting the drawn keys in order would build,
+    laid out in preorder: it is bulk-loaded in one pass, not built by a
+    descent per key. A tree that already holds a key raises ValueError.
+    """
     rng = thread_rng(seed, _PREFILL_STREAM)
     target = workload.key_range // 2
     kr = workload.key_range
-    insert = tree.insert
     # rng.randrange(kr)'s own rejection loop, as in draw_op.
     getrandbits = rng.getrandbits
     bits = kr.bit_length()
-    size = 0
+    drawn = {}  # the distinct keys, in the order each was first drawn
     attempts = 0
-    while size < target:
+    while len(drawn) < target:
         attempts += 1
         key = getrandbits(bits)
         while key >= kr:
             key = getrandbits(bits)
-        if insert(key):
-            size += 1
+        drawn[key] = None
+    keys = list(drawn)
+    del drawn  # so that the build's peak memory holds the list alone
+    tree._load(keys)
     return attempts
 
 

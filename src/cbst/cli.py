@@ -14,11 +14,12 @@ same way.
 Machine-readable output goes to --out when given, otherwise to stdout:
 bench records and every model action (the --eval value, the --curve-alpha
 CSV and the --compare CSV). bench and --compare print a human summary
-table only when --out keeps stdout free. check always prints its verdicts,
-and --out also writes them as a check,ok table. bench and check open --out
-before their sweep or stress run. A model input out of range, an unusable
-set of records or an --out path that cannot be opened prints one
-``error: ...`` line to stderr and exits 1.
+table only when --out keeps stdout free. check always prints its verdicts
+and how many operations overlap another thread's, and --out also writes the
+verdicts as a check,ok table. bench and check open --out before their sweep
+or stress run. A model input out of range, an unusable set of records or an
+--out path that cannot be opened prints one ``error: ...`` line to stderr
+and exits 1.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .verify import (
     StressConfig,
     _first_violation,
     check_structure,
+    count_overlapping,
     run_stress,
 )
 
@@ -240,12 +242,18 @@ def _print_bench_summary(records) -> None:
 # -- check -------------------------------------------------------------------
 
 
-def _report(args, out, violations: dict[str, list[str]]) -> int:
-    """Print one ``name: ok|VIOLATED`` line per check, write the same
-    verdicts to --out as a check,ok table, and print the first violation
-    to stderr. Returns the exit code: 0 when every check passed."""
+def _report(args, out, history: History, violations: dict[str, list[str]]) -> int:
+    """Print one ``name: ok|VIOLATED`` line per check and one line saying
+    how many of the history's operations overlap another thread's, write
+    the verdicts to --out as a check,ok table, and print the first
+    violation to stderr. Returns the exit code: 0 when every check passed."""
     for name, found in violations.items():
         print(f"{name}: {'VIOLATED' if found else 'ok'}")
+    total = len(history.operations())
+    overlapping = count_overlapping(history)
+    share = overlapping / total if total else 0.0
+    print(f"overlap: {overlapping} of {total} operations ({share:.1%}) "
+          f"overlap another thread's")
     if args.out:
         rows = [f"{name},{str(not found).lower()}" for name, found in violations.items()]
         print("check,ok", *rows, sep="\n", file=out)
@@ -264,7 +272,8 @@ def _replay(args) -> int:
         return 1
     violation = _first_violation(history)
     with _out(args) as out:
-        return _report(args, out, {"linearizable": [] if violation is None else [violation]})
+        verdicts = {"linearizable": [] if violation is None else [violation]}
+        return _report(args, out, history, verdicts)
 
 
 def cmd_check(args, parser) -> int:
@@ -288,7 +297,7 @@ def cmd_check(args, parser) -> int:
     with _out(args) as out:
         history, tree = run_stress(config)
         violation = _first_violation(history, tree.collect_leaf_keys())
-        code = _report(args, out, {
+        code = _report(args, out, history, {
             "structure": check_structure(tree).violations,
             "linearizable": [] if violation is None else [violation],
         })

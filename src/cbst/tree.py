@@ -61,6 +61,13 @@ only with ``acquire(False)``; coarse's tree mutex and the retry counter's
 mutex are taken the same way, with a pause after each miss, so no thread
 ever blocks on a lock.
 
+A benchmark prefill does not insert its keys one at a time.
+``TreeBase._load`` hangs under the root of an empty tree, before the tree is
+shared, the subtree those inserts would build, allocated in preorder so that
+a descent reads memory laid out along its path. It takes no lock and moves
+no version, so tn's prefilled routers start at version 0 rather than at the
+number of commits the inserts would have made on them.
+
 Nodes unlinked by a delete are never recycled in place: fn and fem leave
 pred and curr locked (fem also leaves them marked), and tn leaves the
 retired pred locked with its version frozen, so a stale operation that
@@ -73,6 +80,7 @@ traversal can reach them; reclamation is left to reference counting.
 from __future__ import annotations
 
 import threading
+from array import array
 from typing import NamedTuple
 
 from .core import NEG_SENTINEL, POS_SENTINEL, check_key, pause
@@ -224,8 +232,8 @@ class TreeBase:
     """Shared structure, descent, retry loops and bookkeeping for all variants."""
 
     variant = "base"
-    # The node classes of the sentinel frame; each ``_insert`` names its
-    # own node classes directly.
+    # The node classes of the sentinel frame and of ``_load``; each
+    # ``_insert`` names its own node classes directly.
     _router = Node
     _leaf = Node
 
@@ -318,6 +326,71 @@ class TreeBase:
     def retry_count(self) -> int:
         """Total failed validation/lock passes since construction."""
         return self._retries
+
+    # -- bulk load --------------------------------------------------------
+
+    def _load(self, keys: list[int]) -> None:
+        """Build in this empty, unshared tree the tree that inserting the
+        distinct application keys ``keys``, at least one, in order would
+        build.
+
+        An insert of a new key k always ends at the leaf of k's predecessor
+        (the negative sentinel for the smallest key), whose key is below k,
+        so it adds router k with that leaf on its left and leaf k on its
+        right. The routers are therefore the search tree of the keys in
+        insertion order: the Cartesian tree of the sorted keys with each
+        key's position in ``keys`` as its priority, built here by the usual
+        stack pass. A router's empty left slot holds its predecessor's leaf
+        and its empty right slot its own leaf.
+
+        The nodes are allocated in preorder, each leaf when its slot is
+        reached, so that a descent reads memory laid out along its path.
+        Nothing is locked and no version moves: the tree is not shared yet.
+        """
+        root = self.root
+        if root.left is not self._neg_leaf:
+            raise ValueError("only an empty tree can be loaded")
+        # Children by priority; -1 marks a slot that holds a leaf. Arrays,
+        # not lists, so no int object per child outlives the stack pass.
+        left = array("q", [-1]) * len(keys)
+        right = array("q", [-1]) * len(keys)
+        stack = []
+        for rank in sorted(range(len(keys)), key=keys.__getitem__):
+            last = -1
+            while stack and stack[-1] > rank:
+                last = stack.pop()
+            left[rank] = last
+            if stack:
+                right[stack[-1]] = rank
+            stack.append(rank)
+        # Iterative preorder from the first key's router. Each spine of left
+        # children is allocated on the way down; its lowest left slot takes
+        # the leaf of the key where the spine hangs (the negative sentinel
+        # under the root), and every right slot waits on ``todo``.
+        router, leaf = self._router, self._leaf
+        node = root.left = router(keys[0])
+        rank = 0
+        low = None
+        todo = []
+        while True:
+            while True:
+                todo.append((node, right[rank]))
+                rank = left[rank]
+                if rank < 0:
+                    node.left = self._neg_leaf if low is None else leaf(low)
+                    break
+                child = router(keys[rank])
+                node.left = child
+                node = child
+            while todo:
+                parent, rank = todo.pop()
+                if rank >= 0:
+                    break
+                parent.right = leaf(parent.key)
+            else:
+                return
+            low = parent.key
+            node = parent.right = router(keys[rank])
 
     # -- quiescent inspection ---------------------------------------------
 

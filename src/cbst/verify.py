@@ -22,6 +22,8 @@ entry points run it:
 
 :func:`check_structure` walks a quiescent tree and validates the external
 BST shape, key order, and the immortal sentinel structure.
+:func:`count_overlapping` counts the operations of a history that overlap
+another thread's; a history where none do tested no race.
 
 :func:`run_stress` drives a variant with several threads of randomized
 operations and returns the recorded history plus the quiescent tree. It
@@ -39,6 +41,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter, length_hint
@@ -356,6 +359,35 @@ def check_linearizable(history: History, final_keys: Iterable[int] | None = None
     :func:`check_balance` against the same keys.
     """
     return _first_violation(history, final_keys) is None
+
+
+def count_overlapping(history: History) -> int:
+    """How many operations overlap an operation of another thread.
+
+    Intervals are closed, so equal stamps count as overlap, as in the
+    checker. A history where this is 0 ran its threads strictly in turn and
+    tested no race. Operation j meets operation o when j is invoked no later
+    than o responds and responds no earlier than o is invoked; those are the
+    operations invoked by o's response less those that responded before o's
+    invocation, two binary searches over sorted stamps. o overlaps another
+    thread when more operations meet it overall than on its own thread, so
+    the count costs O(n log n) for n operations.
+    """
+    ops = history.operations()
+    invokes = [o.invoke_ts for o in ops]
+    responds = sorted(o.respond_ts for o in ops)
+    # A thread's operations follow one another, so its invocations and its
+    # responses are each already sorted.
+    own: dict[int, tuple[list[int], list[int]]] = {}
+    for o in ops:
+        inv, resp = own.setdefault(o.thread_id, ([], []))
+        inv.append(o.invoke_ts)
+        resp.append(o.respond_ts)
+
+    def meeting(inv, resp, o):
+        return bisect_right(inv, o.respond_ts) - bisect_left(resp, o.invoke_ts)
+
+    return sum(meeting(invokes, responds, o) > meeting(*own[o.thread_id], o) for o in ops)
 
 
 # -- structural invariants -------------------------------------------------

@@ -20,7 +20,7 @@ from cbst.bench import (
     write_json,
 )
 from cbst.core import thread_rng
-from cbst.tree import new_tree
+from cbst.tree import VARIANT_NAMES, SeqTree, new_tree
 from cbst.verify import check_structure
 
 
@@ -80,6 +80,23 @@ def workload(kr):
                         search_pct=70)
 
 
+def preorder(node):
+    """The nodes under ``node``, itself included, in preorder."""
+    out = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if node.left is not None:
+            stack += (node.right, node.left)
+    return out
+
+
+def layout(node):
+    """Each node's class, key and leafness, in preorder: the tree's shape."""
+    return [(type(n), n.key, n.left is None) for n in preorder(node)]
+
+
 class TestPrefill:
     def test_fills_to_half_range(self):
         for kr in (2, 10, 101):
@@ -93,23 +110,66 @@ class TestPrefill:
         prefill(t2, workload(100), seed=9)
         assert t1.collect_leaf_keys() == t2.collect_leaf_keys()
 
-    @pytest.mark.parametrize("kr", [2, 3, 64, 100, 1000])
-    def test_keys_are_randranges(self, kr):
-        # prefill draws each key with the loop randrange runs, so the keys
-        # are the ones randrange gives on the prefill stream.
-        class Recorder:
-            def __init__(self):
-                self.keys = []
+    @pytest.mark.parametrize("kr", [2, 3, 10, 64, 100, 101, 1000, 20000])
+    def test_builds_the_inserted_tree(self, kr):
+        # The bulk load builds, for every variant, the tree that one insert
+        # per key randrange gives on the prefill stream would build: the
+        # same keys, shape and node class at every position, and the same
+        # number of draws.
+        for variant in VARIANT_NAMES:
+            for seed in range(3 if kr < 20000 else 1):
+                loaded = new_tree(variant)
+                attempts = prefill(loaded, workload(kr), seed)
+                inserted = new_tree(variant)
+                rng = thread_rng(seed, bench_mod._PREFILL_STREAM)
+                fresh = [inserted.insert(rng.randrange(kr)) for _ in range(attempts)]
+                # The last draw is the one that filled the set.
+                assert fresh[-1] and sum(fresh) == kr // 2
+                assert loaded.collect_leaf_keys() == inserted.collect_leaf_keys()
+                assert layout(loaded.root) == layout(inserted.root), (variant, seed)
+                assert check_structure(loaded).ok
+                assert loaded.retry_count() == 0
 
-            def insert(self, key):
-                self.keys.append(key)
-                return self.keys.count(key) == 1
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_nodes_allocated_in_preorder(self, variant):
+        # Every node the load allocates, in allocation order, is the final
+        # tree's preorder; the sentinel frame stays the tree's own.
+        made = []
+        cls = type(new_tree(variant))
 
-        tree = Recorder()
-        attempts = prefill(tree, workload(kr), seed=4)
-        rng = thread_rng(4, bench_mod._PREFILL_STREAM)
-        assert tree.keys == [rng.randrange(kr) for _ in range(attempts)]
-        assert len(set(tree.keys)) == kr // 2
+        class Router(cls._router):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        class Leaf(cls._leaf):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        class Recording(cls):
+            _router = Router
+            _leaf = Leaf
+
+        tree = Recording()
+        frame = (tree.root, tree._neg_leaf, tree._pos_leaf)
+        made.clear()
+        prefill(tree, workload(1000), seed=2)
+        assert (tree.root, tree._neg_leaf, tree._pos_leaf) == frame
+        assert tree.root.right is tree._pos_leaf
+        assert made == [n for n in preorder(tree.root.left) if n is not tree._neg_leaf]
+        assert len(made) == 2 * 500
+
+    def test_non_empty_tree_refused(self):
+        tree = new_tree("fem")
+        tree.insert(5)
+        with pytest.raises(ValueError, match="empty"):
+            prefill(tree, workload(10), seed=0)
+        assert tree.collect_leaf_keys() == [5]
 
     def test_structure_stays_valid(self):
         tree = new_tree("fn")
@@ -142,25 +202,13 @@ class TestRunBench:
         assert rec.repeat == 4
 
     def test_worker_error_propagates(self, monkeypatch):
-        class Exploding:
-            """Takes the prefill's inserts, then fails the first search."""
-
-            def __init__(self):
-                self.keys = set()
-
-            def insert(self, key):
-                if key in self.keys:
-                    return False
-                self.keys.add(key)
-                return True
+        class Exploding(SeqTree):
+            """A real tree for the prefill that fails the first search."""
 
             def search(self, key):
                 raise ZeroDivisionError("boom")
 
             delete = search
-
-            def retry_count(self):
-                return 0
 
         monkeypatch.setattr(bench_mod, "new_tree", lambda v: Exploding())
         cfg = small_config(threads=2, workload=WorkloadSpec(0, 0, 100, key_range=8))

@@ -1,4 +1,5 @@
 import io
+import re
 import shlex
 from pathlib import Path
 
@@ -301,7 +302,28 @@ class TestCheckReplay:
         )
         rc, out, _ = run(capsys, "check", "--history", str(path))
         assert rc == 0
-        assert "linearizable: ok" in out
+        # The two threads took turns, so no operation overlaps another's.
+        assert out.splitlines() == [
+            "linearizable: ok",
+            "overlap: 0 of 2 operations (0.0%) overlap another thread's"]
+
+    def test_overlap_share_printed(self, capsys, tmp_path):
+        # Thread 1's first search overlaps thread 0's first, its second
+        # touches thread 0's second at stamp 30, and the last of each
+        # overlaps nothing.
+        lines = []
+        for tid, spans in ((0, [(0, 10), (20, 30), (40, 50)]),
+                           (1, [(5, 15), (30, 35), (60, 70)])):
+            for j, (invoke, respond) in enumerate(spans):
+                lines.append(f"{tid} {2 * j} INVOKE SEARCH 1 {invoke}")
+                lines.append(f"{tid} {2 * j + 1} RESPOND SEARCH 1 false {respond}")
+        path = tmp_path / "two.history"
+        path.write_text("\n".join(lines) + "\n")
+        rc, out, _ = run(capsys, "check", "--history", str(path))
+        assert rc == 0
+        assert out.splitlines() == [
+            "linearizable: ok",
+            "overlap: 4 of 6 operations (66.7%) overlap another thread's"]
 
     def test_out_file_lists_the_verdict(self, capsys, tmp_path):
         # A replay reports its one verdict as a stress check does, --out
@@ -310,13 +332,15 @@ class TestCheckReplay:
         rc, out, _ = run(capsys, "check", "--history",
                          str(FIXTURES / "non_linearizable.history"), "--out", str(out_path))
         assert rc == 1
-        assert out == "linearizable: VIOLATED\n"
+        assert out == ("linearizable: VIOLATED\n"
+                       "overlap: 0 of 2 operations (0.0%) overlap another thread's\n")
         assert out_path.read_text().splitlines() == ["check,ok", "linearizable,false"]
         path = tmp_path / "ok.history"
         path.write_text("0 0 INVOKE INSERT 5 100\n0 1 RESPOND INSERT 5 true 200\n")
         rc, out, _ = run(capsys, "check", "--history", str(path), "--out", str(out_path))
         assert rc == 0
-        assert out == "linearizable: ok\n"
+        assert out == ("linearizable: ok\n"
+                       "overlap: 0 of 1 operations (0.0%) overlap another thread's\n")
         assert out_path.read_text().splitlines() == ["check,ok", "linearizable,true"]
 
     def test_overlapping_history_decided_not_refused(self, capsys, tmp_path):
@@ -343,7 +367,8 @@ class TestCheckReplay:
         path.write_text("\n".join(lines) + "\n")
         rc, out, err = run(capsys, "check", "--history", str(path))
         assert rc == 1
-        assert out == "linearizable: VIOLATED\n"
+        assert out == ("linearizable: VIOLATED\n"
+                       "overlap: 21 of 21 operations (100.0%) overlap another thread's\n")
         assert err == ("first violation: key 7: no operation can take effect next "
                        "with the key absent: thread 10 SEARCH true [10, 110]\n")
 
@@ -391,23 +416,35 @@ class TestCheckReplay:
 CHECK_LINES = ["structure: ok", "linearizable: ok"]
 
 
+def assert_check_output(out, n_ops):
+    """The verdicts of a passing stress check, then its overlap line over
+    ``n_ops`` operations."""
+    *verdicts, overlap = out.splitlines()
+    assert verdicts == CHECK_LINES
+    match = re.fullmatch(r"overlap: (\d+) of (\d+) operations \(\d+\.\d%\) "
+                         r"overlap another thread's", overlap)
+    assert match, overlap
+    assert int(match[2]) == n_ops and int(match[1]) <= n_ops
+
+
 class TestCheckInvariants:
     def test_passes_on_healthy_tree(self, capsys):
         # The defaults: 4 threads (seq: 1) x 1,000 ops over 64 keys.
         for variant in VARIANT_NAMES:
             rc, out, err = run(capsys, "check", "--variant", variant)
             assert rc == 0, (variant, err)
-            assert out.splitlines() == CHECK_LINES
+            assert_check_output(out, 1000 if variant == "seq" else 4000)
             assert err == ""
 
-    @pytest.mark.parametrize("argv", [
-        ("--ops", "0"),
-        ("--threads", "1", "--ops", "5", "--key-range", str(2**63 - 1)),
+    @pytest.mark.parametrize("argv,n_ops", [
+        pytest.param(("--ops", "0"), 0, id="argv0"),
+        pytest.param(("--threads", "1", "--ops", "5", "--key-range", str(2**63 - 1)), 5,
+                     id="argv1"),
     ])
-    def test_edge_runs_pass(self, capsys, argv):
+    def test_edge_runs_pass(self, capsys, argv, n_ops):
         rc, out, err = run(capsys, "check", *argv)
         assert rc == 0, err
-        assert out.splitlines() == CHECK_LINES
+        assert_check_output(out, n_ops)
         assert err == ""
 
     def test_out_file_lists_checks(self, capsys, tmp_path):
@@ -438,7 +475,9 @@ class TestCheckInvariants:
         monkeypatch.setattr(cli, "run_stress", lambda config: (history, tree))
         rc, out, err = run(capsys, "check")
         assert rc == 1
-        assert out.splitlines() == ["structure: ok", "linearizable: VIOLATED"]
+        assert out.splitlines() == [
+            "structure: ok", "linearizable: VIOLATED",
+            "overlap: 0 of 2 operations (0.0%) overlap another thread's"]
         first, *replay = err.splitlines()
         assert first == ("first violation: key 5: no operation can take effect next "
                          "with the key present: thread 1 SEARCH false [3000, 4000]")
@@ -472,7 +511,7 @@ class TestCheckLinearizability:
     def test_small_batch_passes(self, capsys):
         rc, out, err = run(capsys, *self.ARGS)
         assert rc == 0
-        assert out.splitlines() == CHECK_LINES
+        assert_check_output(out, 8)
         assert err == ""
 
     def test_out_file_deterministic_across_runs(self, capsys, tmp_path):

@@ -20,6 +20,7 @@ from cbst.verify import (
     check_balance,
     check_linearizable,
     check_structure,
+    count_overlapping,
     run_stress,
 )
 
@@ -424,6 +425,52 @@ def random_history(rng, max_ops):
         seqs[tid] += 1
         tick += 1
     return History(events)
+
+
+def ops_spec(intervals):
+    """(tid, invoke, respond) triples as make_history tuples: searches of
+    key 0 that read false."""
+    spec = []
+    for tid, invoke, respond in intervals:
+        spec += [(tid, "INVOKE", OpKind.SEARCH, 0, None, invoke),
+                 (tid, "RESPOND", OpKind.SEARCH, 0, False, respond)]
+    return spec
+
+
+class TestCountOverlapping:
+    def test_known_two_thread_share(self):
+        # Thread 1's first operation overlaps thread 0's first, its second
+        # touches thread 0's second at stamp 30, and the last of each
+        # overlaps nothing: 4 of 6.
+        h = make_history(ops_spec([
+            (0, 0, 10), (0, 20, 30), (0, 40, 50),
+            (1, 5, 15), (1, 30, 35), (1, 60, 70),
+        ]))
+        assert count_overlapping(h) == 4
+
+    def test_turn_taking_threads_overlap_nothing(self):
+        h = make_history(ops_spec([(0, 0, 10), (1, 11, 20), (0, 21, 30), (1, 31, 40)]))
+        assert count_overlapping(h) == 0
+        # Touching stamps on one thread are no overlap; an empty history
+        # has none.
+        assert count_overlapping(make_history(ops_spec([(0, 0, 10), (0, 10, 20)]))) == 0
+        assert count_overlapping(History([])) == 0
+
+    def test_agrees_with_pairwise_test(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            intervals = []
+            for tid in range(rng.randint(1, 4)):
+                ts = 0
+                for _ in range(rng.randint(1, 6)):
+                    invoke = ts + rng.randrange(3)
+                    ts = invoke + rng.randrange(3)
+                    intervals.append((tid, invoke, ts))
+            expected = sum(
+                any(t != u and i <= r2 and i2 <= r for u, i2, r2 in intervals)
+                for t, i, r in intervals
+            )
+            assert count_overlapping(make_history(ops_spec(intervals))) == expected
 
 
 class TestCheckerAgainstBruteForce:
