@@ -30,12 +30,11 @@ def main():
     print("structure ok:", check_structure(tree).ok)
 
     print("\n== doctored history ==")
-    # an insert completes, then a later search misses the key anyway
+    # an insert completes, then a later search misses the key anyway; one
+    # operation per line: thread, op, key, result, invoke and respond stamps
     lines = [
-        "0 0 INVOKE INSERT 5 1000",
-        "0 1 RESPOND INSERT 5 true 2000",
-        "1 0 INVOKE SEARCH 5 3000",
-        "1 1 RESPOND SEARCH 5 false 4000",
+        "0 INSERT 5 true 1000 2000",
+        "1 SEARCH 5 false 3000 4000",
     ]
     bad = History.from_lines(lines)
     for line in lines:

@@ -27,6 +27,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from threading import TIMEOUT_MAX
 from typing import get_type_hints
 
 from .core import POS_SENTINEL, OpKind, check_mix, draw_op, run_threads, thread_rng
@@ -35,6 +36,11 @@ from .tree import VARIANT_NAMES, TreeBase, new_tree
 # The two standard mixes, in (insert_pct, delete_pct, search_pct) order.
 MIX_LOW = (9, 1, 90)
 MIX_MID = (20, 10, 70)
+
+# run_bench waits for its workers this long past their deadline, and a join
+# waits at most TIMEOUT_MAX seconds, which caps a run's warmup plus duration.
+_GRACE_S = 30.0
+_MAX_RUN_MS = int((TIMEOUT_MAX - _GRACE_S) * 1000)
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,8 @@ class BenchConfig:
             raise ValueError("duration_ms must be positive")
         if self.warmup_ms < 0:
             raise ValueError("warmup_ms must be non-negative")
+        if self.warmup_ms + self.duration_ms > _MAX_RUN_MS:
+            raise ValueError(f"warmup_ms + duration_ms must be at most {_MAX_RUN_MS}")
         if self.variant == "seq" and self.threads != 1:
             raise ValueError("the seq variant is single-threaded only")
 
@@ -182,7 +190,7 @@ def run_bench(config: BenchConfig, repeat: int = 0) -> BenchRecord:
         counts[tid] = done
         spans[tid] = now() - warm_end
 
-    budget = 30.0 + (config.warmup_ms + config.duration_ms) / 1000.0
+    budget = _GRACE_S + (config.warmup_ms + config.duration_ms) / 1000.0
     if run_threads(worker, nt, budget):
         raise RuntimeError("benchmark workers failed to stop at the deadline")
 

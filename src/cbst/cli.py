@@ -7,9 +7,9 @@ flags or flag combinations).
 
 ``cbst check`` makes one recorded stress run and decides it two ways: the
 final tree's structure, and the history's linearizability ending at the
-final contents. ``cbst check --history PATH`` replays a saved history
-through the linearizability check instead, and reports its one verdict the
-same way.
+final contents. ``cbst check --history PATH`` replays a saved history, one
+operation per line as ``History.save`` writes it, through the
+linearizability check instead, and reports its one verdict the same way.
 
 Machine-readable output goes to --out when given, otherwise to stdout:
 bench records and every model action (the --eval value, the --curve-alpha
@@ -36,7 +36,6 @@ from .tree import CONCURRENT_VARIANTS, VARIANT_NAMES
 from .verify import (
     History,
     HistoryFormatError,
-    IncompleteHistoryError,
     StressConfig,
     _first_violation,
     check_structure,
@@ -70,17 +69,6 @@ def _at_least(minimum: int, at_most: float = math.inf):
         return value
 
     return parse
-
-
-def _positive_seconds(text: str) -> float:
-    """An argparse type for a positive, finite number of seconds."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
 
 
 def _thread_list(text: str) -> list[int]:
@@ -141,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--key-range", type=_at_least(1, POS_SENTINEL), default=64)
     c.add_argument("--mix", type=_mix, default=(20.0, 10.0, 70.0), metavar="I,D,S")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--timeout-s", type=_positive_seconds, default=30.0)
+    c.add_argument("--timeout-s", type=float, default=30.0)
     c.add_argument("--history", default=None, metavar="PATH",
                    help="replay this history file instead of running a stress check")
     c.add_argument("--out", default=None, metavar="PATH")
@@ -155,7 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--P", type=int, default=None, help="processor/thread count")
     m.add_argument("--c", type=float, default=None, help="contention rate")
     m.add_argument("--alpha", type=float, default=1.0)
-    m.add_argument("--beta", type=float, default=1.0)
     m.add_argument("--ws-ratio", type=float, default=0.0, help="w_snapshot / w_p")
     m.add_argument("--wc-ratio", type=float, default=0.0, help="w_control / w_p")
     m.add_argument("--h", type=float, default=None, help="structure hardness, > 1")
@@ -199,18 +186,24 @@ def _bench_grid(args, parser):
 
 def cmd_bench(args, parser) -> int:
     variants, threads, buckets, mix = _bench_grid(args, parser)
-    records = []
-    with _out(args) as out:
-        for key_range in buckets:
-            workload = bench_mod.WorkloadSpec(mix[0], mix[1], mix[2], key_range)
-            base = bench_mod.BenchConfig(
+    # Every flag the configs reject is a usage error.
+    try:
+        bases = [
+            bench_mod.BenchConfig(
                 variant="fem",
                 threads=1,
                 duration_ms=args.duration_ms,
-                workload=workload,
+                workload=bench_mod.WorkloadSpec(mix[0], mix[1], mix[2], key_range),
                 seed=args.seed,
                 warmup_ms=args.warmup_ms,
             )
+            for key_range in buckets
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
+    records = []
+    with _out(args) as out:
+        for base in bases:
             for variant in variants:
                 variant_threads = [1] if variant == "seq" else threads
                 records.extend(
@@ -267,7 +260,7 @@ def _report(args, out, history: History, violations: dict[str, list[str]]) -> in
 def _replay(args) -> int:
     try:
         history = History.load(args.history)
-    except (OSError, HistoryFormatError, IncompleteHistoryError) as exc:
+    except (OSError, HistoryFormatError) as exc:
         print(f"cannot load history: {exc}", file=sys.stderr)
         return 1
     violation = _first_violation(history)
@@ -279,21 +272,21 @@ def _replay(args) -> int:
 def cmd_check(args, parser) -> int:
     if args.history is not None:
         return _replay(args)
-    threads = args.threads or (1 if args.variant == "seq" else 4)
-    if args.variant == "seq" and threads != 1:
-        parser.error("the seq variant is single-threaded; use --threads 1")
-
-    config = StressConfig(
-        variant=args.variant,
-        threads=threads,
-        key_range=args.key_range,
-        insert_pct=args.mix[0],
-        delete_pct=args.mix[1],
-        search_pct=args.mix[2],
-        seed=args.seed,
-        ops_per_thread=args.ops,
-        timeout_s=args.timeout_s,
-    )
+    # Every flag the config rejects is a usage error.
+    try:
+        config = StressConfig(
+            variant=args.variant,
+            threads=args.threads or (1 if args.variant == "seq" else 4),
+            key_range=args.key_range,
+            insert_pct=args.mix[0],
+            delete_pct=args.mix[1],
+            search_pct=args.mix[2],
+            seed=args.seed,
+            ops_per_thread=args.ops,
+            timeout_s=args.timeout_s,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     with _out(args) as out:
         history, tree = run_stress(config)
         violation = _first_violation(history, tree.collect_leaf_keys())
@@ -321,7 +314,6 @@ def cmd_model(args, parser) -> int:
         processors=1 if args.P is None else args.P,
         contention=0.0 if args.c is None else args.c,
         alpha=args.alpha,
-        beta=args.beta,
         snapshot_work=args.ws_ratio,
         control_work=args.wc_ratio,
     )

@@ -4,9 +4,8 @@ The harness treats a concurrent execution as a *history*: its completed
 operations, each an interval from its invocation to its response stamp. A
 history is linearizable when every operation can be assigned a single atomic
 point between its invocation and response such that the resulting sequential
-execution is legal for a set that starts empty. INVOKE/RESPOND events exist
-only in the line format a history is saved and loaded in; loading pairs them
-into operations once.
+execution is legal for a set that starts empty. A history is saved and
+loaded as text, one operation per line.
 
 Every set operation touches one key, so by locality (Herlihy & Wing 1990) a
 history is linearizable exactly when each key's sub-history is. One engine,
@@ -45,6 +44,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter, length_hint
+from threading import TIMEOUT_MAX
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
@@ -57,30 +57,10 @@ from .core import (
 )
 from .tree import TreeBase, new_tree
 
-INVOKE = "INVOKE"
-RESPOND = "RESPOND"
-
-
-class Event(NamedTuple):
-    """One line of a saved history: an operation's invocation or response.
-
-    ``seq`` numbers events within a thread, ``result`` is None on INVOKE,
-    and timestamps come from a monotonic nanosecond clock shared by all
-    threads of the run.
-    """
-
-    thread_id: int
-    seq: int
-    kind: str
-    op: OpKind
-    key: int
-    result: bool | None
-    timestamp_ns: int
-
-
 class Operation(NamedTuple):
     """A completed operation: what it did and when it was invoked and
-    answered."""
+    answered, in nanoseconds of a monotonic clock shared by the run's
+    threads."""
 
     thread_id: int
     op: OpKind
@@ -91,17 +71,13 @@ class Operation(NamedTuple):
 
 
 # Sort keys: built-in getters cost about half what a lambda does per item.
-_SEQ = itemgetter(1)
-_THREAD = itemgetter(0)
 _INVOKE_TS = itemgetter(4)
+_THREAD_SPAN = itemgetter(0, 4, 5)
 
 
 class HistoryFormatError(ValueError):
-    """A serialized history line could not be parsed."""
-
-
-class IncompleteHistoryError(ValueError):
-    """Events do not pair up into completed operations."""
+    """A saved history could not be read: a malformed line, or a thread
+    whose operations overlap."""
 
 
 class DeadlockSuspectedError(RuntimeError):
@@ -121,76 +97,22 @@ class DeadlockSuspectedError(RuntimeError):
 class History:
     """The completed operations of one run, sorted by (invoke_ts, thread_id).
 
-    ``History(events)`` pairs each thread's events, in seq order, into
-    operations and raises :class:`IncompleteHistoryError` when they do not
-    strictly alternate INVOKE/RESPOND over the same operation and key, an
-    invocation goes unanswered, or a response is stamped before its
-    invocation or an invocation before the thread's previous response.
-    Events exist only in the saved line format (:meth:`to_lines`,
-    :meth:`from_lines`), which numbers each thread's seqs from 0 again.
-    ``len(history)`` counts events, two per operation.
+    ``History(ops)`` takes a list of operations in thread order, each
+    thread's in invocation order, and sorts that list in place by
+    invocation; it checks nothing, since only :meth:`from_lines` reads
+    outside input. ``len(history)`` counts operations.
     """
 
     __slots__ = ("_ops",)
 
-    def __init__(self, events: Iterable[Event]):
-        # Two stable sorts on int keys put the events in (thread, seq)
-        # order faster than one sort on a tuple key.
-        events = sorted(events, key=_SEQ)
-        events.sort(key=_THREAD)
-        pending: dict[int, Event] = {}
-        ops: list[Operation] = []
-        for e in events:
-            tid, _, kind, op, key, result, ts = e
-            if kind == INVOKE:
-                if tid in pending:
-                    raise IncompleteHistoryError(
-                        f"thread {tid}: INVOKE while an operation is still open"
-                    )
-                # Events come in thread order, so ops[-1] is this thread's
-                # previous operation when its thread matches.
-                if ops and ops[-1].thread_id == tid and ts < ops[-1].respond_ts:
-                    raise IncompleteHistoryError(
-                        f"thread {tid}: INVOKE stamped before its previous RESPOND"
-                    )
-                pending[tid] = e
-            elif kind == RESPOND:
-                inv = pending.pop(tid, None)
-                if inv is None or inv.op is not op or inv.key != key:
-                    raise IncompleteHistoryError(
-                        f"thread {tid}: RESPOND does not match the open INVOKE"
-                    )
-                if result is None:
-                    raise IncompleteHistoryError(
-                        f"thread {tid}: RESPOND carries no result"
-                    )
-                if ts < inv.timestamp_ns:
-                    raise IncompleteHistoryError(
-                        f"thread {tid}: RESPOND stamped before its INVOKE"
-                    )
-                ops.append(Operation(tid, op, key, result, inv.timestamp_ns, ts))
-            else:
-                raise IncompleteHistoryError(f"unknown event kind {kind!r}")
-        if pending:
-            raise IncompleteHistoryError(
-                f"unanswered INVOKE on thread(s) {sorted(pending)}"
-            )
+    def __init__(self, ops: list[Operation]):
         # The operations are in thread order, so a stable sort on the
         # invocation alone orders them by (invoke_ts, thread_id).
         ops.sort(key=_INVOKE_TS)
         self._ops = ops
 
-    @classmethod
-    def _of(cls, ops: list[Operation]) -> "History":
-        """Take ``ops`` in thread order, each thread's in invocation order,
-        and sort them as ``__init__`` does."""
-        ops.sort(key=_INVOKE_TS)
-        history = cls.__new__(cls)
-        history._ops = ops
-        return history
-
     def __len__(self):
-        return 2 * len(self._ops)
+        return len(self._ops)
 
     def operations(self) -> list[Operation]:
         """The operations, sorted by (invoke_ts, thread_id); the history's
@@ -199,51 +121,54 @@ class History:
 
     # -- serialization ----------------------------------------------------
     #
-    # One event per line:
-    #   <thread> <seq> <INVOKE|RESPOND> <SEARCH|INSERT|DELETE> <key> [<true|false>] <timestamp_ns>
-    # INVOKE lines carry no result field. Lines are written in (timestamp,
-    # thread, seq) order, each thread's seqs numbered from 0.
+    # One operation per line, in the history's own order:
+    #   <thread> <SEARCH|INSERT|DELETE> <key> <true|false> <invoke_ts> <respond_ts>
 
     def to_lines(self) -> list[str]:
-        seqs: dict[int, int] = {}
-        events = []
-        for tid, op, key, result, invoke_ts, respond_ts in self._ops:
-            seq = seqs.get(tid, 0)
-            seqs[tid] = seq + 2
-            events.append((invoke_ts, tid, seq, f"{tid} {seq} INVOKE {op.value} {key} {invoke_ts}"))
-            events.append((respond_ts, tid, seq + 1, f"{tid} {seq + 1} RESPOND {op.value} {key} "
-                                                     f"{'true' if result else 'false'} {respond_ts}"))
-        # (thread, seq) is unique, so the sort never compares the lines.
-        events.sort()
-        return [e[3] for e in events]
+        return [
+            f"{tid} {op.value} {key} {'true' if result else 'false'} {invoke_ts} {respond_ts}"
+            for tid, op, key, result, invoke_ts, respond_ts in self._ops
+        ]
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "History":
-        events = []
+        """Parse saved lines, in any order; blank lines are skipped.
+
+        Raises :class:`HistoryFormatError` naming the line when one is not
+        ASCII, has other than six fields, an unknown operation or result
+        word, a field that is not an integer, or a response stamped before
+        its invocation; and naming the thread when one of its operations is
+        invoked before its previous one responded (equal stamps are legal).
+        """
+        ops = []
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line:
                 continue
-            parts = line.split()
             try:
-                if len(parts) == 6:
-                    tid, seq, kind, opname, key, ts = parts
-                    result = None
-                elif len(parts) == 7:
-                    tid, seq, kind, opname, key, res, ts = parts
-                    if res not in ("true", "false"):
-                        raise ValueError(f"result must be true or false, got {res!r}")
-                    result = res == "true"
-                else:
-                    raise ValueError(f"expected 6 or 7 fields, got {len(parts)}")
-                if kind not in (INVOKE, RESPOND):
-                    raise ValueError(f"unknown event kind {kind!r}")
-                events.append(
-                    Event(int(tid), int(seq), kind, OpKind(opname), int(key), result, int(ts))
-                )
+                if not line.isascii():
+                    raise ValueError("not ASCII text")
+                parts = line.split()
+                if len(parts) != 6:
+                    raise ValueError(f"expected 6 fields, got {len(parts)}")
+                tid, opname, key, res, invoke_ts, respond_ts = parts
+                if res not in ("true", "false"):
+                    raise ValueError(f"result must be true or false, got {res!r}")
+                op = Operation(int(tid), OpKind(opname), int(key), res == "true",
+                               int(invoke_ts), int(respond_ts))
+                if op.respond_ts < op.invoke_ts:
+                    raise ValueError("response stamped before its invocation")
             except ValueError as exc:
                 raise HistoryFormatError(f"line {lineno}: {exc}") from None
-        return cls(events)
+            ops.append(op)
+        ops.sort(key=_THREAD_SPAN)
+        for prev, op in zip(ops, ops[1:]):
+            if op.thread_id == prev.thread_id and op.invoke_ts < prev.respond_ts:
+                raise HistoryFormatError(
+                    f"thread {op.thread_id}: operation invoked at {op.invoke_ts}, "
+                    f"before its previous one responded at {prev.respond_ts}"
+                )
+        return cls(ops)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="ascii") as fp:
@@ -252,7 +177,9 @@ class History:
 
     @classmethod
     def load(cls, path) -> "History":
-        with open(path, "r", encoding="ascii") as fp:
+        # A byte that is not ASCII decodes to a lone surrogate, which
+        # from_lines rejects with its line number.
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fp:
             return cls.from_lines(fp)
 
 
@@ -482,8 +409,9 @@ class StressConfig:
 
     ``ops_per_thread`` (zero or more) must be set. Keys are drawn from
     ``[0, key_range)``, so ``key_range`` is at most ``POS_SENTINEL``. The
-    percentages must sum to 100. ``timeout_s`` (positive and finite) is the
-    time the run may take before it is declared stuck.
+    percentages must sum to 100. ``timeout_s`` is the time the run may take
+    before it is declared stuck: positive and at most
+    ``threading.TIMEOUT_MAX``, the longest wait a join accepts.
 
     Each thread's stream is drawn before the workers start.
     :func:`~cbst.core.draw_op` defines the stream, and :func:`run_stress`
@@ -492,8 +420,7 @@ class StressConfig:
     loop only calls the tree and, in a recorded run, stamps the clock
     before and after each call and keeps its result. After the workers are
     joined, each operation becomes one :class:`Operation` from its two
-    stamps and its result; no event is built, since events exist only in a
-    saved history's lines.
+    stamps and its result.
     """
 
     variant: str = "fem"
@@ -515,8 +442,8 @@ class StressConfig:
         check_mix(self.insert_pct, self.delete_pct, self.search_pct)
         if self.ops_per_thread is None or self.ops_per_thread < 0:
             raise ValueError("ops_per_thread must be set to zero or more")
-        if not 0 < self.timeout_s < math.inf:
-            raise ValueError("timeout_s must be positive and finite")
+        if not 0 < self.timeout_s <= TIMEOUT_MAX:
+            raise ValueError(f"timeout_s must be positive and at most {TIMEOUT_MAX}")
         if self.variant == "seq" and self.threads != 1:
             raise ValueError("the seq variant is single-threaded only")
 
@@ -619,4 +546,4 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
             done.extend(map(new, repeat(Operation), zip(
                 repeat(tid), ops[tid], keys[tid], results[tid], t_stamps[::2], t_stamps[1::2],
             )))
-    return History._of(done), tree
+    return History(done), tree

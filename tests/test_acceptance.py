@@ -26,8 +26,8 @@ from cbst.model import (
 )
 from cbst.tree import CONCURRENT_VARIANTS, VARIANT_NAMES, new_tree
 from cbst.verify import (
-    Event,
     History,
+    Operation,
     StressConfig,
     _first_violation,
     check_linearizable,
@@ -104,9 +104,8 @@ def _random_history(rng, max_ops):
     keys = [rng.randrange(2) for _ in range(n_ops)]
     results = [rng.random() < 0.5 for _ in range(n_ops)]
 
-    events = []
-    seqs = {t: 0 for t in range(n_threads)}
-    open_op = {}
+    ops = []
+    open_op = {}  # tid -> (op index, invoke tick)
     todo = list(range(n_ops))
     tick = 0
     while todo or open_op:
@@ -114,19 +113,16 @@ def _random_history(rng, max_ops):
         startable = [i for i in todo if owners[i] not in open_op]
         if closable and (not startable or rng.random() < 0.5):
             tid = rng.choice(closable)
-            i = open_op.pop(tid)
-            events.append(Event(tid, seqs[tid], "RESPOND", kinds[i], keys[i],
-                                results[i], tick))
+            i, invoke = open_op.pop(tid)
+            ops.append(Operation(tid, kinds[i], keys[i], results[i], invoke, tick))
         else:
             i = rng.choice(startable)
-            tid = owners[i]
             todo.remove(i)
-            events.append(Event(tid, seqs[tid], "INVOKE", kinds[i], keys[i],
-                                None, tick))
-            open_op[tid] = i
-        seqs[tid] += 1
+            open_op[owners[i]] = (i, tick)
         tick += 1
-    return History(events)
+    # History takes each thread's operations together, in invocation order.
+    ops.sort(key=lambda o: o.thread_id)
+    return History(ops)
 
 
 def test_03_checker_agrees_with_brute_force():

@@ -1,5 +1,6 @@
 import io
 import json
+import threading
 
 import pytest
 
@@ -73,6 +74,15 @@ class TestBenchConfig:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             small_config(variant="avl")
+
+    def test_run_must_fit_the_join_limit(self):
+        # run_bench joins its workers for warmup + duration + 30 s, and a
+        # join waits at most threading.TIMEOUT_MAX seconds.
+        limit_ms = int((threading.TIMEOUT_MAX - 30) * 1000)
+        small_config(duration_ms=limit_ms - 500, warmup_ms=500)
+        for duration_ms, warmup_ms in ((limit_ms, 1), (2 * 10**13, 0), (1, 10**400)):
+            with pytest.raises(ValueError, match=r"warmup_ms \+ duration_ms"):
+                small_config(duration_ms=duration_ms, warmup_ms=warmup_ms)
 
 
 def workload(kr):

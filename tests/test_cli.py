@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import cbst.verify as verify_mod
 from cbst import cli
 from cbst.bench import CSV_HEADER, read_csv, read_json, write_csv
 from cbst.cli import main
@@ -85,6 +86,13 @@ class TestModelEval:
         with pytest.raises(SystemExit) as exc:
             main(["model", "--eval", "--curve-alpha"])
         assert exc.value.code == 2
+
+    def test_beta_is_not_a_flag(self, capsys):
+        # No model action reads beta, so there is no flag to set it.
+        with pytest.raises(SystemExit) as exc:
+            main(["model", "--eval", "--P", "4", "--c", "0", "--beta", "0.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --beta 0.5" in capsys.readouterr().err
 
 
 class TestModelCurve:
@@ -258,6 +266,7 @@ class TestBenchCommand:
     @pytest.mark.parametrize("flag,value", [
         ("--threads", "1,0"), ("--duration-ms", "0"), ("--key-range", "1"),
         ("--key-range", str(2**63)), ("--repeats", "0"), ("--warmup-ms", "-1"),
+        ("--duration-ms", "20000000000000"), ("--warmup-ms", "20000000000000"),
     ])
     def test_bad_count_is_usage_error(self, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -294,12 +303,7 @@ class TestCheckReplay:
 
     def test_legal_history_accepted(self, capsys, tmp_path):
         path = tmp_path / "ok.history"
-        path.write_text(
-            "0 0 INVOKE INSERT 5 100\n"
-            "0 1 RESPOND INSERT 5 true 200\n"
-            "1 0 INVOKE SEARCH 5 300\n"
-            "1 1 RESPOND SEARCH 5 true 400\n"
-        )
+        path.write_text("0 INSERT 5 true 100 200\n1 SEARCH 5 true 300 400\n")
         rc, out, _ = run(capsys, "check", "--history", str(path))
         assert rc == 0
         # The two threads took turns, so no operation overlaps another's.
@@ -314,9 +318,8 @@ class TestCheckReplay:
         lines = []
         for tid, spans in ((0, [(0, 10), (20, 30), (40, 50)]),
                            (1, [(5, 15), (30, 35), (60, 70)])):
-            for j, (invoke, respond) in enumerate(spans):
-                lines.append(f"{tid} {2 * j} INVOKE SEARCH 1 {invoke}")
-                lines.append(f"{tid} {2 * j + 1} RESPOND SEARCH 1 false {respond}")
+            for invoke, respond in spans:
+                lines.append(f"{tid} SEARCH 1 false {invoke} {respond}")
         path = tmp_path / "two.history"
         path.write_text("\n".join(lines) + "\n")
         rc, out, _ = run(capsys, "check", "--history", str(path))
@@ -336,7 +339,7 @@ class TestCheckReplay:
                        "overlap: 0 of 2 operations (0.0%) overlap another thread's\n")
         assert out_path.read_text().splitlines() == ["check,ok", "linearizable,false"]
         path = tmp_path / "ok.history"
-        path.write_text("0 0 INVOKE INSERT 5 100\n0 1 RESPOND INSERT 5 true 200\n")
+        path.write_text("0 INSERT 5 true 100 200\n")
         rc, out, _ = run(capsys, "check", "--history", str(path), "--out", str(out_path))
         assert rc == 0
         assert out == ("linearizable: ok\n"
@@ -349,10 +352,8 @@ class TestCheckReplay:
         # names the key and the blocked search.
         lines = []
         for i in range(5000):
-            lines.append(f"0 {4 * i} INVOKE INSERT {i} {20 * i}")
-            lines.append(f"0 {4 * i + 1} RESPOND INSERT {i} true {20 * i + 5}")
-            lines.append(f"0 {4 * i + 2} INVOKE SEARCH {i} {20 * i + 10}")
-            lines.append(f"0 {4 * i + 3} RESPOND SEARCH {i} true {20 * i + 15}")
+            lines.append(f"0 INSERT {i} true {20 * i} {20 * i + 5}")
+            lines.append(f"0 SEARCH {i} true {20 * i + 10} {20 * i + 15}")
         path = tmp_path / "long.history"
         path.write_text("\n".join(lines) + "\n")
         rc, out, _ = run(capsys, "check", "--history", str(path))
@@ -361,8 +362,7 @@ class TestCheckReplay:
 
         lines = []
         for t in range(21):
-            lines.append(f"{t} 0 INVOKE SEARCH 7 {t}")
-            lines.append(f"{t} 1 RESPOND SEARCH 7 {'true' if t == 10 else 'false'} {100 + t}")
+            lines.append(f"{t} SEARCH 7 {'true' if t == 10 else 'false'} {t} {100 + t}")
         path = tmp_path / "big.history"
         path.write_text("\n".join(lines) + "\n")
         rc, out, err = run(capsys, "check", "--history", str(path))
@@ -374,17 +374,36 @@ class TestCheckReplay:
 
     def test_overlapping_operations_of_one_thread_are_a_load_error(self, capsys, tmp_path):
         path = tmp_path / "overlap.history"
-        path.write_text(
-            "0 0 INVOKE INSERT 5 100\n"
-            "0 1 RESPOND INSERT 5 true 300\n"
-            "0 2 INVOKE SEARCH 5 200\n"
-            "0 3 RESPOND SEARCH 5 true 400\n"
-        )
+        path.write_text("0 INSERT 5 true 100 300\n0 SEARCH 5 true 200 400\n")
         rc, out, err = run(capsys, "check", "--history", str(path))
         assert rc == 1
         assert out == ""
-        assert err == ("cannot load history: thread 0: INVOKE stamped before "
-                       "its previous RESPOND\n")
+        assert err == ("cannot load history: thread 0: operation invoked at 200, "
+                       "before its previous one responded at 300\n")
+
+    @pytest.mark.parametrize("line, reason", [
+        ("0 INSERT 5 true 100", "expected 6 fields, got 5"),
+        ("0 UPSERT 5 true 100 200", "'UPSERT' is not a valid OpKind"),
+        ("0 INSERT 5 yes 100 200", "result must be true or false, got 'yes'"),
+        ("0 INSERT 5 true 1e2 200", "invalid literal for int() with base 10: '1e2'"),
+        ("0 INSERT 5 true 200 100", "response stamped before its invocation"),
+        ("0 1 RESPOND INSERT 5 true 200", "expected 6 fields, got 7"),
+    ], ids=["fields", "op", "result", "integer", "stamps", "event-format"])
+    def test_malformed_line_is_a_load_error(self, capsys, tmp_path, line, reason):
+        path = tmp_path / "bad.history"
+        path.write_text(f"1 SEARCH 5 false 10 20\n{line}\n")
+        rc, out, err = run(capsys, "check", "--history", str(path))
+        assert rc == 1
+        assert out == ""
+        assert err == f"cannot load history: line 2: {reason}\n"
+
+    def test_non_ascii_byte_is_a_load_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.history"
+        path.write_bytes(b"1 SEARCH 5 false 10 20\n\n0 INSERT 5 true \xff 200\n")
+        rc, out, err = run(capsys, "check", "--history", str(path))
+        assert rc == 1
+        assert out == ""
+        assert err == "cannot load history: line 3: not ASCII text\n"
 
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "check", "--history", str(tmp_path / "ghost.history"))
@@ -397,14 +416,6 @@ class TestCheckReplay:
         rc, _, err = run(capsys, "check", "--history", str(path))
         assert rc == 1
         assert "cannot load history" in err
-
-    def test_unpaired_events_are_a_load_error(self, capsys, tmp_path):
-        path = tmp_path / "open.history"
-        path.write_text("0 0 INVOKE INSERT 5 100\n")
-        rc, out, err = run(capsys, "check", "--history", str(path))
-        assert rc == 1
-        assert out == ""
-        assert err == "cannot load history: unanswered INVOKE on thread(s) [0]\n"
 
     def test_replay_requires_history_flag(self):
         # --history names the file to replay; without a path it is a usage error.
@@ -483,6 +494,29 @@ class TestCheckInvariants:
                          "with the key present: thread 1 SEARCH false [3000, 4000]")
         assert History.from_lines(replay).to_lines() == history.to_lines()
 
+    def test_dumped_history_replays_to_the_same_verdict(self, capsys, monkeypatch, tmp_path):
+        # A tree whose searches always miss fails a real recorded run; the
+        # history dumped to stderr replays through --history to the same
+        # first violation.
+        def forgetful(variant):
+            tree = new_tree(variant)
+            tree.search = lambda key: False
+            return tree
+
+        monkeypatch.setattr(verify_mod, "new_tree", forgetful)
+        rc, out, err = run(capsys, "check", "--threads", "2", "--ops", "200",
+                           "--key-range", "4", "--mix", "40,10,50")
+        assert rc == 1
+        assert "linearizable: VIOLATED" in out
+        first, *dump = err.splitlines()
+        assert first.startswith("first violation: key ")
+        path = tmp_path / "dump.history"
+        path.write_text("\n".join(dump) + "\n")
+        rc, out, err = run(capsys, "check", "--history", str(path))
+        assert rc == 1
+        assert out.startswith("linearizable: VIOLATED\noverlap: ")
+        assert err == first + "\n"
+
 
 class TestCheckLinearizability:
     ARGS = ("check", "--variant", "fem", "--ops", "4", "--threads", "2",
@@ -497,6 +531,7 @@ class TestCheckLinearizability:
         ("--threads", "0"), ("--ops", "-1"), ("--key-range", "0"),
         ("--key-range", str(2**63)), ("--timeout-s", "0"), ("--timeout-s", "-1"),
         ("--timeout-s", "nan"), ("--timeout-s", "inf"), ("--timeout-s", "soon"),
+        ("--timeout-s", "1e10"),
     ])
     def test_bad_count_is_usage_error(self, flag, value):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,8 @@
-import ast
 import random
 import sys
 import threading
 import time
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -12,10 +12,9 @@ from cbst.core import OpKind, draw_op, thread_rng
 from cbst.tree import VARIANT_NAMES, new_tree
 from cbst.verify import (
     DeadlockSuspectedError,
-    Event,
     History,
     HistoryFormatError,
-    IncompleteHistoryError,
+    Operation,
     StressConfig,
     check_balance,
     check_linearizable,
@@ -94,143 +93,145 @@ def invoked_streams(history):
 
 
 def make_history(spec):
-    """Build a history from (tid, kind, op, key, result, ts) tuples."""
-    events = []
-    seqs = {}
-    for tid, kind, op, key, result, ts in spec:
-        seq = seqs.get(tid, 0)
-        seqs[tid] = seq + 1
-        events.append(Event(tid, seq, kind, op, key, result, ts))
-    return History(events)
+    """Build a history from (tid, op, key, result, invoke_ts, respond_ts)
+    tuples, in any order."""
+    return History(sorted((Operation(*o) for o in spec), key=itemgetter(0, 4)))
 
 
 def spec_lines(spec):
-    """The saved-history lines of (tid, kind, op, key, result, ts) tuples,
-    numbered as make_history numbers them."""
-    lines = []
-    seqs = {}
-    for tid, kind, op, key, result, ts in spec:
-        seq = seqs.get(tid, 0)
-        seqs[tid] = seq + 1
-        res = "" if result is None else f" {str(result).lower()}"
-        lines.append(f"{tid} {seq} {kind} {op.value} {key}{res} {ts}")
-    return lines
+    """The saved-history lines of (tid, op, key, result, invoke_ts,
+    respond_ts) tuples, in spec order."""
+    return [f"{tid} {op.value} {key} {str(result).lower()} {invoke} {respond}"
+            for tid, op, key, result, invoke, respond in spec]
 
 
 class TestHistorySerialization:
     def test_round_trip(self):
         h = make_history([
-            (0, "INVOKE", OpKind.INSERT, 5, None, 100),
-            (1, "INVOKE", OpKind.SEARCH, 5, None, 150),
-            (0, "RESPOND", OpKind.INSERT, 5, True, 200),
-            (1, "RESPOND", OpKind.SEARCH, 5, True, 250),
+            (0, OpKind.INSERT, 5, True, 100, 200),
+            (1, OpKind.SEARCH, 5, True, 150, 250),
         ])
         again = History.from_lines(h.to_lines())
         assert again.to_lines() == h.to_lines()
         assert again.operations() == h.operations()
 
     def test_line_format(self):
+        # One line per operation, in (invoke_ts, thread) order.
         h = make_history([
-            (3, "INVOKE", OpKind.DELETE, -7, None, 42),
-            (3, "RESPOND", OpKind.DELETE, -7, False, 99),
+            (3, OpKind.DELETE, -7, False, 42, 99),
+            (1, OpKind.INSERT, 8, True, 42, 43),
         ])
         assert h.to_lines() == [
-            "3 0 INVOKE DELETE -7 42",
-            "3 1 RESPOND DELETE -7 false 99",
+            "1 INSERT 8 true 42 43",
+            "3 DELETE -7 false 42 99",
         ]
 
     def test_save_load(self, tmp_path):
-        h = make_history([
-            (0, "INVOKE", OpKind.INSERT, 1, None, 10),
-            (0, "RESPOND", OpKind.INSERT, 1, True, 20),
-        ])
+        h = make_history([(0, OpKind.INSERT, 1, True, 10, 20)])
         path = tmp_path / "run.history"
         h.save(path)
+        assert path.read_text() == "0 INSERT 1 true 10 20\n"
         again = History.load(path)
         assert again.to_lines() == h.to_lines()
         assert again.operations() == h.operations()
 
+    # The first five are lines of the old INVOKE/RESPOND event format,
+    # which no longer loads.
     @pytest.mark.parametrize("bad", [
         "0 0 PING INSERT 5 100",
         "0 0 INVOKE UPSERT 5 100",
         "0 0 RESPOND INSERT 5 yes 100",
         "0 0 INVOKE INSERT",
         "x 0 INVOKE INSERT 5 100",
+        "0 INSERT 5 true 100 200 300",
+        "x INSERT 5 true 100 200",
+        "0 INSERT 5 true 100 2e3",
+        "0 INSERT ٥ true 100 200",
     ])
     def test_format_errors(self, bad):
         with pytest.raises(HistoryFormatError) as err:
             History.from_lines([bad])
         assert "line 1" in str(err.value)
 
-    def test_blank_lines_skipped(self):
-        h = History.from_lines(["", "0 0 INVOKE INSERT 5 100", "  ",
-                                "0 1 RESPOND INSERT 5 true 200"])
-        assert len(h) == 2
+    @pytest.mark.parametrize("bad, reason", [
+        ("0 INSERT 5 true 100", "expected 6 fields, got 5"),
+        ("0 UPSERT 5 true 100 200", "'UPSERT' is not a valid OpKind"),
+        ("0 INSERT 5 yes 100 200", "result must be true or false, got 'yes'"),
+        ("0 INSERT 5 true 100 x", "invalid literal for int() with base 10: 'x'"),
+        ("0 INSERT 5 trué 100 200", "not ASCII text"),
+    ], ids=["fields", "op", "result", "integer", "ascii"])
+    def test_format_error_names_line_and_fault(self, bad, reason):
+        with pytest.raises(HistoryFormatError) as err:
+            History.from_lines(["0 SEARCH 5 false 1 2", "", bad])
+        assert str(err.value) == f"line 3: {reason}"
 
-    def test_skipped_seqs_renumbered_from_zero(self):
-        # Only each thread's seq order matters: seqs 0 and 5 pair, decide,
-        # and are written back as 0 and 1.
-        h = History.from_lines(["0 0 INVOKE INSERT 5 100", "0 5 RESPOND INSERT 5 true 200"])
-        assert check_linearizable(h, [5]) is True
-        assert h.to_lines() == ["0 0 INVOKE INSERT 5 100", "0 1 RESPOND INSERT 5 true 200"]
+    def test_non_ascii_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.history"
+        path.write_bytes(b"0 INSERT 5 true 100 200\n0 SEARCH 5 tr\xffue 300 400\n")
+        with pytest.raises(HistoryFormatError, match="^line 2: not ASCII text$"):
+            History.load(path)
+
+    def test_blank_lines_skipped(self):
+        h = History.from_lines(["", "0 INSERT 5 true 100 200", "  "])
+        assert len(h) == 1
+
+    def test_lines_load_in_any_order(self):
+        spec = [
+            (1, OpKind.SEARCH, 5, False, 50, 150),
+            (0, OpKind.INSERT, 5, True, 100, 200),
+            (0, OpKind.SEARCH, 5, True, 200, 300),
+            (1, OpKind.DELETE, 5, True, 250, 400),
+        ]
+        h = make_history(spec)
+        for order in ([3, 2, 1, 0], [2, 0, 3, 1]):
+            again = History.from_lines(spec_lines([spec[i] for i in order]))
+            assert again.operations() == h.operations()
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_recorded_histories_round_trip(self, variant):
+        cfg = StressConfig(variant=variant, threads=1 if variant == "seq" else 3,
+                           key_range=16, seed=11, ops_per_thread=300)
+        h, tree = run_stress(cfg)
+        again = History.from_lines(h.to_lines())
+        assert again.operations() == h.operations()
+        final = tree.collect_leaf_keys()
+        assert check_linearizable(again, final) is check_linearizable(h, final) is True
 
 
 class TestOperationPairing:
-    @staticmethod
-    def assert_rejected(spec):
-        # Pairing happens when a history is built, from events or from lines.
-        with pytest.raises(IncompleteHistoryError):
-            make_history(spec)
-        with pytest.raises(IncompleteHistoryError):
-            History.from_lines(spec_lines(spec))
-
-    def test_unanswered_invoke_rejected(self):
-        self.assert_rejected([(0, "INVOKE", OpKind.INSERT, 5, None, 100)])
-
-    def test_mismatched_respond_rejected(self):
-        self.assert_rejected([
-            (0, "INVOKE", OpKind.INSERT, 5, None, 100),
-            (0, "RESPOND", OpKind.DELETE, 5, True, 200),
-        ])
+    # The checks that span a line's two stamps or a thread's lines.
 
     def test_respond_before_invoke_rejected(self):
-        self.assert_rejected([
-            (0, "INVOKE", OpKind.INSERT, 5, None, 200),
-            (0, "RESPOND", OpKind.INSERT, 5, True, 100),
-        ])
-
-    def test_double_invoke_rejected(self):
-        self.assert_rejected([
-            (0, "INVOKE", OpKind.INSERT, 5, None, 100),
-            (0, "INVOKE", OpKind.INSERT, 6, None, 150),
-        ])
+        with pytest.raises(HistoryFormatError,
+                           match="^line 1: response stamped before its invocation$"):
+            History.from_lines(spec_lines([(0, OpKind.INSERT, 5, True, 200, 100)]))
 
     def test_overlapping_operations_of_one_thread_rejected(self):
-        # A thread's next INVOKE may share its previous RESPOND's stamp but
-        # not precede it.
-        self.assert_rejected([
-            (0, "INVOKE", OpKind.INSERT, 5, None, 100),
-            (0, "RESPOND", OpKind.INSERT, 5, True, 300),
-            (0, "INVOKE", OpKind.SEARCH, 5, None, 200),
-            (0, "RESPOND", OpKind.SEARCH, 5, True, 400),
-        ])
-        h = make_history([
-            (0, "INVOKE", OpKind.INSERT, 5, None, 100),
-            (0, "RESPOND", OpKind.INSERT, 5, True, 300),
-            (0, "INVOKE", OpKind.SEARCH, 5, None, 300),
-            (0, "RESPOND", OpKind.SEARCH, 5, True, 400),
-        ])
-        assert [op.invoke_ts for op in h.operations()] == [100, 300]
+        # A thread's next operation may be invoked at its previous one's
+        # response stamp but not before it, whatever the lines' order.
+        spec = [
+            (0, OpKind.SEARCH, 5, True, 200, 400),
+            (1, OpKind.SEARCH, 5, True, 150, 250),
+            (0, OpKind.INSERT, 5, True, 100, 300),
+        ]
+        with pytest.raises(HistoryFormatError) as err:
+            History.from_lines(spec_lines(spec))
+        assert str(err.value) == ("thread 0: operation invoked at 200, before its "
+                                  "previous one responded at 300")
+        spec[0] = (0, OpKind.SEARCH, 5, True, 300, 400)
+        h = History.from_lines(spec_lines(spec))
+        assert [(op.thread_id, op.invoke_ts) for op in h.operations()] == [
+            (0, 100), (1, 150), (0, 300)]
 
     def test_operations_sorted_by_invocation(self):
-        h = make_history([
-            (1, "INVOKE", OpKind.SEARCH, 2, None, 50),
-            (0, "INVOKE", OpKind.INSERT, 1, None, 100),
-            (1, "RESPOND", OpKind.SEARCH, 2, False, 150),
-            (0, "RESPOND", OpKind.INSERT, 1, True, 200),
-        ])
-        ops = h.operations()
-        assert [op.invoke_ts for op in ops] == [50, 100]
+        spec = [
+            (0, OpKind.INSERT, 1, True, 100, 200),
+            (1, OpKind.SEARCH, 2, False, 50, 150),
+            (2, OpKind.SEARCH, 2, False, 100, 150),
+        ]
+        for h in (make_history(spec), History.from_lines(spec_lines(spec))):
+            assert [(op.invoke_ts, op.thread_id) for op in h.operations()] == [
+                (50, 1), (100, 0), (100, 2)]
 
 
 class TestCheckLinearizable:
@@ -239,41 +240,32 @@ class TestCheckLinearizable:
 
     def test_sequential_legal(self):
         h = make_history([
-            (0, "INVOKE", OpKind.INSERT, 5, None, 1),
-            (0, "RESPOND", OpKind.INSERT, 5, True, 2),
-            (0, "INVOKE", OpKind.SEARCH, 5, None, 3),
-            (0, "RESPOND", OpKind.SEARCH, 5, True, 4),
-            (0, "INVOKE", OpKind.DELETE, 5, None, 5),
-            (0, "RESPOND", OpKind.DELETE, 5, True, 6),
+            (0, OpKind.INSERT, 5, True, 1, 2),
+            (0, OpKind.SEARCH, 5, True, 3, 4),
+            (0, OpKind.DELETE, 5, True, 5, 6),
         ])
         assert check_linearizable(h) is True
 
     def test_sequential_illegal(self):
         h = make_history([
-            (0, "INVOKE", OpKind.INSERT, 5, None, 1),
-            (0, "RESPOND", OpKind.INSERT, 5, True, 2),
-            (0, "INVOKE", OpKind.SEARCH, 5, None, 3),
-            (0, "RESPOND", OpKind.SEARCH, 5, False, 4),
+            (0, OpKind.INSERT, 5, True, 1, 2),
+            (0, OpKind.SEARCH, 5, False, 3, 4),
         ])
         assert check_linearizable(h) is False
         assert check_linearizable(lost_insert_history(search_overlaps_insert=False)) is False
 
     def test_overlap_permits_reordering(self):
         h = make_history([
-            (0, "INVOKE", OpKind.INSERT, 5, None, 10),
-            (1, "INVOKE", OpKind.SEARCH, 5, None, 15),
-            (1, "RESPOND", OpKind.SEARCH, 5, False, 25),
-            (0, "RESPOND", OpKind.INSERT, 5, True, 30),
+            (0, OpKind.INSERT, 5, True, 10, 30),
+            (1, OpKind.SEARCH, 5, False, 15, 25),
         ])
         assert check_linearizable(h) is True
         assert check_linearizable(lost_insert_history(search_overlaps_insert=True)) is True
 
     def test_equal_timestamps_count_as_overlap(self):
         h = make_history([
-            (0, "INVOKE", OpKind.INSERT, 5, None, 10),
-            (0, "RESPOND", OpKind.INSERT, 5, True, 20),
-            (1, "INVOKE", OpKind.SEARCH, 5, None, 20),
-            (1, "RESPOND", OpKind.SEARCH, 5, False, 30),
+            (0, OpKind.INSERT, 5, True, 10, 20),
+            (1, OpKind.SEARCH, 5, False, 20, 30),
         ])
         # respond at 20 and invoke at 20 overlap: search may order first
         assert check_linearizable(h) is True
@@ -295,10 +287,8 @@ class TestCheckLinearizable:
 
     def test_final_keys_bind_every_key(self):
         h = make_history([
-            (0, "INVOKE", OpKind.INSERT, 5, None, 1),
-            (0, "RESPOND", OpKind.INSERT, 5, True, 2),
-            (0, "INVOKE", OpKind.SEARCH, 6, None, 3),
-            (0, "RESPOND", OpKind.SEARCH, 6, False, 4),
+            (0, OpKind.INSERT, 5, True, 1, 2),
+            (0, OpKind.SEARCH, 6, False, 3, 4),
         ])
         assert check_linearizable(h, [5]) is True
         assert check_linearizable(h, []) is False
@@ -318,10 +308,7 @@ class TestCheckLinearizable:
             assert time.perf_counter() - t0 < 1.0
 
     def test_set_starts_empty(self):
-        h = make_history([
-            (0, "INVOKE", OpKind.SEARCH, 5, None, 1),
-            (0, "RESPOND", OpKind.SEARCH, 5, True, 2),
-        ])
+        h = make_history([(0, OpKind.SEARCH, 5, True, 1, 2)])
         assert check_linearizable(h) is False
 
 
@@ -334,9 +321,7 @@ def sequential_history(n_ops):
     spec = []
     for j in range(n_ops):
         op, result = SET_CYCLE[j % 4]
-        key = j // 4 % 7
-        spec += [(0, "INVOKE", op, key, None, 2 * j),
-                 (0, "RESPOND", op, key, result, 2 * j + 1)]
+        spec.append((0, op, j // 4 % 7, result, 2 * j, 2 * j + 1))
     return make_history(spec)
 
 
@@ -345,28 +330,23 @@ def lost_insert_history(search_overlaps_insert):
     which one search after a successful insert misses the key; that search
     runs on its own thread and either strictly follows the insert or
     overlaps it."""
-    spec, late = [], []
+    spec = []
     for j in range(5000):
         op, result = SET_CYCLE[j % 4]
         start = 10 * j
         if j == 2401:
             start -= 8 if search_overlaps_insert else 0
-            late += [(1, "INVOKE", op, 5, None, start),
-                     (1, "RESPOND", op, 5, False, start + 5)]
+            spec.append((1, op, 5, False, start, start + 5))
         else:
-            spec += [(0, "INVOKE", op, 5, None, start),
-                     (0, "RESPOND", op, 5, result, start + 5)]
-    return make_history(spec + late)
+            spec.append((0, op, 5, result, start, start + 5))
+    return make_history(spec)
 
 
 def overlapping_searches(n_ops):
     """n_ops mutually overlapping searches of a never-inserted key; all but
     one read false."""
-    spec = []
-    for t in range(n_ops):
-        spec += [(t, "INVOKE", OpKind.SEARCH, 7, None, t),
-                 (t, "RESPOND", OpKind.SEARCH, 7, t == n_ops // 2, 100 + t)]
-    return make_history(spec)
+    return make_history([(t, OpKind.SEARCH, 7, t == n_ops // 2, t, 100 + t)
+                         for t in range(n_ops)])
 
 
 def point_history(rng, n_ops, span, width):
@@ -389,8 +369,7 @@ def point_history(rng, n_ops, span, width):
         result = present if op is not OpKind.INSERT else not present
         if result and op is not OpKind.SEARCH:
             present = not present
-        spec += [(tid, "INVOKE", op, 0, None, invoke),
-                 (tid, "RESPOND", op, 0, result, respond)]
+        spec.append((tid, op, 0, result, invoke, respond))
     return make_history(spec), present
 
 
@@ -403,9 +382,8 @@ def random_history(rng, max_ops):
     keys = [rng.randrange(2) for _ in range(n_ops)]
     results = [rng.random() < 0.5 for _ in range(n_ops)]
 
-    events = []
-    seqs = {t: 0 for t in range(n_threads)}
-    open_op: dict[int, int] = {}
+    spec = []
+    open_op: dict[int, tuple[int, int]] = {}  # tid -> (op index, invoke tick)
     todo = list(range(n_ops))
     tick = 0
     while todo or open_op:
@@ -414,27 +392,21 @@ def random_history(rng, max_ops):
         startable = [i for i in todo if owners[i] not in open_op]
         if closable and (not startable or rng.random() < 0.5):
             tid = rng.choice(closable)
-            i = open_op.pop(tid)
-            events.append(Event(tid, seqs[tid], "RESPOND", kinds[i], keys[i], results[i], tick))
+            i, invoke = open_op.pop(tid)
+            spec.append((tid, kinds[i], keys[i], results[i], invoke, tick))
         else:
             i = rng.choice(startable)
-            tid = owners[i]
             todo.remove(i)
-            events.append(Event(tid, seqs[tid], "INVOKE", kinds[i], keys[i], None, tick))
-            open_op[tid] = i
-        seqs[tid] += 1
+            open_op[owners[i]] = (i, tick)
         tick += 1
-    return History(events)
+    return make_history(spec)
 
 
 def ops_spec(intervals):
     """(tid, invoke, respond) triples as make_history tuples: searches of
     key 0 that read false."""
-    spec = []
-    for tid, invoke, respond in intervals:
-        spec += [(tid, "INVOKE", OpKind.SEARCH, 0, None, invoke),
-                 (tid, "RESPOND", OpKind.SEARCH, 0, False, respond)]
-    return spec
+    return [(tid, OpKind.SEARCH, 0, False, invoke, respond)
+            for tid, invoke, respond in intervals]
 
 
 class TestCountOverlapping:
@@ -499,20 +471,13 @@ class TestCheckerAgainstBruteForce:
             point, _ = point_history(rng, rng.randint(1, 7), 10, 10)
             for h, finals in ((random_history(rng, max_ops=7), ([], [0], [1], [0, 1])),
                               (point, ([], [0]))):
-                spec = []
-                for o in h.operations():
-                    spec += [(o.thread_id, "INVOKE", o.op, o.key, None, o.invoke_ts),
-                             (o.thread_id, "RESPOND", o.op, o.key, o.result, o.respond_ts)]
                 end = max(o.respond_ts for o in h.operations())
                 for final_keys in finals:
-                    searches = []
-                    for i, key in enumerate((0, 1)):
-                        searches += [
-                            (-1, "INVOKE", OpKind.SEARCH, key, None, end + 1 + 2 * i),
-                            (-1, "RESPOND", OpKind.SEARCH, key, key in final_keys, end + 2 + 2 * i),
-                        ]
+                    searches = [(-1, OpKind.SEARCH, key, key in final_keys,
+                                 end + 1 + 2 * i, end + 2 + 2 * i)
+                                for i, key in enumerate((0, 1))]
                     fast = check_linearizable(h, final_keys)
-                    slow = brute_force_linearizable(make_history(spec + searches))
+                    slow = brute_force_linearizable(make_history(h.operations() + searches))
                     assert fast == slow, ("\n".join(h.to_lines()), final_keys)
                     outcomes.append((check_linearizable(h), fast))
         # Both outcomes occur, and so do linearizable histories that end
@@ -523,10 +488,7 @@ class TestCheckerAgainstBruteForce:
 
 class TestCheckBalance:
     def _op_events(self, tid, op, key, result, start, end):
-        return [
-            (tid, "INVOKE", op, key, None, start),
-            (tid, "RESPOND", op, key, result, end),
-        ]
+        return [(tid, op, key, result, start, end)]
 
     def test_clean_cycle_balances(self):
         h = make_history(
@@ -726,19 +688,15 @@ class TestRunStress:
         assert streams[0] == drawn_streams(cfg)
 
     def test_event_counts_match_ops(self):
+        # A recorded run keeps one operation per call; len counts them.
         cfg = StressConfig(variant="tn", threads=2, key_range=8, seed=1,
                            ops_per_thread=25)
         h, _ = run_stress(cfg)
-        assert len(h) == 2 * 2 * 25
-        assert len(h.operations()) == 50
+        assert len(h) == len(h.operations()) == 50
 
-    def test_recorded_run_builds_operations_only(self, monkeypatch):
-        # A recorded history is its operations: run_stress builds no Event,
-        # and operations() hands back the history's one list.
-        def no_event(*args):
-            raise AssertionError("run_stress built an Event")
-
-        monkeypatch.setattr(cbst.verify, "Event", no_event)
+    def test_recorded_run_builds_operations_only(self):
+        # A recorded history is its operations: operations() hands back the
+        # history's one list.
         h, _ = run_stress(StressConfig(variant="fem", threads=2, key_range=8, seed=4,
                                        ops_per_thread=50))
         assert len(h.operations()) == 100
@@ -757,6 +715,16 @@ class TestRunStress:
         for timeout_s in (0, -1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="timeout_s"):
                 StressConfig(variant="fem", ops_per_thread=5, timeout_s=timeout_s)
+
+    def test_timeout_within_the_join_limit(self):
+        # A join waits at most threading.TIMEOUT_MAX seconds.
+        for timeout_s in (1e10, 2 * threading.TIMEOUT_MAX):
+            with pytest.raises(ValueError, match="timeout_s"):
+                StressConfig(variant="fem", ops_per_thread=5, timeout_s=timeout_s)
+        cfg = StressConfig(variant="fem", threads=2, key_range=8, ops_per_thread=20,
+                           timeout_s=threading.TIMEOUT_MAX)
+        history, _ = run_stress(cfg)
+        assert len(history) == 40
 
     def test_key_range_ceiling(self):
         # Keys are drawn from [0, key_range) and must stay below the
@@ -876,22 +844,3 @@ class TestRunStress:
         assert check_structure(tree).ok
         assert check_balance(history, tree.collect_leaf_keys()) == []
 
-
-def test_only_from_lines_names_event():
-    # Events are the saved-history line format: outside annotations and its
-    # own class, verify.py names Event only where lines are parsed.
-    module = ast.parse(Path(cbst.verify.__file__).read_text(encoding="utf-8"))
-    annotations = {
-        id(node)
-        for owner in ast.walk(module)
-        for ann in (getattr(owner, "annotation", None), getattr(owner, "returns", None))
-        if ann is not None
-        for node in ast.walk(ann)
-    }
-    naming = set()
-    for fn in ast.walk(module):
-        if isinstance(fn, ast.FunctionDef):
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Name) and node.id == "Event" and id(node) not in annotations:
-                    naming.add(fn.name)
-    assert naming == {"from_lines"}
