@@ -64,9 +64,15 @@ ever blocks on a lock.
 A benchmark prefill does not insert its keys one at a time.
 ``TreeBase._load`` hangs under the root of an empty tree, before the tree is
 shared, the subtree those inserts would build, allocated in preorder so that
-a descent reads memory laid out along its path. It takes no lock and moves
-no version, so tn's prefilled routers start at version 0 rather than at the
-number of commits the inserts would have made on them.
+a descent reads memory laid out along its path. A bare lock falls in the
+same 64-byte pymalloc size class as a ``Node`` and a ``LockedNode`` (CPython
+3.11), so a lock made by each node's constructor would take every other
+block and spread fn's and fe's nodes over about twice the pages that seq's
+take. The load therefore makes all the locks it needs first, in one batch,
+and hands one to each node it builds. Nodes built by an insert still make
+their own locks, so they alternate with them. The load takes no lock and
+moves no version, so tn's prefilled routers start at version 0 rather than
+at the number of commits the inserts would have made on them.
 
 Nodes unlinked by a delete are never recycled in place: fn and fem leave
 pred and curr locked (fem also leaves them marked), and tn leaves the
@@ -81,6 +87,7 @@ from __future__ import annotations
 
 import threading
 from array import array
+from itertools import repeat, starmap
 from typing import NamedTuple
 
 from .core import NEG_SENTINEL, POS_SENTINEL, check_key, pause
@@ -168,18 +175,19 @@ class Node:
 
 
 class LockedNode(Node):
-    """An fn or fe node: ``lock`` is its own bare ``threading.Lock``."""
+    """An fn or fe node: ``lock`` is its own bare ``threading.Lock``, made
+    here unless the caller hands one over (``TreeBase._load`` does)."""
 
     __slots__ = ("lock",)
 
     # Node.__init__ is spelled out here and in each subclass, not called: an
     # insert builds two nodes inside its control phase, and the extra call
     # costs about 50 ns per node (super() about 180 ns; CPython 3.11, x86-64).
-    def __init__(self, key, left=None, right=None):
+    def __init__(self, key, left=None, right=None, lock=None):
         self.key = key
         self.left = left
         self.right = right
-        self.lock = threading.Lock()
+        self.lock = threading.Lock() if lock is None else lock
 
 
 class MarkedNode(LockedNode):
@@ -190,11 +198,11 @@ class MarkedNode(LockedNode):
 
     __slots__ = ("marked",)
 
-    def __init__(self, key, left=None, right=None):
+    def __init__(self, key, left=None, right=None, lock=None):
         self.key = key
         self.left = left
         self.right = right
-        self.lock = threading.Lock()
+        self.lock = threading.Lock() if lock is None else lock
         self.marked = False
 
 
@@ -204,11 +212,11 @@ class StampedNode(LockedNode):
 
     __slots__ = ("version",)
 
-    def __init__(self, key, left=None, right=None):
+    def __init__(self, key, left=None, right=None, lock=None):
         self.key = key
         self.left = left
         self.right = right
-        self.lock = threading.Lock()
+        self.lock = threading.Lock() if lock is None else lock
         self.version = 0
 
 
@@ -345,7 +353,11 @@ class TreeBase:
 
         The nodes are allocated in preorder, each leaf when its slot is
         reached, so that a descent reads memory laid out along its path.
-        Nothing is locked and no version moves: the tree is not shared yet.
+        The locks come first, in one batch, and each node of a locked class
+        is handed one: a lock shares the nodes' pymalloc size class, so
+        locks made between them would take every other block (see the
+        module docstring). Nothing is locked and no version moves: the tree
+        is not shared yet.
         """
         root = self.root
         if root.left is not self._neg_leaf:
@@ -363,12 +375,24 @@ class TreeBase:
             if stack:
                 right[stack[-1]] = rank
             stack.append(rank)
+        # One router and one leaf per key. A node of a locked class takes its
+        # lock from the batch by a C-level pop, so it costs no extra Python
+        # call; a plain Node is built as an insert builds it.
+        router, leaf = self._router, self._leaf
+        rlocked = issubclass(router, LockedNode)
+        llocked = issubclass(leaf, LockedNode)
+        count = (rlocked + llocked) * len(keys)
+        locks = list(starmap(threading.Lock, repeat((), count)))
+        take = locks.pop
         # Iterative preorder from the first key's router. Each spine of left
         # children is allocated on the way down; its lowest left slot takes
         # the leaf of the key where the spine hangs (the negative sentinel
         # under the root), and every right slot waits on ``todo``.
-        router, leaf = self._router, self._leaf
-        node = root.left = router(keys[0])
+        if rlocked:
+            node = router(keys[0], None, None, take())
+        else:
+            node = router(keys[0])
+        root.left = node
         rank = 0
         low = None
         todo = []
@@ -377,20 +401,35 @@ class TreeBase:
                 todo.append((node, right[rank]))
                 rank = left[rank]
                 if rank < 0:
-                    node.left = self._neg_leaf if low is None else leaf(low)
+                    if low is None:
+                        node.left = self._neg_leaf
+                    elif llocked:
+                        node.left = leaf(low, None, None, take())
+                    else:
+                        node.left = leaf(low)
                     break
-                child = router(keys[rank])
+                if rlocked:
+                    child = router(keys[rank], None, None, take())
+                else:
+                    child = router(keys[rank])
                 node.left = child
                 node = child
             while todo:
                 parent, rank = todo.pop()
                 if rank >= 0:
                     break
-                parent.right = leaf(parent.key)
+                if llocked:
+                    parent.right = leaf(parent.key, None, None, take())
+                else:
+                    parent.right = leaf(parent.key)
             else:
                 return
             low = parent.key
-            node = parent.right = router(keys[rank])
+            if rlocked:
+                node = router(keys[rank], None, None, take())
+            else:
+                node = router(keys[rank])
+            parent.right = node
 
     # -- quiescent inspection ---------------------------------------------
 

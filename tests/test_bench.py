@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import threading
 
 import pytest
@@ -173,6 +174,24 @@ class TestPrefill:
         assert tree.root.right is tree._pos_leaf
         assert made == [n for n in preorder(tree.root.left) if n is not tree._neg_leaf]
         assert len(made) == 2 * 500
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython", reason="measures pymalloc's layout"
+    )
+    def test_locked_nodes_span_no_more_pages_than_seq(self):
+        # A bare lock shares the 64-byte pymalloc size class of a Node and a
+        # LockedNode, so locks made between the nodes would spread fn's and
+        # fe's nodes over about twice the 4-KiB pages that seq's take. In
+        # full-suite runs the ratio read 0.83-0.92 with the locks made first
+        # and 1.74 with each lock made by its node's constructor.
+        def pages(variant):
+            tree = new_tree(variant)
+            prefill(tree, workload(40_000), seed=1)
+            return len({id(node) >> 12 for node in preorder(tree.root)})
+
+        seq = pages("seq")
+        for variant in ("fn", "fe"):
+            assert pages(variant) <= 1.1 * seq, variant
 
     def test_non_empty_tree_refused(self):
         tree = new_tree("fem")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cbst.tree
+from cbst.bench import WorkloadSpec, prefill
 from cbst.core import NEG_SENTINEL, POS_SENTINEL, OpKind, SeqOracle, draw_op
 from cbst.tree import (
     _RETRY,
@@ -578,6 +579,32 @@ class TestLockPlumbing:
             for node in reachable(_grown(variant)):
                 assert type(node) is Node
                 assert not hasattr(node, "lock")
+
+    @pytest.mark.parametrize("variant", ALL)
+    def test_loaded_nodes_own_free_locks(self, variant):
+        # A bulk load hands each locked node a lock from one batch. Two nodes
+        # handed the same lock would make fn's three-lock delete retry for
+        # ever.
+        t = new_tree(variant)
+        prefill(t, WorkloadSpec(10, 10, 80, key_range=1000), seed=4)
+        nodes = list(reachable(t))
+        # The sentinel frame and a router and a leaf per key.
+        assert len(nodes) == 3 + 2 * 500
+        locks = []
+        for node in nodes:
+            if variant in ("seq", "coarse") or (variant == "tn" and node.left is None):
+                assert type(node) is Node and not hasattr(node, "lock")
+                continue
+            assert type(node.lock) is BARE_LOCK
+            assert node.lock.acquire(False) is True
+            node.lock.release()
+            locks.append(node.lock)
+            if variant == "fem":
+                assert node.marked is False
+            elif variant == "tn":
+                assert node.version == 0
+        assert len(locks) == {"seq": 0, "coarse": 0, "tn": 501}.get(variant, 1003)
+        assert len({id(lock) for lock in locks}) == len(locks)
 
     def test_tn_holds_less_per_key_than_fem(self):
         # A tn leaf drops fem's lock, mark and their slots; fem and tn
