@@ -9,7 +9,10 @@ Every tree is born with three immortal nodes: a root router keyed with the
 positive sentinel, a negative-sentinel leaf on its left and a
 positive-sentinel leaf on its right. Application keys are confined strictly
 between the sentinels, so a descent always ends in a leaf and the root is
-never replaced.
+never replaced. Its first step would always go left, after a compare with
+the multi-digit ``POS_SENTINEL``, so every descent (``search``, ``find``, the
+retry loops and fe's re-traversals) takes that step without the compare: it
+reads ``self.root`` once and starts at ``root.left``, with the root as pred.
 
 Writers never modify a node's key. An insert builds a fresh router above the
 reached leaf and swings one child pointer; a delete swings the grandparent's
@@ -33,8 +36,8 @@ ends, so a retry counts a real conflict, not GIL preemption.
 
 Every pass pays only what its protocol needs. The public operations test
 the key inline and call :func:`~cbst.core.check_key` only to raise its
-error. Each ``_insert`` builds its router and leaf from its own node
-classes, named directly, and fe's re-traversal is a loop of the same shape
+error. Each ``_insert`` builds its router and leaf with its own node
+builders, named directly, and fe's re-traversal is a loop of the same shape
 as the retry loops' descent.
 
 Variant summary::
@@ -56,7 +59,10 @@ fn and fe build ``LockedNode``s, which add one bare ``threading.Lock``, and
 fem's ``MarkedNode`` adds the ``marked`` flag to that. tn locks and stamps
 only routers, so its routers are ``StampedNode``s (a lock and a ``version``)
 and its leaves, sentinels included, are plain ``Node``s. A mark or a version
-is written only by the holder of its node's lock. Every node lock is taken
+is written only by the holder of its node's lock. No node class has an
+``__init__``: each has one builder (``new_node``, ``new_locked_node``,
+``new_marked_node``, ``new_stamped_node``) that calls ``object.__new__`` and
+sets every slot, which is cheaper than a class call. Every node lock is taken
 only with ``acquire(False)``; coarse's tree mutex and the retry counter's
 mutex are taken the same way, with a pause after each miss, so no thread
 ever blocks on a lock.
@@ -66,13 +72,13 @@ A benchmark prefill does not insert its keys one at a time.
 shared, the subtree those inserts would build, allocated in preorder so that
 a descent reads memory laid out along its path. A bare lock falls in the
 same 64-byte pymalloc size class as a ``Node`` and a ``LockedNode`` (CPython
-3.11), so a lock made by each node's constructor would take every other
-block and spread fn's and fe's nodes over about twice the pages that seq's
-take. The load therefore makes all the locks it needs first, in one batch,
-and hands one to each node it builds. Nodes built by an insert still make
-their own locks, so they alternate with them. The load takes no lock and
-moves no version, so tn's prefilled routers start at version 0 rather than
-at the number of commits the inserts would have made on them.
+3.11), so a lock made by each node's builder would take every other block
+and spread fn's and fe's nodes over about twice the pages that seq's take.
+The load therefore makes all the locks it needs first, in one batch, and
+hands one to each builder call. Nodes built by an insert still get their
+locks from their builders, so they alternate with them. The load takes no
+lock and moves no version, so tn's prefilled routers start at version 0
+rather than at the number of commits the inserts would have made on them.
 
 Nodes unlinked by a delete are never recycled in place: fn and fem leave
 pred and curr locked (fem also leaves them marked), and tn leaves the
@@ -155,16 +161,12 @@ def _link_locked_sibling(ppred, pright, pred, right):
 class Node:
     """One tree node. Leaves have both children None; key never changes.
 
-    It carries no lock: seq and coarse build every node from it, and tn
-    builds its leaves from it.
+    It carries no lock: seq and coarse build every node as one, and tn
+    builds its leaves as one. Like every node class it has no ``__init__``;
+    its builder ``new_node`` makes it.
     """
 
     __slots__ = ("key", "left", "right")
-
-    def __init__(self, key, left=None, right=None):
-        self.key = key
-        self.left = left
-        self.right = right
 
     def is_leaf(self) -> bool:
         return self.left is None
@@ -175,19 +177,9 @@ class Node:
 
 
 class LockedNode(Node):
-    """An fn or fe node: ``lock`` is its own bare ``threading.Lock``, made
-    here unless the caller hands one over (``TreeBase._load`` does)."""
+    """An fn or fe node: ``lock`` is its own bare ``threading.Lock``."""
 
     __slots__ = ("lock",)
-
-    # Node.__init__ is spelled out here and in each subclass, not called: an
-    # insert builds two nodes inside its control phase, and the extra call
-    # costs about 50 ns per node (super() about 180 ns; CPython 3.11, x86-64).
-    def __init__(self, key, left=None, right=None, lock=None):
-        self.key = key
-        self.left = left
-        self.right = right
-        self.lock = threading.Lock() if lock is None else lock
 
 
 class MarkedNode(LockedNode):
@@ -198,13 +190,6 @@ class MarkedNode(LockedNode):
 
     __slots__ = ("marked",)
 
-    def __init__(self, key, left=None, right=None, lock=None):
-        self.key = key
-        self.left = left
-        self.right = right
-        self.lock = threading.Lock() if lock is None else lock
-        self.marked = False
-
 
 class StampedNode(LockedNode):
     """A tn router: ``version`` counts the commits made under ``lock``. Only
@@ -212,12 +197,57 @@ class StampedNode(LockedNode):
 
     __slots__ = ("version",)
 
-    def __init__(self, key, left=None, right=None, lock=None):
-        self.key = key
-        self.left = left
-        self.right = right
-        self.lock = threading.Lock() if lock is None else lock
-        self.version = 0
+
+# One builder per node class, each the only way to make its nodes. A class
+# call runs type.__call__ and then __init__ in a frame of its own: with
+# timeit on CPython 3.11 (x86-64 Xeon) a Node took 185 ns that way and 151 ns
+# from its builder, a MarkedNode 292 and 253 ns, and an insert builds two
+# nodes inside its control phase. Each builder sets every slot itself
+# rather than call another builder, which would cost one more call per node:
+# a locked node gets a free lock, made here unless the caller hands one over
+# (``TreeBase._load`` does), a mark starts False and a version 0.
+_new = object.__new__
+
+
+def new_node(key, left=None, right=None):
+    """A ``Node``."""
+    node = _new(Node)
+    node.key = key
+    node.left = left
+    node.right = right
+    return node
+
+
+def new_locked_node(key, left=None, right=None, lock=None):
+    """A ``LockedNode`` holding ``lock``, or a new lock."""
+    node = _new(LockedNode)
+    node.key = key
+    node.left = left
+    node.right = right
+    node.lock = threading.Lock() if lock is None else lock
+    return node
+
+
+def new_marked_node(key, left=None, right=None, lock=None):
+    """An unmarked ``MarkedNode`` holding ``lock``, or a new lock."""
+    node = _new(MarkedNode)
+    node.key = key
+    node.left = left
+    node.right = right
+    node.lock = threading.Lock() if lock is None else lock
+    node.marked = False
+    return node
+
+
+def new_stamped_node(key, left=None, right=None, lock=None):
+    """A ``StampedNode`` at version 0 holding ``lock``, or a new lock."""
+    node = _new(StampedNode)
+    node.key = key
+    node.left = left
+    node.right = right
+    node.lock = threading.Lock() if lock is None else lock
+    node.version = 0
+    return node
 
 
 class Snapshot(NamedTuple):
@@ -240,10 +270,10 @@ class TreeBase:
     """Shared structure, descent, retry loops and bookkeeping for all variants."""
 
     variant = "base"
-    # The node classes of the sentinel frame and of ``_load``; each
-    # ``_insert`` names its own node classes directly.
-    _router = Node
-    _leaf = Node
+    # The node builders of the sentinel frame and of ``_load``; each
+    # ``_insert`` names its own builders directly.
+    _router = staticmethod(new_node)
+    _leaf = staticmethod(new_node)
 
     def __init__(self):
         leaf = self._leaf
@@ -265,8 +295,8 @@ class TreeBase:
         """
         check_key(key)
         ppred = None
-        pred = None
-        curr = self.root
+        pred = self.root
+        curr = pred.left
         while curr.left is not None:
             ppred = pred
             pred = curr
@@ -279,7 +309,7 @@ class TreeBase:
         """Optimistic membership test; never acquires a lock."""
         if type(key) is not int or not NEG_SENTINEL < key < POS_SENTINEL:
             check_key(key)
-        node = self.root
+        node = self.root.left
         # Reading node.left twice per level is safe: a router's children are
         # never None, and a leaf's never change.
         while node.left is not None:
@@ -294,7 +324,8 @@ class TreeBase:
         if type(key) is not int or not NEG_SENTINEL < key < POS_SENTINEL:
             check_key(key)
         while True:
-            curr = self.root
+            pred = self.root
+            curr = pred.left
             while curr.left is not None:
                 pred = curr
                 curr = curr.left if key < curr.key else curr.right
@@ -311,8 +342,10 @@ class TreeBase:
         if type(key) is not int or not NEG_SENTINEL < key < POS_SENTINEL:
             check_key(key)
         while True:
-            pred = None
-            curr = self.root
+            # A descent that takes no step reached the negative sentinel, so
+            # the pass ends before it reads ppred.
+            pred = self.root
+            curr = pred.left
             while curr.left is not None:
                 ppred = pred
                 pred = curr
@@ -375,12 +408,13 @@ class TreeBase:
             if stack:
                 right[stack[-1]] = rank
             stack.append(rank)
-        # One router and one leaf per key. A node of a locked class takes its
-        # lock from the batch by a C-level pop, so it costs no extra Python
-        # call; a plain Node is built as an insert builds it.
+        # One router and one leaf per key. The sentinel frame came from the
+        # same builders, so it shows which of them take a lock. A locked
+        # node is handed one from the batch by a C-level pop, so it costs no
+        # extra Python call; a plain Node is built as an insert builds it.
         router, leaf = self._router, self._leaf
-        rlocked = issubclass(router, LockedNode)
-        llocked = issubclass(leaf, LockedNode)
+        rlocked = hasattr(root, "lock")
+        llocked = hasattr(self._neg_leaf, "lock")
         count = (rlocked + llocked) * len(keys)
         locks = list(starmap(threading.Lock, repeat((), count)))
         take = locks.pop
@@ -466,9 +500,9 @@ class SeqTree(TreeBase):
         # The new router takes the larger of the two keys, so the smaller
         # one hangs on its left and a search for either routes correctly.
         if key < curr.key:
-            router = Node(curr.key, Node(key), curr)
+            router = new_node(curr.key, new_node(key), curr)
         else:
-            router = Node(key, curr, Node(key))
+            router = new_node(key, curr, new_node(key))
         _link(pred, key >= pred.key, router)
         return True
 
@@ -534,7 +568,7 @@ class FnTree(TreeBase):
     """
 
     variant = "fn"
-    _router = _leaf = LockedNode
+    _router = _leaf = staticmethod(new_locked_node)
 
     def _insert(self, key, pred, curr):
         plock = pred.lock
@@ -547,9 +581,9 @@ class FnTree(TreeBase):
         if (pred.right if right else pred.left) is not curr:
             return _abort(clock, plock)
         if key < curr.key:
-            router = LockedNode(curr.key, LockedNode(key), curr)
+            router = new_locked_node(curr.key, new_locked_node(key), curr)
         else:
-            router = LockedNode(key, curr, LockedNode(key))
+            router = new_locked_node(key, curr, new_locked_node(key))
         _link(pred, right, router)
         clock.release()
         plock.release()
@@ -592,22 +626,23 @@ class FeTree(TreeBase):
     """
 
     variant = "fe"
-    _router = _leaf = LockedNode
+    _router = _leaf = staticmethod(new_locked_node)
 
     def _insert(self, key, pred, curr):
         clock = curr.lock
         if not clock.acquire(False):
             return _abort()
-        fcurr = self.root
+        fpred = self.root
+        fcurr = fpred.left
         while fcurr.left is not None:
             fpred = fcurr
             fcurr = fcurr.left if key < fcurr.key else fcurr.right
         if fpred is not pred or fcurr is not curr:
             return _abort(clock)
         if key < curr.key:
-            router = LockedNode(curr.key, LockedNode(key), curr)
+            router = new_locked_node(curr.key, new_locked_node(key), curr)
         else:
-            router = LockedNode(key, curr, LockedNode(key))
+            router = new_locked_node(key, curr, new_locked_node(key))
         _link(pred, key >= pred.key, router)
         clock.release()
         return True
@@ -619,8 +654,10 @@ class FeTree(TreeBase):
         clock = curr.lock
         if not clock.acquire(False):
             return _abort(plock)
-        fpred = None
-        fcurr = self.root
+        # The loop takes no step when the tree was emptied since the descent.
+        fppred = None
+        fpred = self.root
+        fcurr = fpred.left
         while fcurr.left is not None:
             fppred = fpred
             fpred = fcurr
@@ -647,7 +684,7 @@ class FemTree(TreeBase):
     """
 
     variant = "fem"
-    _router = _leaf = MarkedNode
+    _router = _leaf = staticmethod(new_marked_node)
 
     def _insert(self, key, pred, curr):
         clock = curr.lock
@@ -657,9 +694,9 @@ class FemTree(TreeBase):
         if pred.marked or (pred.right if right else pred.left) is not curr:
             return _abort(clock)
         if key < curr.key:
-            router = MarkedNode(curr.key, MarkedNode(key), curr)
+            router = new_marked_node(curr.key, new_marked_node(key), curr)
         else:
-            router = MarkedNode(key, curr, MarkedNode(key))
+            router = new_marked_node(key, curr, new_marked_node(key))
         _link(pred, right, router)
         clock.release()
         return True
@@ -702,13 +739,15 @@ class TnTree(TreeBase):
     """
 
     variant = "tn"
-    _router = StampedNode
+    _router = staticmethod(new_stamped_node)
 
     def insert(self, key: int) -> bool:
         if type(key) is not int or not NEG_SENTINEL < key < POS_SENTINEL:
             check_key(key)
         while True:
-            curr = self.root
+            pred = self.root
+            pstamp = pred.version
+            curr = pred.left
             while curr.left is not None:
                 pred = curr
                 pstamp = curr.version
@@ -724,9 +763,11 @@ class TnTree(TreeBase):
         if type(key) is not int or not NEG_SENTINEL < key < POS_SENTINEL:
             check_key(key)
         while True:
-            pred = None
-            pstamp = 0
-            curr = self.root
+            # As in TreeBase.delete, a descent that takes no step ends the
+            # pass before ppred and gstamp are read.
+            pred = self.root
+            pstamp = pred.version
+            curr = pred.left
             while curr.left is not None:
                 ppred = pred
                 gstamp = pstamp
@@ -747,9 +788,9 @@ class TnTree(TreeBase):
         if pred.version != pstamp:
             return _abort(plock)
         if key < curr.key:
-            router = StampedNode(curr.key, Node(key), curr)
+            router = new_stamped_node(curr.key, new_node(key), curr)
         else:
-            router = StampedNode(key, curr, Node(key))
+            router = new_stamped_node(key, curr, new_node(key))
         _link(pred, key >= pred.key, router)
         pred.version += 1
         plock.release()

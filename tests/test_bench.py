@@ -148,23 +148,17 @@ class TestPrefill:
         made = []
         cls = type(new_tree(variant))
 
-        class Router(cls._router):
-            __slots__ = ()
+        def recording(build):
+            def record(*args):
+                node = build(*args)
+                made.append(node)
+                return node
 
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-        class Leaf(cls._leaf):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
+            return staticmethod(record)
 
         class Recording(cls):
-            _router = Router
-            _leaf = Leaf
+            _router = recording(cls._router)
+            _leaf = recording(cls._leaf)
 
         tree = Recording()
         frame = (tree.root, tree._neg_leaf, tree._pos_leaf)

@@ -24,13 +24,13 @@ from cbst.tree import (
     FemTree,
     FeTree,
     FnTree,
-    LockedNode,
-    MarkedNode,
-    Node,
-    StampedNode,
     TnTree,
     _abort,
     _link,
+    new_locked_node,
+    new_marked_node,
+    new_node,
+    new_stamped_node,
 )
 from cbst.verify import (
     DeadlockSuspectedError,
@@ -56,9 +56,9 @@ class FnInsertWithoutLinkCheck(FnTree):
         if not clock.acquire(False):
             return _abort(plock)
         if key < curr.key:
-            router = LockedNode(curr.key, LockedNode(key), curr)
+            router = new_locked_node(curr.key, new_locked_node(key), curr)
         else:
-            router = LockedNode(key, curr, LockedNode(key))
+            router = new_locked_node(key, curr, new_locked_node(key))
         _link(pred, key >= pred.key, router)
         clock.release()
         plock.release()
@@ -73,9 +73,9 @@ class FeInsertWithoutRetraversal(FeTree):
         if not clock.acquire(False):
             return _abort()
         if key < curr.key:
-            router = LockedNode(curr.key, LockedNode(key), curr)
+            router = new_locked_node(curr.key, new_locked_node(key), curr)
         else:
-            router = LockedNode(key, curr, LockedNode(key))
+            router = new_locked_node(key, curr, new_locked_node(key))
         _link(pred, key >= pred.key, router)
         clock.release()
         return True
@@ -91,8 +91,9 @@ class FeDeleteWithoutSiblingLock(FeTree):
         clock = curr.lock
         if not clock.acquire(False):
             return _abort(plock)
-        fpred = None
-        fcurr = self.root
+        fppred = None
+        fpred = self.root
+        fcurr = fpred.left
         while fcurr.left is not None:
             fppred = fpred
             fpred = fcurr
@@ -114,9 +115,9 @@ class FemInsertWithoutMarkAndLinkCheck(FemTree):
         if not clock.acquire(False):
             return _abort()
         if key < curr.key:
-            router = MarkedNode(curr.key, MarkedNode(key), curr)
+            router = new_marked_node(curr.key, new_marked_node(key), curr)
         else:
-            router = MarkedNode(key, curr, MarkedNode(key))
+            router = new_marked_node(key, curr, new_marked_node(key))
         _link(pred, key >= pred.key, router)
         clock.release()
         return True
@@ -131,9 +132,9 @@ class TnInsertWithoutStampCompare(TnTree):
         if not plock.acquire(False):
             return _abort()
         if key < curr.key:
-            router = StampedNode(curr.key, Node(key), curr)
+            router = new_stamped_node(curr.key, new_node(key), curr)
         else:
-            router = StampedNode(key, curr, Node(key))
+            router = new_stamped_node(key, curr, new_node(key))
         _link(pred, key >= pred.key, router)
         pred.version += 1
         plock.release()
@@ -151,9 +152,9 @@ class TnInsertWithoutVersionBump(TnTree):
         if pred.version != pstamp:
             return _abort(plock)
         if key < curr.key:
-            router = StampedNode(curr.key, Node(key), curr)
+            router = new_stamped_node(curr.key, new_node(key), curr)
         else:
-            router = StampedNode(key, curr, Node(key))
+            router = new_stamped_node(key, curr, new_node(key))
         _link(pred, key >= pred.key, router)
         plock.release()
         return True

@@ -1,6 +1,7 @@
 import ast
 import gc
 import random
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -20,6 +21,10 @@ from cbst.tree import (
     Node,
     Snapshot,
     StampedNode,
+    new_locked_node,
+    new_marked_node,
+    new_node,
+    new_stamped_node,
     new_tree,
 )
 from cbst.verify import check_structure
@@ -386,6 +391,47 @@ class TestOracleEquivalence:
         assert t.collect_leaf_keys() == oracle.contents()
         assert t.retry_count() == 0 and passes > 1000
 
+    @pytest.mark.parametrize("variant", ALL)
+    def test_descents_never_read_the_root_key(self, variant):
+        # Every application key is below the root's, so every descent (the
+        # retry loops, tn's included, search and fe's re-traversals) starts
+        # at root.left. The root's key is read only by a control phase that
+        # links under the root (insert's pred, delete's ppred), to pick the
+        # side.
+        t = new_tree(variant)
+        base = type(t.root)
+        watch = [True]
+        reads = []
+
+        def read_key(node):
+            if watch[-1]:
+                reads.append(sys._getframe(1).f_code.co_name)
+            return base.key.__get__(node)
+
+        t.root.__class__ = type("CountedRoot", (base,), {
+            "__slots__": (), "key": property(read_key),
+        })
+        assert t.root.key == POS_SENTINEL and len(reads) == 1
+        del reads[:]
+        for name in ("_insert", "_delete"):
+            def watched(key, top, *rest, control=getattr(t, name)):
+                watch.append(top is not t.root)
+                try:
+                    return control(key, top, *rest)
+                finally:
+                    watch.pop()
+
+            setattr(t, name, watched)
+        oracle = SeqOracle()
+        rng = random.Random(14)
+        # Four keys empty the tree often; 64 make it deep.
+        for key_range in (4, 64):
+            for i in range(2000):
+                op, key = draw_op(rng, 40, 40, key_range)
+                assert apply_op(t, op, key) == oracle.apply(op, key), (i, op, key)
+        assert reads == []
+        assert t.collect_leaf_keys() == oracle.contents()
+
 
 # The snapshot node whose lock each update pass takes first.
 FIRST_LOCKED = {
@@ -454,6 +500,9 @@ STALE_PASSES = [
     ("fe", "delete", 10, (15,), None),
     # an insert under ppred moved ppred's stamp
     ("tn", "delete", 10, (5,), None),
+    # the tree was emptied: the re-traversal starts at a leaf
+    ("fe", "insert", 25, (-10, -30), None),
+    ("fe", "delete", 10, (-10, -30), None),
 ]
 
 
@@ -475,12 +524,17 @@ class TestRollbackSites:
             else:
                 t.delete(-k)
         names = ("ppred", "pred", "curr")
-        held = [is_held(getattr(snap, n)) or getattr(getattr(snap, n), "marked", False)
-                for n in names]
-        assert held == [n == busy for n in names]
+
+        def held():
+            nodes = [getattr(snap, n) for n in names]
+            return [is_held(node) or getattr(node, "marked", False) for node in nodes]
+
+        assert held() == [n == busy for n in names]
         # Only the snapshot handed to the control phase is stale; fe's
         # re-traversal descends the tree as it is now.
         assert getattr(t, "_" + op)(*stale) is _RETRY
+        # The snapshot's nodes may have left the tree, so check them too.
+        assert held() == [n == busy for n in names]
         assert leaked_locks(t) == []
 
 
@@ -628,6 +682,58 @@ class TestLockPlumbing:
         assert saved >= 90, saved
 
 
+# Each builder and the class of the nodes it builds.
+BUILDERS = [
+    (new_node, Node),
+    (new_locked_node, LockedNode),
+    (new_marked_node, MarkedNode),
+    (new_stamped_node, StampedNode),
+]
+INITIAL = {"marked": False, "version": 0}
+
+
+def assert_fresh(node):
+    """Every slot of ``node`` is set, and to its initial value where it has
+    one: a free bare lock, no mark, version 0."""
+    for cls in type(node).__mro__:
+        for name in cls.__dict__.get("__slots__", ()):
+            value = getattr(node, name)
+            if name == "lock":
+                assert type(value) is BARE_LOCK and not value.locked(), node
+            elif name in INITIAL:
+                assert value is INITIAL[name], (node, name)
+
+
+class TestNodeBuilders:
+    """A builder is the only way to make a node, and it sets every slot."""
+
+    @pytest.mark.parametrize("build, cls", BUILDERS, ids=lambda b: b.__name__)
+    def test_builder_sets_every_slot(self, build, cls):
+        # As an insert calls it: a locked node's builder makes its lock.
+        right = new_node(9)
+        leaf = build(7)
+        router = build(9, leaf, right)
+        assert type(leaf) is cls and type(router) is cls
+        assert (leaf.key, leaf.left, leaf.right) == (7, None, None)
+        assert (router.key, router.left, router.right) == (9, leaf, right)
+        assert_fresh(leaf)
+        assert_fresh(router)
+        if build is not new_node:
+            assert leaf.lock is not router.lock
+            # As _load calls it: the lock is handed over.
+            lock = threading.Lock()
+            loaded = build(7, None, None, lock)
+            assert loaded.lock is lock
+            assert_fresh(loaded)
+
+    @pytest.mark.parametrize("cls", [cls for _, cls in BUILDERS],
+                             ids=lambda cls: cls.__name__)
+    def test_classes_have_no_init(self, cls):
+        assert "__init__" not in vars(cls)
+        with pytest.raises(TypeError):
+            cls(7)
+
+
 def test_tree_module_never_blocks_on_a_lock():
     # Every lock in tree.py is tried with acquire(False) and waited for
     # through pause(); a ``with`` or a blocking acquire would park the
@@ -651,11 +757,13 @@ def test_tree_module_never_blocks_on_a_lock():
 # The operations, their retry loops and the control phases: the code every
 # operation runs.
 HOT_PATHS = {"search", "insert", "delete", "_insert", "_delete"}
+NODE_CLASSES = {cls.__name__ for _, cls in BUILDERS}
 
 
 def test_hot_paths_pay_no_fixed_per_call_costs():
-    # A control phase names its node classes directly, fe re-traverses in
-    # place, and a key is tested inline with check_key called only to raise.
+    # A control phase names its node builders directly and calls no node
+    # class, fe re-traverses in place, and a key is tested inline with
+    # check_key called only to raise.
     module = ast.parse(Path(cbst.tree.__file__).read_text(encoding="utf-8"))
     seen = set()
     costs = []
@@ -688,6 +796,12 @@ def test_hot_paths_pay_no_fixed_per_call_costs():
                     and id(node) not in raising
                 ):
                     costs.append((cls.name, fn.name, node.lineno, "check_key"))
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in NODE_CLASSES
+                ):
+                    costs.append((cls.name, fn.name, node.lineno, node.func.id))
     assert seen == HOT_PATHS
     assert costs == []
 
@@ -819,7 +933,7 @@ class TestCollectLeafKeys:
         t = new_tree("seq")
         t.insert(5)
         t.insert(9)
-        bad = Node(999)
+        bad = new_node(999)
         t.find(5).pred.left = bad
         rep = check_structure(t)
         assert not rep.ok
