@@ -62,10 +62,11 @@ and its leaves, sentinels included, are plain ``Node``s. A mark or a version
 is written only by the holder of its node's lock. No node class has an
 ``__init__``: each has one builder (``new_node``, ``new_locked_node``,
 ``new_marked_node``, ``new_stamped_node``) that calls ``object.__new__`` and
-sets every slot, which is cheaper than a class call. Every node lock is taken
-only with ``acquire(False)``; coarse's tree mutex and the retry counter's
-mutex are taken the same way, with a pause after each miss, so no thread
-ever blocks on a lock.
+sets every slot, which is cheaper than a class call. All four take ``(key,
+left=None, right=None, lock=None)``; ``new_node`` ignores the lock. Every
+node lock, and coarse's tree mutex, is taken only with ``acquire(False)``
+and a pause after each miss, so no thread ever blocks on a lock. Retries are
+counted per thread, so counting takes no lock.
 
 A benchmark prefill does not insert its keys one at a time.
 ``TreeBase._load`` hangs under the root of an empty tree, before the tree is
@@ -75,7 +76,8 @@ same 64-byte pymalloc size class as a ``Node`` and a ``LockedNode`` (CPython
 3.11), so a lock made by each node's builder would take every other block
 and spread fn's and fe's nodes over about twice the pages that seq's take.
 The load therefore makes all the locks it needs first, in one batch, and
-hands one to each builder call. Nodes built by an insert still get their
+calls every builder with the lock drawn for it: the batch's next lock for a
+locked node, None for a plain one. Nodes built by an insert still get their
 locks from their builders, so they alternate with them. The load takes no
 lock and moves no version, so tn's prefilled routers start at version 0
 rather than at the number of commits the inserts would have made on them.
@@ -209,8 +211,8 @@ class StampedNode(LockedNode):
 _new = object.__new__
 
 
-def new_node(key, left=None, right=None):
-    """A ``Node``."""
+def new_node(key, left=None, right=None, lock=None):
+    """A ``Node``; it has no lock slot, so ``lock`` is ignored."""
     node = _new(Node)
     node.key = key
     node.left = left
@@ -280,8 +282,7 @@ class TreeBase:
         self._neg_leaf = leaf(NEG_SENTINEL)
         self._pos_leaf = leaf(POS_SENTINEL)
         self.root = self._router(POS_SENTINEL, self._neg_leaf, self._pos_leaf)
-        self._retries = 0
-        self._retry_mu = threading.Lock()
+        self._retries = {}  # thread ident -> its failed passes
 
     # -- descent ---------------------------------------------------------
 
@@ -358,15 +359,15 @@ class TreeBase:
             pause()
 
     def _count_retry(self):
-        mu = self._retry_mu
-        while not mu.acquire(False):
-            pause()
-        self._retries += 1
-        mu.release()
+        """Count a failed pass in this thread's own entry: exact, no lock."""
+        retries = self._retries
+        me = threading.get_ident()
+        retries[me] = retries.get(me, 0) + 1
 
     def retry_count(self) -> int:
         """Total failed validation/lock passes since construction."""
-        return self._retries
+        # copy() is one C call, so no thread can resize the dict mid-sum.
+        return sum(self._retries.copy().values())
 
     # -- bulk load --------------------------------------------------------
 
@@ -386,11 +387,11 @@ class TreeBase:
 
         The nodes are allocated in preorder, each leaf when its slot is
         reached, so that a descent reads memory laid out along its path.
-        The locks come first, in one batch, and each node of a locked class
-        is handed one: a lock shares the nodes' pymalloc size class, so
-        locks made between them would take every other block (see the
-        module docstring). Nothing is locked and no version moves: the tree
-        is not shared yet.
+        The locks come first, in one batch, and every builder call is handed
+        the lock drawn for it, None for a plain ``Node``: a lock shares the
+        nodes' pymalloc size class, so locks made between them would take
+        every other block (see the module docstring). Nothing is locked and
+        no version moves: the tree is not shared yet.
         """
         root = self.root
         if root.left is not self._neg_leaf:
@@ -409,24 +410,20 @@ class TreeBase:
                 right[stack[-1]] = rank
             stack.append(rank)
         # One router and one leaf per key. The sentinel frame came from the
-        # same builders, so it shows which of them take a lock. A locked
-        # node is handed one from the batch by a C-level pop, so it costs no
-        # extra Python call; a plain Node is built as an insert builds it.
+        # same builders, so it shows which of them take a lock. A locked node
+        # is handed the batch's next lock by a C-level pop, a plain one None.
         router, leaf = self._router, self._leaf
         rlocked = hasattr(root, "lock")
         llocked = hasattr(self._neg_leaf, "lock")
         count = (rlocked + llocked) * len(keys)
         locks = list(starmap(threading.Lock, repeat((), count)))
-        take = locks.pop
+        rlock = locks.pop if rlocked else repeat(None).__next__
+        llock = locks.pop if llocked else repeat(None).__next__
         # Iterative preorder from the first key's router. Each spine of left
         # children is allocated on the way down; its lowest left slot takes
         # the leaf of the key where the spine hangs (the negative sentinel
         # under the root), and every right slot waits on ``todo``.
-        if rlocked:
-            node = router(keys[0], None, None, take())
-        else:
-            node = router(keys[0])
-        root.left = node
+        root.left = node = router(keys[0], None, None, rlock())
         rank = 0
         low = None
         todo = []
@@ -435,35 +432,20 @@ class TreeBase:
                 todo.append((node, right[rank]))
                 rank = left[rank]
                 if rank < 0:
-                    if low is None:
-                        node.left = self._neg_leaf
-                    elif llocked:
-                        node.left = leaf(low, None, None, take())
-                    else:
-                        node.left = leaf(low)
+                    node.left = self._neg_leaf if low is None else leaf(low, None, None, llock())
                     break
-                if rlocked:
-                    child = router(keys[rank], None, None, take())
-                else:
-                    child = router(keys[rank])
+                child = router(keys[rank], None, None, rlock())
                 node.left = child
                 node = child
             while todo:
                 parent, rank = todo.pop()
                 if rank >= 0:
                     break
-                if llocked:
-                    parent.right = leaf(parent.key, None, None, take())
-                else:
-                    parent.right = leaf(parent.key)
+                parent.right = leaf(parent.key, None, None, llock())
             else:
                 return
             low = parent.key
-            if rlocked:
-                node = router(keys[rank], None, None, take())
-            else:
-                node = router(keys[rank])
-            parent.right = node
+            parent.right = node = router(keys[rank], None, None, rlock())
 
     # -- quiescent inspection ---------------------------------------------
 
@@ -511,6 +493,21 @@ class SeqTree(TreeBase):
         return True
 
 
+def _serialised(op):
+    """``op`` run under coarse's tree mutex, tried like a node lock."""
+
+    def serialised(self, key):
+        big = self._big
+        while not big.acquire(False):
+            pause()
+        try:
+            return op(self, key)
+        finally:
+            big.release()
+
+    return serialised
+
+
 class CoarseTree(SeqTree):
     """One tree-wide mutex around every operation, searches included.
 
@@ -528,32 +525,9 @@ class CoarseTree(SeqTree):
         super().__init__()
         self._big = threading.Lock()
 
-    def search(self, key: int) -> bool:
-        big = self._big
-        while not big.acquire(False):
-            pause()
-        try:
-            return SeqTree.search(self, key)
-        finally:
-            big.release()
-
-    def insert(self, key: int) -> bool:
-        big = self._big
-        while not big.acquire(False):
-            pause()
-        try:
-            return TreeBase.insert(self, key)
-        finally:
-            big.release()
-
-    def delete(self, key: int) -> bool:
-        big = self._big
-        while not big.acquire(False):
-            pause()
-        try:
-            return TreeBase.delete(self, key)
-        finally:
-            big.release()
+    search = _serialised(TreeBase.search)
+    insert = _serialised(TreeBase.insert)
+    delete = _serialised(TreeBase.delete)
 
 
 class FnTree(TreeBase):

@@ -1,11 +1,11 @@
 """Recorded run_stress runs catch one-line protocol mutants.
 
-Each mutant is a tree subclass whose ``_insert`` or ``_delete`` drops one
-validation or lock step of its variant's control phase. A recorded run of
-4 threads x 2,000 operations over 12 keys at 40/30/30 is decided by
-``check_structure`` and by ``check_linearizable`` ending at the final
-contents. A run that hangs is caught too, as ``cbst check`` reports it.
-Each mutant must be caught within its own fixed seed range, and the
+Each mutant is a tree subclass whose ``_insert`` or ``_delete`` is its
+variant's own control phase with one validation or lock step dropped. A
+recorded run of 4 threads x 2,000 operations over 12 keys at 40/30/30 is
+decided by ``check_structure`` and by ``check_linearizable`` ending at the
+final contents. A run that hangs is caught too, as ``cbst check`` reports
+it. Each mutant must be caught within its own fixed seed range, and the
 unmutated trees must pass every seed of those ranges, which pins both
 detection and the false-positive rate.
 
@@ -13,6 +13,8 @@ fem's delete with its sibling wait skipped is left out: about a third of
 its runs hang until the timeout.
 """
 
+import inspect
+import textwrap
 import threading
 from dataclasses import replace
 
@@ -20,18 +22,7 @@ import pytest
 
 import cbst.tree
 import cbst.verify
-from cbst.tree import (
-    FemTree,
-    FeTree,
-    FnTree,
-    TnTree,
-    _abort,
-    _link,
-    new_locked_node,
-    new_marked_node,
-    new_node,
-    new_stamped_node,
-)
+from cbst.tree import FemTree, FeTree, FnTree, TnTree
 from cbst.verify import (
     DeadlockSuspectedError,
     StressConfig,
@@ -45,134 +36,57 @@ CONFIG = StressConfig(threads=4, key_range=12, insert_pct=40, delete_pct=30,
                       search_pct=30, ops_per_thread=2000, timeout_s=10)
 
 
-class FnInsertWithoutLinkCheck(FnTree):
-    """Commits without re-checking that pred still points at curr."""
+def mutant(name, base, method, snippet, replacement):
+    """A subclass of ``base`` named ``name`` whose ``method`` is base's own,
+    rebuilt from its source with ``snippet`` replaced.
 
-    def _insert(self, key, pred, curr):
-        plock = pred.lock
-        if not plock.acquire(False):
-            return _abort()
-        clock = curr.lock
-        if not clock.acquire(False):
-            return _abort(plock)
-        if key < curr.key:
-            router = new_locked_node(curr.key, new_locked_node(key), curr)
-        else:
-            router = new_locked_node(key, curr, new_locked_node(key))
-        _link(pred, key >= pred.key, router)
-        clock.release()
-        plock.release()
-        return True
+    The method is compiled with ``cbst.tree``'s module dict as its globals,
+    so it sees every patch made there, as the real one does. ``snippet``
+    must occur exactly once, so an edit of the method that moves it fails
+    here, naming the mutant, instead of testing a different mutation.
+    """
+    source = textwrap.dedent(inspect.getsource(getattr(base, method)))
+    found = source.count(snippet)
+    assert found == 1, f"{name}: {snippet!r} occurs {found} times in {base.__name__}.{method}"
+    namespace = {}
+    exec(source.replace(snippet, replacement), vars(cbst.tree), namespace)
+    return type(name, (base,), {method: namespace[method]})
 
 
-class FeInsertWithoutRetraversal(FeTree):
-    """Commits under the leaf's lock without descending again."""
-
-    def _insert(self, key, pred, curr):
-        clock = curr.lock
-        if not clock.acquire(False):
-            return _abort()
-        if key < curr.key:
-            router = new_locked_node(curr.key, new_locked_node(key), curr)
-        else:
-            router = new_locked_node(key, curr, new_locked_node(key))
-        _link(pred, key >= pred.key, router)
-        clock.release()
-        return True
-
-
-class FeDeleteWithoutSiblingLock(FeTree):
-    """Splices pred's other child into ppred without locking it."""
-
-    def _delete(self, key, ppred, pred, curr):
-        plock = pred.lock
-        if not plock.acquire(False):
-            return _abort()
-        clock = curr.lock
-        if not clock.acquire(False):
-            return _abort(plock)
-        fppred = None
-        fpred = self.root
-        fcurr = fpred.left
-        while fcurr.left is not None:
-            fppred = fpred
-            fpred = fcurr
-            fcurr = fcurr.left if key < fcurr.key else fcurr.right
-        if fppred is not ppred or fpred is not pred or fcurr is not curr:
-            return _abort(clock, plock)
-        _link(ppred, key >= ppred.key, pred.left if key >= pred.key else pred.right)
-        clock.release()
-        plock.release()
-        return True
-
-
-class FemInsertWithoutMarkAndLinkCheck(FemTree):
-    """Commits under the leaf's lock without looking at pred's mark or
-    link."""
-
-    def _insert(self, key, pred, curr):
-        clock = curr.lock
-        if not clock.acquire(False):
-            return _abort()
-        if key < curr.key:
-            router = new_marked_node(curr.key, new_marked_node(key), curr)
-        else:
-            router = new_marked_node(key, curr, new_marked_node(key))
-        _link(pred, key >= pred.key, router)
-        clock.release()
-        return True
-
-
-class TnInsertWithoutStampCompare(TnTree):
-    """Commits under pred's lock without comparing its version with the
-    descent's stamp."""
-
-    def _insert(self, key, pred, pstamp, curr):
-        plock = pred.lock
-        if not plock.acquire(False):
-            return _abort()
-        if key < curr.key:
-            router = new_stamped_node(curr.key, new_node(key), curr)
-        else:
-            router = new_stamped_node(key, curr, new_node(key))
-        _link(pred, key >= pred.key, router)
-        pred.version += 1
-        plock.release()
-        return True
-
-
-class TnInsertWithoutVersionBump(TnTree):
-    """Commits without bumping pred's version, so a stale stamp still
-    matches."""
-
-    def _insert(self, key, pred, pstamp, curr):
-        plock = pred.lock
-        if not plock.acquire(False):
-            return _abort()
-        if pred.version != pstamp:
-            return _abort(plock)
-        if key < curr.key:
-            router = new_stamped_node(curr.key, new_node(key), curr)
-        else:
-            router = new_stamped_node(key, curr, new_node(key))
-        _link(pred, key >= pred.key, router)
-        plock.release()
-        return True
-
-
-# Each mutant's seeds. With a CPU free for the threads waiting on the GIL
-# (2 vCPUs, CPython 3.11), a run caught fn's mutant about one time in four,
-# fem's and tn's about one in two and fe's nearly always. At half those
-# rates, each range still misses its mutant in under one run in 8,000.
-# When no CPU is free a waiter cannot ask for the GIL, threads switch only
-# every few milliseconds, and catches fall to a few in a hundred runs.
+# One row per mutant, (name, base, method, snippet, replacement, seeds): the
+# mutant drops one step and must be caught within its seeds. With a CPU free
+# for the threads waiting on the GIL (2 vCPUs, CPython 3.11), a run caught
+# fn's mutant about one time in four, fem's and tn's about one in two and
+# fe's nearly always. At half those rates, each range still misses its
+# mutant in under one run in 8,000. When no CPU is free a waiter cannot ask
+# for the GIL, threads switch only every few milliseconds, and catches fall
+# to a few in a hundred runs.
 MUTANTS = {
-    FnInsertWithoutLinkCheck: range(60),
-    FeInsertWithoutRetraversal: range(20),
-    FeDeleteWithoutSiblingLock: range(20),
-    FemInsertWithoutMarkAndLinkCheck: range(40),
-    TnInsertWithoutStampCompare: range(40),
-    TnInsertWithoutVersionBump: range(40),
+    mutant(*row): seeds
+    for *row, seeds in [
+        # Commits without re-checking that pred still points at curr.
+        ("FnInsertWithoutLinkCheck", FnTree, "_insert",
+         "(pred.right if right else pred.left) is not curr", "False", range(60)),
+        # Commits under the leaf's lock whatever the re-traversal found.
+        ("FeInsertWithoutRetraversal", FeTree, "_insert",
+         "fpred is not pred or fcurr is not curr", "False", range(20)),
+        # Splices pred's other child into ppred without locking it.
+        ("FeDeleteWithoutSiblingLock", FeTree, "_delete",
+         "_link_locked_sibling(ppred, key >= ppred.key, pred, key >= pred.key)",
+         "_link(ppred, key >= ppred.key, pred.left if key >= pred.key else pred.right)",
+         range(20)),
+        # Commits under the leaf's lock without looking at pred's mark or link.
+        ("FemInsertWithoutMarkAndLinkCheck", FemTree, "_insert",
+         "pred.marked or (pred.right if right else pred.left) is not curr", "False",
+         range(40)),
+        # Commits under pred's lock without comparing its version with the
+        # descent's stamp.
+        ("TnInsertWithoutStampCompare", TnTree, "_insert",
+         "pred.version != pstamp", "False", range(40)),
+        # Commits without bumping pred's version, so a stale stamp still matches.
+        ("TnInsertWithoutVersionBump", TnTree, "_insert",
+         "pred.version += 1", "pass", range(40)),
+    ]
 }
 
 

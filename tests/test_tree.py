@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import cbst.tree
 from cbst.bench import WorkloadSpec, prefill
-from cbst.core import NEG_SENTINEL, POS_SENTINEL, OpKind, SeqOracle, draw_op
+from cbst.core import NEG_SENTINEL, POS_SENTINEL, OpKind, SeqOracle, draw_op, run_threads
 from cbst.tree import (
     _RETRY,
     CONCURRENT_VARIANTS,
@@ -480,6 +480,22 @@ class TestRetryPause:
         assert calls == [True]
         assert leaked_locks(t) == []
 
+    def test_count_is_exact_and_takes_no_lock(self, monkeypatch):
+        # At a 1 us switch interval, switches fall inside _count_retry. A
+        # counter guarded by a lock tried like a node lock would pause each
+        # time a switch left another thread holding it.
+        t = new_tree("fn")
+        pauses = []
+        monkeypatch.setattr(cbst.tree, "pause", lambda: pauses.append(True))
+
+        def count(tid, start_ns):
+            for _ in range(20_000):
+                t._count_retry()
+
+        assert run_threads(count, 4, 60, switch_interval=1e-6) == []
+        assert t.retry_count() == 80_000
+        assert pauses == []
+
 
 # Stale passes: (variant, op, key, moves, busy). The pass for ``key`` runs
 # on a snapshot taken from a tree holding 10 and 30, after ``moves`` (k
@@ -718,13 +734,17 @@ class TestNodeBuilders:
         assert (router.key, router.left, router.right) == (9, leaf, right)
         assert_fresh(leaf)
         assert_fresh(router)
-        if build is not new_node:
+        # As _load calls it, with a lock handed over; new_node ignores it.
+        lock = threading.Lock()
+        loaded = build(9, leaf, right, lock)
+        assert type(loaded) is cls
+        assert (loaded.key, loaded.left, loaded.right) == (9, leaf, right)
+        assert_fresh(loaded)
+        if build is new_node:
+            assert not hasattr(loaded, "lock")
+        else:
             assert leaf.lock is not router.lock
-            # As _load calls it: the lock is handed over.
-            lock = threading.Lock()
-            loaded = build(7, None, None, lock)
             assert loaded.lock is lock
-            assert_fresh(loaded)
 
     @pytest.mark.parametrize("cls", [cls for _, cls in BUILDERS],
                              ids=lambda cls: cls.__name__)
@@ -752,6 +772,41 @@ def test_tree_module_never_blocks_on_a_lock():
             if not (isinstance(first, ast.Constant) and first.value is False):
                 blocking.append((node.lineno, "acquire"))
     assert blocking == []
+
+
+# The only code that may make a lock: the locked nodes' builders, the bulk
+# load's batch and coarse's tree mutex.
+LOCK_MAKERS = {
+    "new_locked_node", "new_marked_node", "new_stamped_node", "TreeBase._load",
+    "CoarseTree.__init__",
+}
+
+
+def test_tree_module_makes_only_protocol_locks():
+    # A lock that no protocol needs, such as one guarding a counter, would
+    # be taken on paths that should cost no more than a search. Every use of
+    # ``threading`` but get_ident is recorded with the function it is in.
+    module = ast.parse(Path(cbst.tree.__file__).read_text(encoding="utf-8"))
+    made = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "threading"
+                and child.attr != "get_ident"
+            ):
+                made.add((where, child.attr))
+            elif isinstance(child, ast.ImportFrom) and child.module == "threading":
+                made.add((where, "import"))
+            visit(child, where)
+
+    visit(module, "")
+    assert made == {(name, "Lock") for name in LOCK_MAKERS}
 
 
 # The operations, their retry loops and the control phases: the code every
