@@ -47,7 +47,7 @@ Variant summary::
     seq     none (single thread only)      none
     coarse  one tree-wide mutex, tried     none
             like a node lock
-    fn      node locks on ppred/pred/curr  child links re-checked
+    fn      node locks on ppred/pred       pred->curr link re-checked
     fe      node locks on pred/curr/sib.   fresh root-to-leaf re-traversal
     fem     node locks plus a node mark    mark checks plus link re-checks
             on pred/curr
@@ -55,17 +55,17 @@ Variant summary::
 
 Each variant's nodes hold only the state its protocol touches. seq and
 coarse build every node as a plain ``Node``: a key and two child pointers.
-fn and fe build ``LockedNode``s, which add one bare ``threading.Lock``, and
-fem's ``MarkedNode`` adds the ``marked`` flag to that. tn locks and stamps
-only routers, so its routers are ``StampedNode``s (a lock and a ``version``)
-and its leaves, sentinels included, are plain ``Node``s. A mark or a version
-is written only by the holder of its node's lock. No node class has an
-``__init__``: each has one builder (``new_node``, ``new_locked_node``,
+fe builds ``LockedNode``s, which add one bare ``threading.Lock``, and fem's
+``MarkedNode`` adds the ``marked`` flag to that. fn and tn lock only routers,
+so their leaves, sentinels included, are plain ``Node``s; fn's routers are
+``LockedNode``s and tn's ``StampedNode``s (a lock and a ``version``). A mark
+or a version is written only by the holder of its node's lock. No node class
+has an ``__init__``: each has one builder (``new_node``, ``new_locked_node``,
 ``new_marked_node``, ``new_stamped_node``) that calls ``object.__new__`` and
 sets every slot, which is cheaper than a class call. All four take ``(key,
 left=None, right=None, lock=None)``; ``new_node`` ignores the lock. Every
-node lock, and coarse's tree mutex, is taken only with ``acquire(False)``
-and a pause after each miss, so no thread ever blocks on a lock. Retries are
+node lock, and coarse's tree mutex, is taken only with ``acquire(False)`` and
+a pause after each miss, so no thread ever blocks on a lock. Retries are
 counted per thread, so counting takes no lock.
 
 A benchmark prefill does not insert its keys one at a time.
@@ -74,7 +74,7 @@ shared, the subtree those inserts would build, allocated in preorder so that
 a descent reads memory laid out along its path. A bare lock falls in the
 same 64-byte pymalloc size class as a ``Node`` and a ``LockedNode`` (CPython
 3.11), so a lock made by each node's builder would take every other block
-and spread fn's and fe's nodes over about twice the pages that seq's take.
+and spread the locked nodes over up to twice the pages that seq's take.
 The load therefore makes all the locks it needs first, in one batch, and
 calls every builder with the lock drawn for it: the batch's next lock for a
 locked node, None for a plain one. Nodes built by an insert still get their
@@ -82,13 +82,14 @@ locks from their builders, so they alternate with them. The load takes no
 lock and moves no version, so tn's prefilled routers start at version 0
 rather than at the number of commits the inserts would have made on them.
 
-Nodes unlinked by a delete are never recycled in place: fn and fem leave
-pred and curr locked (fem also leaves them marked), and tn leaves the
-retired pred locked with its version frozen, so a stale operation that
-still points at them fails its lock or validation step and retries from the
-root. fe releases them; its re-traversal never finds them again. The
-unlinked nodes themselves stay readable for as long as any in-flight
-traversal can reach them; reclamation is left to reference counting.
+Nodes unlinked by a delete are never recycled in place: fn leaves the
+retired pred locked, fem leaves pred and curr locked and marked, and tn
+leaves the retired pred locked with its version frozen, so a stale
+operation that still points at them fails its lock or validation step and
+retries from the root. fe releases them; its re-traversal never finds them
+again. The unlinked nodes themselves stay readable for as long as any
+in-flight traversal can reach them; reclamation is left to reference
+counting.
 """
 
 from __future__ import annotations
@@ -163,8 +164,8 @@ def _link_locked_sibling(ppred, pright, pred, right):
 class Node:
     """One tree node. Leaves have both children None; key never changes.
 
-    It carries no lock: seq and coarse build every node as one, and tn
-    builds its leaves as one. Like every node class it has no ``__init__``;
+    It carries no lock: seq and coarse build every node as one, and fn and
+    tn build their leaves as one. Like every node class it has no ``__init__``;
     its builder ``new_node`` makes it.
     """
 
@@ -179,7 +180,7 @@ class Node:
 
 
 class LockedNode(Node):
-    """An fn or fe node: ``lock`` is its own bare ``threading.Lock``."""
+    """An fe node or an fn router; ``lock`` is a bare ``threading.Lock``."""
 
     __slots__ = ("lock",)
 
@@ -531,35 +532,42 @@ class CoarseTree(SeqTree):
 
 
 class FnTree(TreeBase):
-    """Per-node locks on every snapshot node.
+    """Per-node locks on the routers above the reached leaf.
 
-    insert locks pred then curr; delete locks ppred, pred, then curr, always
-    top-down so lock chains run toward the leaves and cannot cycle. With all
-    touched nodes held, validation is a pair of child-link re-checks, and the
-    sibling can be read directly because nothing can move it while pred's
-    lock is held. Unlinked nodes stay locked forever, so a lockable node is
-    always still reachable.
+    insert locks pred; delete locks ppred, then pred, top-down so lock
+    chains run toward the leaves and cannot cycle. Each then re-checks only
+    the link from pred to curr. Only routers are locked, so they are
+    ``LockedNode``s and the leaves, sentinels included, plain ``Node``s.
+
+    Why that suffices:
+
+    * A router leaves the tree only as some delete's pred, and that delete
+      never releases it. So a router whose acquire succeeds is reachable,
+      and it stays reachable while it is held.
+    * The edge into a router changes only when its parent is retired, or
+      the router itself. So holding ppred and pred pins ppred->pred: the
+      link the descent read is still there, and no re-check is needed.
+    * Every change to the edge into a leaf holds the leaf's parent's lock:
+      an insert holds pred over curr, and a delete holds pred while it
+      splices pred's other child up and retires curr. So holding pred pins
+      pred->curr once re-checked, and a lock on curr would guard nothing.
     """
 
     variant = "fn"
-    _router = _leaf = staticmethod(new_locked_node)
+    _router = staticmethod(new_locked_node)
 
     def _insert(self, key, pred, curr):
         plock = pred.lock
         if not plock.acquire(False):
             return _abort()
-        clock = curr.lock
-        if not clock.acquire(False):
-            return _abort(plock)
         right = key >= pred.key
         if (pred.right if right else pred.left) is not curr:
-            return _abort(clock, plock)
+            return _abort(plock)
         if key < curr.key:
-            router = new_locked_node(curr.key, new_locked_node(key), curr)
+            router = new_locked_node(curr.key, new_node(key), curr)
         else:
-            router = new_locked_node(key, curr, new_locked_node(key))
+            router = new_locked_node(key, curr, new_node(key))
         _link(pred, right, router)
-        clock.release()
         plock.release()
         return True
 
@@ -570,20 +578,13 @@ class FnTree(TreeBase):
         plock = pred.lock
         if not plock.acquire(False):
             return _abort(glock)
-        clock = curr.lock
-        if not clock.acquire(False):
-            return _abort(plock, glock)
-        pright = key >= ppred.key
         right = key >= pred.key
-        if (
-            (ppred.right if pright else ppred.left) is not pred
-            or (pred.right if right else pred.left) is not curr
-        ):
-            return _abort(clock, plock, glock)
-        _link(ppred, pright, pred.left if right else pred.right)
+        if (pred.right if right else pred.left) is not curr:
+            return _abort(plock, glock)
+        _link(ppred, key >= ppred.key, pred.left if right else pred.right)
         glock.release()
-        # pred and curr leave the tree still locked, so any operation
-        # still pointing at them fails its acquire and retries.
+        # pred leaves the tree still locked, so any operation still
+        # pointing at it fails its acquire and retries.
         return True
 
 

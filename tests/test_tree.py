@@ -503,8 +503,9 @@ class TestRetryPause:
 # node the moves left held; with None every node is free and unmarked, so
 # only a validation step can fail the pass.
 STALE_PASSES = [
-    # curr (leaf 10) retired, still locked, under a new parent
-    ("fn", "insert", 25, (15, -10), "curr"),
+    # curr (leaf 10) retired under a new parent; fn leaves carry no lock, so
+    # the link re-check fails the pass
+    ("fn", "insert", 25, (15, -10), None),
     # leaf 10 split: pred's child is now a new router
     ("fn", "insert", 25, (15,), None),
     ("fn", "delete", 10, (15,), None),
@@ -523,9 +524,9 @@ STALE_PASSES = [
 
 
 class TestRollbackSites:
-    """Passes on stale snapshots: every pass's validation step, and fn
-    insert's busy curr lock, which threaded runs seldom reach. Each pass
-    must fail and leave no reachable node held or marked."""
+    """Passes on stale snapshots: every pass's validation step, which
+    threaded runs seldom reach. Each pass must fail and leave no reachable
+    node held or marked."""
 
     @pytest.mark.parametrize("variant, op, key, moves, busy", STALE_PASSES)
     def test_stale_pass_rolls_back(self, variant, op, key, moves, busy):
@@ -568,12 +569,15 @@ class TestRetirementBookkeeping:
             assert node.lock.acquire(False) is False
 
     def test_fn_delete_keeps_flags_held(self):
+        # The retired router stays locked; the leaf has no lock to hold.
         t = new_tree("fn")
         t.insert(5)
         s = t.find(5)
         pred, curr = s.pred, s.curr
         assert t.delete(5)
-        assert pred.lock.locked() and curr.lock.locked()
+        assert pred.lock.locked()
+        assert pred.lock.acquire(False) is False
+        assert type(curr) is Node and not hasattr(curr, "lock")
 
     def test_fe_delete_releases_flags(self):
         t = new_tree("fe")
@@ -638,10 +642,21 @@ class TestLockPlumbing:
 
     @pytest.mark.parametrize("variant", ["fn", "fe"])
     def test_flag_variants_use_locked_nodes_with_bare_locks(self, variant):
-        for node in reachable(_grown(variant)):
+        # fe locks every node. fn locks only routers, so, as in tn, its
+        # leaves, sentinels included, are plain nodes.
+        t = _grown(variant)
+        assert type(t.root) is LockedNode
+        leaves = 0
+        for node in reachable(t):
+            if variant == "fn" and node.left is None:
+                leaves += 1
+                assert type(node) is Node and not hasattr(node, "lock")
+                continue
             assert type(node) is LockedNode
             assert type(node.lock) is BARE_LOCK
             assert not hasattr(node, "marked") and not hasattr(node, "version")
+        # Both sentinels and the three keys.
+        assert leaves == {"fn": 5, "fe": 0}[variant]
 
     def test_seq_nodes_carry_no_locks(self):
         # Nor do coarse's: its one lock is the tree mutex.
@@ -653,7 +668,7 @@ class TestLockPlumbing:
     @pytest.mark.parametrize("variant", ALL)
     def test_loaded_nodes_own_free_locks(self, variant):
         # A bulk load hands each locked node a lock from one batch. Two nodes
-        # handed the same lock would make fn's three-lock delete retry for
+        # handed the same lock would make fn's two-lock delete retry for
         # ever.
         t = new_tree(variant)
         prefill(t, WorkloadSpec(10, 10, 80, key_range=1000), seed=4)
@@ -662,7 +677,8 @@ class TestLockPlumbing:
         assert len(nodes) == 3 + 2 * 500
         locks = []
         for node in nodes:
-            if variant in ("seq", "coarse") or (variant == "tn" and node.left is None):
+            plain_leaf = variant in ("fn", "tn") and node.left is None
+            if variant in ("seq", "coarse") or plain_leaf:
                 assert type(node) is Node and not hasattr(node, "lock")
                 continue
             assert type(node.lock) is BARE_LOCK
@@ -673,7 +689,9 @@ class TestLockPlumbing:
                 assert node.marked is False
             elif variant == "tn":
                 assert node.version == 0
-        assert len(locks) == {"seq": 0, "coarse": 0, "tn": 501}.get(variant, 1003)
+        # fn and tn lock only their 501 routers; fe and fem every node.
+        expected = {"seq": 0, "coarse": 0, "fn": 501, "tn": 501}.get(variant, 1003)
+        assert len(locks) == expected
         assert len({id(lock) for lock in locks}) == len(locks)
 
     def test_tn_holds_less_per_key_than_fem(self):

@@ -78,14 +78,14 @@ def hold_one_key_until_retry(tree, hold_s):
     """Make one update pass of ``tree``, once its descent is done, first
     lock the leaf its key reaches and that leaf's parent, and hold both
     until some pass fails (at most ``hold_s`` seconds), before it runs its
-    control phase. tn leaves carry no lock, so for tn it holds the
+    control phase. fn and tn leaves carry no lock, so for them it holds the
     parent alone.
 
-    Every insert or delete of that key locks the leaf or its parent (in tn,
-    always the parent), and so does every change that could move the leaf
-    away from the parent, so while they are held the other threads' first
-    update of the key must fail a pass. Which thread holds, and when, is up
-    to the scheduler."""
+    Every insert or delete of that key locks the leaf or its parent (in fn
+    and tn, always the parent), and so does every change that could move
+    the leaf away from the parent, so while they are held the other
+    threads' first update of the key must fail a pass. Which thread holds,
+    and when, is up to the scheduler."""
     retried = threading.Event()
     claim = threading.Lock()
     held = []
@@ -97,7 +97,7 @@ def hold_one_key_until_retry(tree, hold_s):
 
     def hold(key):
         _, _, pred, _, curr = tree.find(key)
-        nodes = (pred,) if tree.variant == "tn" else (pred, curr)
+        nodes = [node for node in (pred, curr) if hasattr(node, "lock")]
         taken = []
         for node in nodes:
             if not node.lock.acquire(False):
@@ -161,12 +161,11 @@ def test_contention_is_observed(variant, monkeypatch):
     assert tree.retry_count() > 0, f"{variant}, seed {config.seed}: no operation retried"
     assert leaked_locks(tree) == [], f"{variant}, seed {config.seed}"
     # One run seldom reaches every rollback site. Instrumented and repeated
-    # six times without the hold, this test's runs fired 17-22 of the 24:
-    # never fn's insert rollbacks after a busy curr lock or a moved link,
-    # and only sometimes fn's delete validation, fe's insert re-traversal,
-    # fem's delete link re-check and tn's insert and ppred stamp checks.
-    # test_tree.py's TestRollbackSites forces those seven, and every other
-    # validation step, on stale snapshots.
+    # six times without the hold, this test's runs never fired fn's insert
+    # rollback after a moved link, and only sometimes fn's delete
+    # validation, fe's insert re-traversal, fem's delete link re-check and
+    # tn's insert and ppred stamp checks. test_tree.py's TestRollbackSites
+    # forces those six, and every other validation step, on stale snapshots.
     for seed in range(5):
         _, tree = run_stress(replace(config, key_range=3, seed=seed))
         assert leaked_locks(tree) == [], f"{variant}, seed {seed}"
