@@ -49,9 +49,11 @@ Variant summary::
             like a node lock
     fn      node locks on ppred/pred       pred->curr link re-checked
     fe      node locks on pred/curr/sib.   fresh root-to-leaf re-traversal
-    fem     node locks plus a node mark    mark checks plus link re-checks
-            on pred/curr
-    tn      node locks on ppred/pred       version stamps from the descent
+    fem     node locks on pred/curr, and   insert: pred's mark and the
+            a mark on delete's pred        pred->curr link; delete: ppred's
+                                           mark and the pred->curr link
+    tn      node locks on ppred/pred       pred's version stamp from the
+                                           descent, bumped by insert commits
 
 Each variant's nodes hold only the state its protocol touches. seq and
 coarse build every node as a plain ``Node``: a key and two child pointers.
@@ -83,8 +85,8 @@ lock and moves no version, so tn's prefilled routers start at version 0
 rather than at the number of commits the inserts would have made on them.
 
 Nodes unlinked by a delete are never recycled in place: fn leaves the
-retired pred locked, fem leaves pred and curr locked and marked, and tn
-leaves the retired pred locked with its version frozen, so a stale
+retired pred locked, fem leaves pred marked and locked, and curr locked, and
+tn leaves the retired pred locked with its version frozen, so a stale
 operation that still points at them fails its lock or validation step and
 retries from the root. fe releases them; its re-traversal never finds them
 again. The unlinked nodes themselves stay readable for as long as any
@@ -112,12 +114,10 @@ def _abort(*locks):
     return _RETRY
 
 
-def _unmark_abort(*nodes):
-    """fem rollback: clear each node's mark strictly before releasing its
-    lock, in the order given."""
-    for node in nodes:
-        node.marked = False
-        node.lock.release()
+def _unmark_abort(pred):
+    """fem rollback: clear pred's mark strictly before releasing its lock."""
+    pred.marked = False
+    pred.lock.release()
     return _RETRY
 
 
@@ -186,10 +186,10 @@ class LockedNode(Node):
 
 
 class MarkedNode(LockedNode):
-    """An fem node: ``marked`` is set only while ``lock`` is held. A
-    rollback clears it before the release and a delete never releases, so a
-    node seen marked while its lock is free, or by the lock's holder, is
-    retired for good."""
+    """An fem node: ``marked`` is set only while ``lock`` is held, and only
+    on a router, by the delete that holds it as pred. A rollback clears it
+    before the release and a delete never releases, so a node seen marked
+    while its lock is free, or by the lock's holder, is retired for good."""
 
     __slots__ = ("marked",)
 
@@ -646,19 +646,45 @@ class FeTree(TreeBase):
 
 
 class FemTree(TreeBase):
-    """Per-node locks plus a per-node mark on the edges above the reached
-    leaf.
+    """Per-node locks on the edges above the reached leaf, plus a mark on
+    the router a delete retires.
 
-    insert owns the edge above the reached leaf by locking the leaf itself;
-    delete owns the two edges above the removed leaf by locking parent and
-    leaf and setting ``marked`` on each right after its acquire. The mark is
-    what lets a later operation tell a retired node from a merely busy one
-    without re-descending: rollback paths unmark strictly before they
-    release, and successful deletes never release at all, so a visibly
-    marked node is permanently out of the tree.
+    insert owns the edge above the reached leaf by locking the leaf itself,
+    then checks that pred is unmarked and still links to curr. delete locks
+    pred and sets ``marked`` on it right after the acquire, checks that
+    ppred is unmarked, then locks curr and re-checks the pred->curr link.
+    The mark is what lets a later operation tell a retired router from a
+    merely busy one without re-descending: a rollback unmarks strictly before
+    it releases, and a successful delete never releases pred, so a visibly
+    marked router is permanently out of the tree.
+
+    Why that suffices:
+
+    * A router leaves the tree only as some delete's pred, and that delete
+      never releases it. So a router whose acquire succeeds is reachable,
+      and it stays reachable while it is held. A marked router is always
+      held, so its acquire fails, and a test of the mark before it would
+      only repeat it.
+    * The edge into a router changes only when that router or its parent is
+      retired. Holding pred rules out the first. A delete that retires ppred
+      marks it first, and then waits for ppred's other child, pred, to be
+      free before it splices that child up. So if ppred is unmarked once
+      pred is held, ppred->pred stays until this delete releases pred or
+      commits, and no re-check of that link is needed.
+    * Inserts change only the edges into leaves, and every change to the
+      edge into a leaf holds that leaf's lock or retires its parent. So
+      holding pred and curr pins pred->curr once re-checked.
+    * A leaf is never pred or ppred, so no code reads a leaf's mark, and
+      delete does not mark curr.
     """
 
     variant = "fem"
+    # The leaves stay MarkedNodes although their mark is never read. Built
+    # as LockedNodes they saved 8 bytes a key, but fem's benchmark rate on
+    # 2-thread updates fell (median 0.677 to 0.643 of the reference, lower
+    # in 4 of 4 pairs) and a single-thread loop ran 3.3 % slower (2 vCPUs,
+    # CPython 3.11). The likely cause, unverified, is that such leaves share
+    # pymalloc's 64-byte size class with the locks.
     _router = _leaf = staticmethod(new_marked_node)
 
     def _insert(self, key, pred, curr):
@@ -677,22 +703,20 @@ class FemTree(TreeBase):
         return True
 
     def _delete(self, key, ppred, pred, curr):
-        if pred.marked or not pred.lock.acquire(False):
+        if not pred.lock.acquire(False):
             return _abort()
         pred.marked = True
-        pright = key >= ppred.key
-        if ppred.marked or (ppred.right if pright else ppred.left) is not pred:
+        clock = curr.lock
+        if ppred.marked or not clock.acquire(False):
             return _unmark_abort(pred)
-        if not curr.lock.acquire(False):
-            return _unmark_abort(pred)
-        curr.marked = True
         right = key >= pred.key
         if (pred.right if right else pred.left) is not curr:
-            return _unmark_abort(curr, pred)
-        _link_settled_sibling(ppred, pright, pred, right)
-        # pred and curr stay locked and marked forever: the marks make
-        # their retirement visible, and the held locks make every later
-        # acquire on them fail.
+            clock.release()
+            return _unmark_abort(pred)
+        _link_settled_sibling(ppred, key >= ppred.key, pred, right)
+        # pred stays marked and locked forever, and curr locked: the mark
+        # makes pred's retirement visible, and the held locks make every
+        # later acquire on either fail.
         return True
 
 
@@ -703,14 +727,27 @@ class TnTree(TreeBase):
     each router's version after the leaf test, which reads no mutable state,
     and before reading the child pointer it follows; no leaf's version is
     ever read. insert's control phase then locks pred and commits only if
-    pred's version still equals that stamp; delete's locks ppred then pred
-    the same way, top-down.
-    A commit stores the link, then bumps the locked node's version, then
-    releases, so an unchanged stamp under a held lock means no write
-    committed on that node since its pointer was read, which pins the whole
-    locked path. An aborted pass wrote nothing and releases without a bump.
-    The retired pred is never released, so stale acquires on it fail.
+    pred's version still equals that stamp; delete's locks ppred then pred,
+    top-down, and compares pred's version alone. An insert commit stores the
+    link, then bumps pred's version, then releases, so an unchanged stamp
+    under a held lock means no insert committed under pred since its pointer
+    was read. An aborted pass wrote nothing and releases without a bump. The
+    retired pred is never released and its version never moves again.
     Leaves are never locked or stamped, so they are plain ``Node``s.
+
+    Why that suffices:
+
+    * A router leaves the tree only as some delete's pred, and that delete
+      never releases it. So a router whose acquire succeeds is reachable,
+      and it stays reachable while it is held.
+    * The edge into a router changes only when that router or its parent is
+      retired, and both stay locked for good. So holding ppred and pred pins
+      ppred->pred, and neither ppred's stamp nor a bump of ppred's version
+      would guard anything. An insert that commits under ppred changes only
+      the edge into a leaf, on the side away from pred.
+    * The edge into a leaf changes through an insert under its parent, which
+      moves the parent's version, or through a delete that retires the
+      parent. So holding pred with its stamp unchanged pins pred->curr.
     """
 
     variant = "tn"
@@ -739,19 +776,17 @@ class TnTree(TreeBase):
             check_key(key)
         while True:
             # As in TreeBase.delete, a descent that takes no step ends the
-            # pass before ppred and gstamp are read.
+            # pass before ppred and pstamp are read.
             pred = self.root
-            pstamp = pred.version
             curr = pred.left
             while curr.left is not None:
                 ppred = pred
-                gstamp = pstamp
                 pred = curr
                 pstamp = curr.version
                 curr = curr.left if key < curr.key else curr.right
             if curr.key != key:
                 return False
-            if (result := self._delete(key, ppred, gstamp, pred, pstamp, curr)) is not _RETRY:
+            if (result := self._delete(key, ppred, pred, pstamp, curr)) is not _RETRY:
                 return result
             self._count_retry()
             pause()
@@ -771,19 +806,16 @@ class TnTree(TreeBase):
         plock.release()
         return True
 
-    def _delete(self, key, ppred, gstamp, pred, pstamp, curr):
+    def _delete(self, key, ppred, pred, pstamp, curr):
         glock = ppred.lock
         if not glock.acquire(False):
             return _abort()
-        if ppred.version != gstamp:
-            return _abort(glock)
         plock = pred.lock
         if not plock.acquire(False):
             return _abort(glock)
         if pred.version != pstamp:
             return _abort(plock, glock)
         _link(ppred, key >= ppred.key, pred.left if key >= pred.key else pred.right)
-        ppred.version += 1
         glock.release()
         # pred's lock is never released and its version never moves again:
         # the retired node stays locked so any operation that still points

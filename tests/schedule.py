@@ -1,14 +1,14 @@
 """Bounded-preemption search over controlled schedules of tree operations.
 
-A *plan* gives each worker thread its own list of updates, ``(OpKind, key)``
-pairs. :func:`run_schedule` runs one plan on a fresh tree under one schedule.
-Each worker is a real thread, but only one runs at a time, and the running
-thread gives way only at a *visible step*: the start of an operation, before
-its invocation stamp, or an instruction of ``cbst.tree`` that reads or
-writes shared state, that is every LOAD_ATTR, STORE_ATTR and LOAD_METHOD of
-``left``, ``right``, ``marked``, ``version``, ``lock``, ``acquire``,
-``release`` or ``locked``. Everything else there touches only locals and
-keys, which never change. A ``sys.settrace`` opcode tracer in each worker
+A *plan* gives each worker thread its own list of operations, ``(OpKind,
+key)`` pairs. :func:`run_schedule` runs one plan on a fresh tree under one
+schedule. Each worker is a real thread, but only one runs at a time, and the
+running thread gives way only at a *visible step*: the start of an
+operation, before its invocation stamp, or an instruction of ``cbst.tree``
+that reads or writes shared state, that is every LOAD_ATTR, STORE_ATTR and
+LOAD_METHOD of ``left``, ``right``, ``marked``, ``version``, ``lock``,
+``acquire``, ``release`` or ``locked``. Everything else there touches only
+locals and keys, which never change. A ``sys.settrace`` opcode tracer in each worker
 finds those instructions in every function whose globals are ``cbst.tree``'s,
 so a mutant compiled into that namespace is traced too. The node builders
 are left out: no other thread can see a node before its builder returns.
@@ -38,10 +38,19 @@ The grids are the plans the tests and the wide search use:
 * B: the same over keys 0-8 with 1, 3, 5 and 7 prefilled (171 plans).
 * C: 2 updates against 1, 300 random plans over B's keys.
 * D: 3 threads x 1 update, 150 random plans over B's keys.
+* E: two plans of C's shape over B's prefill, insert(6), delete(6) against
+  insert(6), and delete(5), delete(3) against insert(6). A rollback that
+  keeps a lock held shows only as a hang, when a later operation needs
+  that lock. Here the thread with two operations may need, for its second,
+  a router that a failed pass of either thread's first left locked. Three
+  such rollbacks hang on these plans and on no plan of A or B.
+* S: a search of each of B's keys against a delete of each prefilled key
+  (36 plans). Every delete retires a router, which is on the path of some
+  of the searches.
 
 ``PYTHONPATH=src python tests/schedule.py [VARIANT ...]`` runs the wide
 search outside Tier-1 for the named clean variants, all by default: bound 2
-on grids A and B, bound 1 on grids C and D. It prints the schedules,
+on grids A, B and S, bound 1 on grids C and D. It prints the schedules,
 failures and seconds for each variant and grid, and exits 1 if any run
 failed.
 """
@@ -117,6 +126,12 @@ GRID_A = Grid("A", (2, 3), _pairs(range(1, 5)))
 GRID_B = Grid("B", (1, 3, 5, 7), _pairs(range(9)))
 GRID_C = Grid("C", GRID_B.prefill, _random_plans((2, 1), 300, seed=1))
 GRID_D = Grid("D", GRID_B.prefill, _random_plans((1, 1, 1), 150, seed=2))
+GRID_E = Grid("E", GRID_B.prefill, [
+    (((OpKind.INSERT, 6), (OpKind.DELETE, 6)), ((OpKind.INSERT, 6),)),
+    (((OpKind.DELETE, 5), (OpKind.DELETE, 3)), ((OpKind.INSERT, 6),)),
+])
+GRID_S = Grid("S", GRID_B.prefill, [(((OpKind.SEARCH, s),), ((OpKind.DELETE, d),))
+                                    for s in range(9) for d in GRID_B.prefill])
 
 
 class Choice(NamedTuple):
@@ -211,6 +226,8 @@ class _Run:
     def work(self, tid):
         self.gates[tid].acquire()
         tree = self.tree
+        calls = {OpKind.SEARCH: tree.search, OpKind.INSERT: tree.insert,
+                 OpKind.DELETE: tree.delete}
         try:
             if self.failure is not None:
                 raise Halted
@@ -218,7 +235,7 @@ class _Run:
             for op, key in self.plan[tid]:
                 self.step()
                 invoke = next(self.clock)
-                result = (tree.insert if op is OpKind.INSERT else tree.delete)(key)
+                result = calls[op](key)
                 self.ops.append(Operation(tid, op, key, result, invoke, next(self.clock)))
         except Halted:
             pass
@@ -309,7 +326,7 @@ def explore(make_tree, prefill, plans, bound, first_failure=False) -> Result:
 
 
 # The wide search: (grid, bound) pairs.
-WIDE = [(GRID_A, 2), (GRID_B, 2), (GRID_C, 1), (GRID_D, 1)]
+WIDE = [(GRID_A, 2), (GRID_B, 2), (GRID_S, 2), (GRID_C, 1), (GRID_D, 1)]
 
 
 def main(variants) -> int:

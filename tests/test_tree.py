@@ -197,8 +197,8 @@ class TestDescentSides:
     @pytest.mark.parametrize("variant", ALL)
     def test_each_pass_hands_its_control_phase_the_descended_path(self, variant):
         # The retry loops' inline descent must reach find()'s nodes, and
-        # tn's must also stamp each with its router's version (a quiescent
-        # tree).
+        # tn's must also stamp pred with its version (a quiescent tree).
+        # tn's delete hands over no stamp of ppred: it is never compared.
         t = _churned(variant)
         present = set(t.collect_leaf_keys())
         bumped = 0
@@ -207,8 +207,8 @@ class TestDescentSides:
             if key in present:
                 args = control_args(t, "delete", key)
                 if variant == "tn":
-                    expected = (key, ppred, ppred.version, pred, pred.version, curr)
-                    bumped += pred.version > 0 and ppred.version > 0
+                    expected = (key, ppred, pred, pred.version, curr)
+                    bumped += pred.version > 0
                 else:
                     expected = (key, ppred, pred, curr)
             else:
@@ -515,8 +515,8 @@ STALE_PASSES = [
     # the re-traversal reaches the new router, not the locked path
     ("fe", "insert", 25, (15,), None),
     ("fe", "delete", 10, (15,), None),
-    # an insert under ppred moved ppred's stamp
-    ("tn", "delete", 10, (5,), None),
+    # an insert under pred moved pred's stamp
+    ("tn", "delete", 10, (15,), None),
     # the tree was emptied: the re-traversal starts at a leaf
     ("fe", "insert", 25, (-10, -30), None),
     ("fe", "delete", 10, (-10, -30), None),
@@ -554,6 +554,21 @@ class TestRollbackSites:
         assert held() == [n == busy for n in names]
         assert leaked_locks(t) == []
 
+    def test_tn_commit_under_ppred_does_not_fail_a_delete(self):
+        # insert(5) commits under ppred (router 10), on the side away from
+        # the pred (router 30) that delete(10) descended to. That changes
+        # nothing the delete holds, so its pass commits.
+        t = new_tree("tn")
+        for k in (10, 30):
+            t.insert(k)
+        stale = control_args(t, "delete", 10)
+        assert t.find(5).pred is t.find(10).ppred
+        t.insert(5)
+        assert t._delete(*stale) is True
+        assert check_structure(t).ok
+        assert t.collect_leaf_keys() == [5, 30]
+        assert leaked_locks(t) == []
+
 
 class TestRetirementBookkeeping:
     def test_fem_delete_leaves_marked_locked_nodes(self):
@@ -562,9 +577,11 @@ class TestRetirementBookkeeping:
         s = t.find(5)
         pred, curr = s.pred, s.curr
         assert t.delete(5)
-        # Retired parent and leaf stay locked and marked forever.
+        # The retired parent stays marked and locked forever, and the leaf
+        # locked. No code reads a leaf's mark, so delete never sets it.
+        assert pred.marked is True
+        assert curr.marked is False
         for node in (pred, curr):
-            assert node.marked is True
             assert node.lock.locked() is True
             assert node.lock.acquire(False) is False
 
@@ -955,13 +972,15 @@ class TestTnStamps:
         assert _versions(t) == before
         assert not any(node.lock.locked() for node in before)
 
-    def test_delete_bumps_ppred_and_freezes_retired_pred(self):
+    def test_delete_leaves_ppred_version_and_freezes_retired_pred(self):
+        # Only an insert commit moves a version; a delete commit under
+        # ppred changes the edge into a router, which no stamp guards.
         t = self._tree()
         s = t.find(30)
         ppred, pred = s.ppred, s.pred
         gversion, pversion = ppred.version, pred.version
         assert t.delete(30)
-        assert ppred.version == gversion + 1
+        assert ppred.version == gversion
         assert not ppred.lock.locked()
         assert pred.lock.locked()
         assert pred.version == pversion

@@ -14,7 +14,7 @@ import pytest
 
 import cbst.verify
 from cbst.core import run_threads
-from cbst.tree import CONCURRENT_VARIANTS, new_tree
+from cbst.tree import _RETRY, CONCURRENT_VARIANTS, new_tree
 from cbst.verify import (
     StressConfig,
     check_balance,
@@ -164,8 +164,8 @@ def test_contention_is_observed(variant, monkeypatch):
     # six times without the hold, this test's runs never fired fn's insert
     # rollback after a moved link, and only sometimes fn's delete
     # validation, fe's insert re-traversal, fem's delete link re-check and
-    # tn's insert and ppred stamp checks. test_tree.py's TestRollbackSites
-    # forces those six, and every other validation step, on stale snapshots.
+    # tn's insert stamp check. test_tree.py's TestRollbackSites forces
+    # those five, and every other validation step, on stale snapshots.
     for seed in range(5):
         _, tree = run_stress(replace(config, key_range=3, seed=seed))
         assert leaked_locks(tree) == [], f"{variant}, seed {seed}"
@@ -173,15 +173,16 @@ def test_contention_is_observed(variant, monkeypatch):
 
 def test_stale_operation_on_retired_nodes_retries():
     # A deleter retires a parent and leaf; a second delete that had already
-    # snapshotted them must fail validation and come back with false.
+    # descended to them must fail its pass, and a fresh one report absence.
     tree = new_tree("fem")
     tree.insert(5)
     snap = tree.find(5)
     assert tree.delete(5) is True
-    # The stale path is marked; a fresh delete of 5 must re-descend and
-    # report absence rather than touching the retired pair.
+    # The retired parent is marked and held, the retired leaf only held.
+    assert snap.pred.marked and snap.pred.lock.locked()
+    assert snap.curr.lock.locked() and not snap.curr.marked
+    assert tree._delete(5, snap.ppred, snap.pred, snap.curr) is _RETRY
     assert tree.delete(5) is False
-    assert snap.pred.marked and snap.curr.marked
     assert check_structure(tree).ok
 
 
