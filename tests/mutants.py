@@ -3,7 +3,8 @@
 A mutant is a subclass of a tree whose ``_insert`` or ``_delete`` is its
 base's own method with one snippet of its source replaced, so it drops one
 lock, check, store or release and keeps everything else. ``test_schedule.py``
-builds its necessity audit from them.
+builds its necessity audit from them, and ``test_stress_mutants.py`` the
+mutants its recorded runs must catch.
 """
 
 import inspect

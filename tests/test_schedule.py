@@ -3,9 +3,9 @@ schedules (see ``schedule.py``).
 
 Every verdict here is deterministic: a schedule replays exactly, whatever
 the host's CPUs, so a mutant caught once is caught on every run. This file
-alone decides whether a dropped step is caught: recorded runs caught the
-same mutants at rates that moved with whatever ran before them (see
-``test_stress_mutants.py``).
+holds the full audit; ``test_stress_mutants.py`` also requires recorded
+runs on real threads, made to yield inside updates, to catch five of these
+mutants.
 """
 
 import pytest
@@ -57,6 +57,9 @@ STEPS = [
     ("FemInsertWithoutMarkCheck", FemTree, "_insert", "pred.marked or ", "", GRID_A),
     ("FemInsertWithoutLinkCheck", FemTree, "_insert",
      "(pred.right if right else pred.left) is not curr", "False", GRID_A),
+    # Both checks at once, the drop that test_stress_mutants.py also runs.
+    ("FemInsertWithoutMarkAndLinkCheck", FemTree, "_insert",
+     "pred.marked or (pred.right if right else pred.left) is not curr", "False", GRID_A),
     # Its rollbacks still release pred's lock, which this pass never took,
     # and the first failing run raises there. A drop that also skips those
     # releases hangs on grid A at bound 1, in its 496th schedule.
