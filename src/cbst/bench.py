@@ -228,19 +228,16 @@ def sweep(
     repeat).
 
     Every combination must be valid: pairing seq with a thread count above
-    one raises, so run seq as its own single-thread sweep.
+    one raises before any point runs, so run seq as its own single-thread
+    sweep.
     """
     if not thread_list or not variant_list:
         raise ValueError("thread_list and variant_list must be non-empty")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    records = []
-    for variant in variant_list:
-        for threads in thread_list:
-            config = replace(base_config, variant=variant, threads=threads)
-            for rep in range(repeats):
-                records.append(run_bench(config, repeat=rep))
-    return records
+    configs = [replace(base_config, variant=variant, threads=threads)
+               for variant in variant_list for threads in thread_list]
+    return [run_bench(config, repeat=rep) for config in configs for rep in range(repeats)]
 
 
 # -- serialization -----------------------------------------------------------

@@ -5,6 +5,12 @@ into scriptable experiments. Exit codes follow the usual CI contract: 0 when
 everything passed, 1 when a run or check failed, 2 for usage errors (bad
 flags or flag combinations).
 
+The parser only parses. Each count, range and mix is checked by the config
+it fills (``BenchConfig``, ``WorkloadSpec`` or ``StressConfig``), which also
+holds its default, and a value that config rejects exits 2 with the
+config's message before any run starts. The parser itself bounds only what
+no config holds: ``--repeats`` and bench's key-range cap.
+
 ``cbst check`` makes one recorded stress run and decides it two ways: the
 final tree's structure, and the history's linearizability ending at the
 final contents. ``cbst check --history PATH`` replays a saved history, one
@@ -16,8 +22,8 @@ bench records and every model action (the --eval value, the --curve-alpha
 CSV and the --compare CSV). bench and --compare print a human summary
 table only when --out keeps stdout free. check always prints its verdicts
 and how many operations overlap another thread's, and --out also writes the
-verdicts as a check,ok table. bench and check open --out before their sweep
-or stress run. A model input out of range, an unusable set of records or an
+verdicts as a check,ok table. bench and check open --out before any
+benchmark or stress run. A model input out of range, an unusable set of records or an
 --out path that cannot be opened prints one ``error: ...`` line to stderr
 and exits 1.
 """
@@ -31,7 +37,6 @@ import sys
 
 from . import bench as bench_mod
 from . import model as model_mod
-from .core import POS_SENTINEL, check_mix
 from .tree import CONCURRENT_VARIANTS, VARIANT_NAMES
 from .verify import (
     History,
@@ -53,9 +58,10 @@ _MAX_KEY_RANGE = 10 * max(_PRESET_BUCKETS)
 _PRESET_THREADS = [1, 2, 4, 8, 16, 32]
 
 
-def _at_least(minimum: int, at_most: float = math.inf):
-    """An argparse type for an integer count or duration of at least
-    ``minimum`` and at most ``at_most``."""
+def _at_least(minimum: float, at_most: float = math.inf):
+    """An argparse type for an integer of at least ``minimum`` and at most
+    ``at_most``, for the two bounds that no config holds: ``--repeats`` and
+    bench's key-range cap."""
 
     def parse(text: str) -> int:
         try:
@@ -73,27 +79,18 @@ def _at_least(minimum: int, at_most: float = math.inf):
 
 def _thread_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
-    if min(values) < 1:
-        raise argparse.ArgumentTypeError(f"thread counts must be at least 1, got {text!r}")
-    return values
 
 
 def _mix(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("mix must be three numbers: insert,delete,search")
     try:
-        mix = tuple(float(part) for part in parts)
+        insert, delete, search = map(float, text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"mix values must be numeric, got {text!r}")
-    try:
-        check_mix(*mix)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
-    return mix
+        raise argparse.ArgumentTypeError(
+            f"mix must be three numbers insert,delete,search, got {text!r}") from None
+    return insert, delete, search
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,28 +105,29 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="tree variant to benchmark (default fem, or the preset grid)")
     b.add_argument("--threads", type=_thread_list, default=None, metavar="N,N,...",
                    help="thread counts to sweep (default 1)")
-    b.add_argument("--duration-ms", type=_at_least(1), default=1000, metavar="MS")
-    b.add_argument("--key-range", type=_at_least(2, _MAX_KEY_RANGE), default=None, metavar="N",
-                   help="key range aka bucket size (default 10000)")
+    b.add_argument("--duration-ms", type=int, default=1000, metavar="MS")
+    b.add_argument("--key-range", type=_at_least(-math.inf, _MAX_KEY_RANGE), default=None,
+                   metavar="N", help="key range aka bucket size (default 10000)")
     b.add_argument("--mix", type=_mix, default=None, metavar="I,D,S",
-                   help="insert,delete,search percentages (default 20,10,70)")
-    b.add_argument("--seed", type=int, default=0)
+                   help="insert,delete,search percentages (default %s,%s,%s)" % bench_mod.MIX_MID)
+    b.add_argument("--seed", type=int, default=bench_mod.BenchConfig.seed)
     b.add_argument("--repeats", type=_at_least(1), default=3)
-    b.add_argument("--warmup-ms", type=_at_least(0), default=500, metavar="MS")
+    b.add_argument("--warmup-ms", type=int, default=bench_mod.BenchConfig.warmup_ms, metavar="MS")
     b.add_argument("--format", choices=("csv", "json"), default="csv")
     b.add_argument("--out", default=None, metavar="PATH")
     b.add_argument("--preset", choices=sorted(_PRESETS), default=None,
                    help="expand to the published experiment grid for this mix")
 
     c = sub.add_parser("check", help="stress-check a variant, or replay a history file")
-    c.add_argument("--variant", choices=VARIANT_NAMES, default="fem")
-    c.add_argument("--threads", type=_at_least(1), default=None,
-                   help="worker threads (default 4; seq runs on 1)")
-    c.add_argument("--ops", type=_at_least(0), default=1000, help="operations per thread")
-    c.add_argument("--key-range", type=_at_least(1, POS_SENTINEL), default=64)
-    c.add_argument("--mix", type=_mix, default=(20.0, 10.0, 70.0), metavar="I,D,S")
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--timeout-s", type=float, default=30.0)
+    c.add_argument("--variant", choices=VARIANT_NAMES, default=StressConfig.variant)
+    c.add_argument("--threads", type=int, default=None,
+                   help=f"worker threads (default {StressConfig.threads}; seq runs on 1)")
+    c.add_argument("--ops", type=int, default=1000, help="operations per thread")
+    c.add_argument("--key-range", type=int, default=StressConfig.key_range)
+    c.add_argument("--mix", type=_mix, metavar="I,D,S", default=(
+        StressConfig.insert_pct, StressConfig.delete_pct, StressConfig.search_pct))
+    c.add_argument("--seed", type=int, default=StressConfig.seed)
+    c.add_argument("--timeout-s", type=float, default=StressConfig.timeout_s)
     c.add_argument("--history", default=None, metavar="PATH",
                    help="replay this history file instead of running a stress check")
     c.add_argument("--out", default=None, metavar="PATH")
@@ -157,58 +155,41 @@ def _build_parser() -> argparse.ArgumentParser:
 def _out(args):
     """The machine-readable output stream: the --out file when it is given,
     otherwise stdout. Commands enter it before their work, so a path that
-    cannot be opened fails before a sweep or a stress run is spent."""
+    cannot be opened fails before a benchmark or a stress run is spent."""
     return bench_mod.open_text(args.out or sys.stdout, "w")
 
 
 # -- bench -------------------------------------------------------------------
 
 
-def _bench_grid(args, parser):
-    """Resolve flags and preset into (variants, thread lists, buckets, mix)."""
-    preset_mix = _PRESETS.get(args.preset) if args.preset else None
-    mix = args.mix or preset_mix or (20.0, 10.0, 70.0)
-    buckets = [args.key_range] if args.key_range else (
-        _PRESET_BUCKETS if args.preset else [10000]
-    )
-    if args.variant:
-        variants = [args.variant]
-    elif args.preset:
-        variants = list(CONCURRENT_VARIANTS) + ["seq"]
-    else:
-        variants = ["fem"]
-    threads = args.threads or (_PRESET_THREADS if args.preset else [1])
-    explicit_threads = args.threads is not None
-    if "seq" in variants and explicit_threads and threads != [1]:
-        parser.error("the seq variant is single-threaded; use --threads 1")
-    return variants, threads, buckets, mix
-
-
 def cmd_bench(args, parser) -> int:
-    variants, threads, buckets, mix = _bench_grid(args, parser)
-    # Every flag the configs reject is a usage error.
+    mix = args.mix or _PRESETS.get(args.preset, bench_mod.MIX_MID)
+    buckets = [args.key_range] if args.key_range is not None else (
+        _PRESET_BUCKETS if args.preset else [10000])
+    variants = [args.variant] if args.variant else (
+        [*CONCURRENT_VARIANTS, "seq"] if args.preset else ["fem"])
+    threads = args.threads or (_PRESET_THREADS if args.preset else [1])
+    # Every flag the configs reject is a usage error, before any point runs.
     try:
-        bases = [
+        configs = [
             bench_mod.BenchConfig(
-                variant="fem",
-                threads=1,
+                variant=variant,
+                threads=n,
                 duration_ms=args.duration_ms,
-                workload=bench_mod.WorkloadSpec(mix[0], mix[1], mix[2], key_range),
+                workload=bench_mod.WorkloadSpec(*mix, key_range),
                 seed=args.seed,
                 warmup_ms=args.warmup_ms,
             )
             for key_range in buckets
+            for variant in variants
+            # seq is single-threaded, so it runs at 1 unless --threads says otherwise.
+            for n in ([1] if variant == "seq" and args.threads is None else threads)
         ]
     except ValueError as exc:
         parser.error(str(exc))
-    records = []
     with _out(args) as out:
-        for base in bases:
-            for variant in variants:
-                variant_threads = [1] if variant == "seq" else threads
-                records.extend(
-                    bench_mod.sweep(base, variant_threads, [variant], repeats=args.repeats)
-                )
+        records = [bench_mod.run_bench(config, repeat=r)
+                   for config in configs for r in range(args.repeats)]
         write = bench_mod.write_json if args.format == "json" else bench_mod.write_csv
         write(records, out)
     if args.out:
@@ -218,17 +199,13 @@ def cmd_bench(args, parser) -> int:
 
 
 def _print_bench_summary(records) -> None:
-    groups: dict[tuple, list[float]] = {}
-    conts: dict[tuple, list[float]] = {}
+    groups: dict[tuple, list] = {}
     for rec in records:
-        key = (rec.variant, rec.threads, rec.key_range)
-        groups.setdefault(key, []).append(rec.throughput_ops_s)
-        conts.setdefault(key, []).append(rec.contention_rate)
+        groups.setdefault((rec.variant, rec.threads, rec.key_range), []).append(rec)
     print(f"{'variant':<8} {'threads':>7} {'key_range':>9} {'median ops/s':>14} {'contention':>10}")
-    for key in sorted(groups):
-        variant, threads, key_range = key
-        thr = statistics.median(groups[key])
-        con = statistics.median(conts[key])
+    for (variant, threads, key_range), group in sorted(groups.items()):
+        thr = statistics.median(rec.throughput_ops_s for rec in group)
+        con = statistics.median(rec.contention_rate for rec in group)
         print(f"{variant:<8} {threads:>7} {key_range:>9} {thr:>14,.0f} {con:>10.4f}")
 
 
@@ -276,7 +253,8 @@ def cmd_check(args, parser) -> int:
     try:
         config = StressConfig(
             variant=args.variant,
-            threads=args.threads or (1 if args.variant == "seq" else 4),
+            threads=((1 if args.variant == "seq" else StressConfig.threads)
+                     if args.threads is None else args.threads),
             key_range=args.key_range,
             insert_pct=args.mix[0],
             delete_pct=args.mix[1],

@@ -511,15 +511,15 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     # its results; each list grows only by its own thread's appends.
     stamps: list[list[int]] = [[] for _ in range(nt)]
     results: list[list[bool]] = [[] for _ in range(nt)]
-    # An unrecorded run's key iterators; what is left of one shows how far
-    # its thread has got.
+    # Each thread's key iterator; what is left of one shows how far its
+    # thread has got.
     left = [iter(k) for k in keys]
 
     def worker(tid: int, _start_ns: int) -> None:
         if record:
             stamp = stamps[tid].append
             answer = results[tid].append
-            for call, key in zip(calls[tid], keys[tid]):
+            for call, key in zip(calls[tid], left[tid]):
                 stamp(now())
                 answer(call(key))
                 stamp(now())
@@ -531,10 +531,7 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     stuck = run_threads(worker, nt, config.timeout_s, switch_interval=1e-5)
     if stuck:
         tid = stuck[0]
-        if record:
-            invoked = (len(stamps[tid]) + 1) // 2
-        else:
-            invoked = n - length_hint(left[tid])
+        invoked = n - length_hint(left[tid])
         op, key = (ops[tid][invoked - 1], keys[tid][invoked - 1]) if invoked else (None, None)
         raise DeadlockSuspectedError(tid, op, key, len(stuck), nt)
 

@@ -2,15 +2,18 @@
 
 A mutant is a subclass of a tree whose ``_insert`` or ``_delete`` is its
 base's own method with one snippet of its source replaced, so it drops one
-lock, check, store or release and keeps everything else. ``test_schedule.py``
-builds its necessity audit from them, and ``test_stress_mutants.py`` the
-mutants its recorded runs must catch.
+lock, check, store or release and keeps everything else. Each is one row
+of ``STEPS`` or ``ROLLBACKS``, the necessity audit that ``test_schedule.py``
+decides; ``test_stress_mutants.py`` builds the mutants its recorded runs
+must catch from five of those rows, by name.
 """
 
 import inspect
 import textwrap
 
 import cbst.tree
+from cbst.tree import FemTree, FeTree, FnTree, TnTree
+from schedule import GRID_A, GRID_B, GRID_E
 
 
 def mutant(name, base, method, snippet, replacement):
@@ -28,3 +31,118 @@ def mutant(name, base, method, snippet, replacement):
     namespace = {}
     exec(source.replace(snippet, replacement), vars(cbst.tree), namespace)
     return type(name, (base,), {method: namespace[method]})
+
+
+# The necessity audit: one row per step left in a control phase of fn, fe,
+# fem and tn, (name, base, method, snippet, replacement, grid). Each mutant
+# drops that one step, a dropped lock becoming a fresh private one, and must
+# be caught at bound 1 on its grid, the first of A, B and E that catches it.
+# The delete's lock or mark check on ppred needs grid B, where a delete's
+# ppred can be a router that another delete retires. The steps since
+# dropped, fn's leaf locks and ppred->pred re-check, fem's leaf mark, its
+# ppred->pred re-check and its mark test before pred's acquire, and tn's
+# ppred stamp compare and bump, passed grids A and B at bound 2 and grid C
+# at bound 1.
+STEPS = [
+    ("FnInsertWithoutPredLock", FnTree, "_insert", "plock = pred.lock",
+     "plock = threading.Lock()", GRID_A),
+    ("FnInsertWithoutLinkCheck", FnTree, "_insert",
+     "(pred.right if right else pred.left) is not curr", "False", GRID_A),
+    ("FnDeleteWithoutPpredLock", FnTree, "_delete", "glock = ppred.lock",
+     "glock = threading.Lock()", GRID_B),
+    ("FnDeleteWithoutPredLock", FnTree, "_delete", "plock = pred.lock",
+     "plock = threading.Lock()", GRID_A),
+    ("FnDeleteWithoutLinkCheck", FnTree, "_delete",
+     "(pred.right if right else pred.left) is not curr", "False", GRID_A),
+    ("FeInsertWithoutLeafLock", FeTree, "_insert", "clock = curr.lock",
+     "clock = threading.Lock()", GRID_A),
+    # Commits under the leaf's lock whatever the re-traversal found.
+    ("FeInsertWithoutRetraversal", FeTree, "_insert",
+     "fpred is not pred or fcurr is not curr", "False", GRID_A),
+    ("FeDeleteWithoutPredLock", FeTree, "_delete", "plock = pred.lock",
+     "plock = threading.Lock()", GRID_A),
+    ("FeDeleteWithoutLeafLock", FeTree, "_delete", "clock = curr.lock",
+     "clock = threading.Lock()", GRID_A),
+    ("FeDeleteWithoutRetraversal", FeTree, "_delete",
+     "fppred is not ppred or fpred is not pred or fcurr is not curr", "False", GRID_A),
+    # Splices pred's other child into ppred without locking it.
+    ("FeDeleteWithoutSiblingLock", FeTree, "_delete",
+     "_link_locked_sibling(ppred, key >= ppred.key, pred, key >= pred.key)",
+     "_link(ppred, key >= ppred.key, pred.left if key >= pred.key else pred.right)",
+     GRID_A),
+    ("FemInsertWithoutLeafLock", FemTree, "_insert", "clock = curr.lock",
+     "clock = threading.Lock()", GRID_A),
+    ("FemInsertWithoutMarkCheck", FemTree, "_insert", "pred.marked or ", "", GRID_A),
+    ("FemInsertWithoutLinkCheck", FemTree, "_insert",
+     "(pred.right if right else pred.left) is not curr", "False", GRID_A),
+    # Both checks at once: commits under the leaf's lock without looking at
+    # pred's mark or link.
+    ("FemInsertWithoutMarkAndLinkCheck", FemTree, "_insert",
+     "pred.marked or (pred.right if right else pred.left) is not curr", "False", GRID_A),
+    # Its rollbacks still release pred's lock, which this pass never took,
+    # and the first failing run raises there. A drop that also skips those
+    # releases hangs on grid A at bound 1, in its 496th schedule.
+    ("FemDeleteWithoutPredLock", FemTree, "_delete", "pred.lock.acquire(False)",
+     "threading.Lock().acquire(False)", GRID_A),
+    ("FemDeleteWithoutPredMark", FemTree, "_delete", "pred.marked = True", "pass", GRID_A),
+    ("FemDeleteWithoutPpredMarkCheck", FemTree, "_delete", "ppred.marked or ", "", GRID_B),
+    ("FemDeleteWithoutLeafLock", FemTree, "_delete", "clock = curr.lock",
+     "clock = threading.Lock()", GRID_A),
+    ("FemDeleteWithoutLinkCheck", FemTree, "_delete",
+     "(pred.right if right else pred.left) is not curr", "False", GRID_A),
+    ("FemDeleteWithoutSiblingWait", FemTree, "_delete",
+     "_link_settled_sibling(ppred, key >= ppred.key, pred, right)",
+     "_link(ppred, key >= ppred.key, pred.left if right else pred.right)", GRID_A),
+    ("TnInsertWithoutPredLock", TnTree, "_insert", "plock = pred.lock",
+     "plock = threading.Lock()", GRID_A),
+    # Commits under pred's lock without comparing its version with the
+    # descent's stamp.
+    ("TnInsertWithoutStampCompare", TnTree, "_insert", "pred.version != pstamp", "False",
+     GRID_A),
+    # Commits without bumping pred's version, so a stale stamp still matches.
+    ("TnInsertWithoutVersionBump", TnTree, "_insert", "pred.version += 1", "pass", GRID_A),
+    ("TnDeleteWithoutPpredLock", TnTree, "_delete", "glock = ppred.lock",
+     "glock = threading.Lock()", GRID_B),
+    ("TnDeleteWithoutPredLock", TnTree, "_delete", "plock = pred.lock",
+     "plock = threading.Lock()", GRID_A),
+    ("TnDeleteWithoutStampCompare", TnTree, "_delete", "pred.version != pstamp", "False",
+     GRID_A),
+]
+
+# Rollbacks that drop one release and so keep a lock of a failed pass held.
+# A run that then hangs is caught.
+ROLLBACKS = [
+    ("FnInsertKeepsPredOnMovedLink", FnTree, "_insert", "_abort(plock)", "_abort()", GRID_E),
+    ("FnDeleteKeepsPpredOnBusyPred", FnTree, "_delete", "_abort(glock)", "_abort()", GRID_A),
+    ("FnDeleteKeepsPredOnMovedLink", FnTree, "_delete", "_abort(plock, glock)",
+     "_abort(glock)", GRID_A),
+    ("FnDeleteKeepsPpredOnMovedLink", FnTree, "_delete", "_abort(plock, glock)",
+     "_abort(plock)", GRID_E),
+    ("FeInsertKeepsLeafOnMovedPath", FeTree, "_insert", "_abort(clock)", "_abort()", GRID_A),
+    ("FeDeleteKeepsPredOnBusyLeaf", FeTree, "_delete", "_abort(plock)", "_abort()", GRID_A),
+    ("FeDeleteKeepsLeafOnMovedPath", FeTree, "_delete", "_abort(clock, plock)",
+     "_abort(plock)", GRID_A),
+    ("FeDeleteKeepsPredOnMovedPath", FeTree, "_delete", "_abort(clock, plock)",
+     "_abort(clock)", GRID_B),
+    ("FemInsertKeepsLeafOnStalePred", FemTree, "_insert", "_abort(clock)", "_abort()",
+     GRID_A),
+    # pred's two rollbacks call the same _unmark_abort(pred); each row keeps
+    # the line before it, and drops only the release.
+    ("FemDeleteKeepsPredOnMarkedPpredOrBusyLeaf", FemTree, "_delete",
+     "clock.acquire(False):\n        return _unmark_abort(pred)",
+     "clock.acquire(False):\n        return setattr(pred, 'marked', False) or _RETRY",
+     GRID_A),
+    ("FemDeleteKeepsLeafOnMovedLink", FemTree, "_delete", "clock.release()", "pass", GRID_A),
+    ("FemDeleteKeepsPredOnMovedLink", FemTree, "_delete",
+     "clock.release()\n        return _unmark_abort(pred)",
+     "clock.release()\n        return setattr(pred, 'marked', False) or _RETRY", GRID_E),
+    ("TnInsertKeepsPredOnMovedStamp", TnTree, "_insert", "_abort(plock)", "_abort()", GRID_B),
+    ("TnDeleteKeepsPpredOnBusyPred", TnTree, "_delete", "_abort(glock)", "_abort()", GRID_A),
+    ("TnDeleteKeepsPredOnMovedStamp", TnTree, "_delete", "_abort(plock, glock)",
+     "_abort(glock)", GRID_A),
+    ("TnDeleteKeepsPpredOnMovedStamp", TnTree, "_delete", "_abort(plock, glock)",
+     "_abort(plock)", GRID_A),
+]
+
+# Every audit row, by its mutant's name.
+ROWS = {row[0]: row for row in STEPS + ROLLBACKS}

@@ -274,6 +274,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(base, thread_list=[1, 2], variant_list=["seq"], repeats=1)
 
+    def test_invalid_point_runs_nothing(self, monkeypatch):
+        # Every point is checked before the first one runs, so a sweep with
+        # seq at 2 threads fails before fem's points or seq at 1 thread.
+        runs = []
+        monkeypatch.setattr(bench_mod, "run_bench", lambda *args, **kwargs: runs.append(args))
+        with pytest.raises(ValueError, match="single-threaded"):
+            sweep(small_config(), thread_list=[1, 2], variant_list=["fem", "seq"], repeats=1)
+        assert runs == []
+
     def test_seq_single_thread_allowed(self):
         base = small_config()
         recs = sweep(base, thread_list=[1], variant_list=["seq"], repeats=1)

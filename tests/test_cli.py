@@ -1,6 +1,7 @@
 import io
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -201,7 +202,6 @@ class TestModelCompare:
 
 
 def sample_records_with_baseline():
-    from dataclasses import replace
     base, other = sample_records()
     return [
         replace(base, threads=1, retries=0, contention_rate=0.0, repeat=0),
@@ -274,14 +274,40 @@ class TestBenchCommand:
         assert exc.value.code == 2
 
     def test_unopenable_out_fails_before_the_sweep(self, capsys, monkeypatch, tmp_path):
-        swept = []
-        monkeypatch.setattr(cli.bench_mod, "sweep", lambda *args, **kwargs: swept.append(args))
+        runs = []
+        monkeypatch.setattr(cli.bench_mod, "run_bench", lambda *args, **kwargs: runs.append(args))
         bad = tmp_path / "missing" / "bench.csv"
         rc, out, err = run(capsys, "bench", "--variant", "fem", "--out", str(bad))
         assert rc == 1
         assert out == ""
         assert err.startswith("error: ") and str(bad) in err
-        assert swept == []
+        assert runs == []
+
+    def test_preset_runs_the_paper_grid_in_order(self, capsys, monkeypatch):
+        # Per bucket, each concurrent variant at every thread count, then
+        # seq at 1 thread; each point three times in a row.
+        points = []
+
+        def fake_run(config, repeat):
+            points.append((config.variant, config.threads, config.workload.key_range, repeat))
+            return replace(sample_records()[0], variant=config.variant, threads=config.threads,
+                           key_range=config.workload.key_range, repeat=repeat)
+
+        monkeypatch.setattr(cli.bench_mod, "run_bench", fake_run)
+        rc, out, _ = run(capsys, "bench", "--preset", "paper-mid")
+        assert rc == 0
+        threads = [1, 2, 4, 8, 16, 32]
+        grid = [("coarse", threads), ("fn", threads), ("fe", threads), ("fem", threads),
+                ("tn", threads), ("seq", [1])]
+        assert points == [
+            (variant, n, key_range, repeat)
+            for key_range in (10000, 100000)
+            for variant, counts in grid
+            for n in counts
+            for repeat in range(3)
+        ]
+        assert len(points) == 2 * (5 * 6 + 1) * 3
+        assert len(read_csv(io.StringIO(out))) == len(points)
 
     def test_key_range_past_cap_refused_before_prefill(self, capsys, monkeypatch):
         # Ten times the largest preset bucket; prefill would insert half.

@@ -35,38 +35,24 @@ from cbst.verify import (
     check_structure,
     run_stress,
 )
-from mutants import mutant
+from mutants import ROWS, mutant
 
 # A clean run takes about 50 ms; the timeout only bounds a hung one.
 CONFIG = StressConfig(threads=4, key_range=12, insert_pct=40, delete_pct=30,
                       search_pct=30, ops_per_thread=2000, timeout_s=10)
 
-# One row per mutant, (name, base, method, snippet, replacement, seeds): the
-# mutant drops one step and must be caught within its seeds. With yields,
-# each was caught at every one of the first 10 seeds (2 vCPUs, neither
-# free, CPython 3.11); fem's by a hang, so its first seed takes the timeout.
+# The audit rows (see mutants.py) whose mutants must be caught, each within
+# its seeds. With yields, each was caught at every one of the first 10 seeds
+# (2 vCPUs, neither free, CPython 3.11); fem's by a hang, so its first seed
+# takes the timeout.
 MUTANTS = {
-    mutant(*row): seeds
-    for *row, seeds in [
-        # Commits under the leaf's lock whatever the re-traversal found.
-        ("FeInsertWithoutRetraversal", FeTree, "_insert",
-         "fpred is not pred or fcurr is not curr", "False", range(20)),
-        # Splices pred's other child into ppred without locking it.
-        ("FeDeleteWithoutSiblingLock", FeTree, "_delete",
-         "_link_locked_sibling(ppred, key >= ppred.key, pred, key >= pred.key)",
-         "_link(ppred, key >= ppred.key, pred.left if key >= pred.key else pred.right)",
-         range(20)),
-        # Commits under the leaf's lock without looking at pred's mark or link.
-        ("FemInsertWithoutMarkAndLinkCheck", FemTree, "_insert",
-         "pred.marked or (pred.right if right else pred.left) is not curr", "False",
-         range(40)),
-        # Commits under pred's lock without comparing its version with the
-        # descent's stamp.
-        ("TnInsertWithoutStampCompare", TnTree, "_insert",
-         "pred.version != pstamp", "False", range(40)),
-        # Commits without bumping pred's version, so a stale stamp still matches.
-        ("TnInsertWithoutVersionBump", TnTree, "_insert",
-         "pred.version += 1", "pass", range(40)),
+    mutant(*ROWS[name][:5]): seeds
+    for name, seeds in [
+        ("FeInsertWithoutRetraversal", range(20)),
+        ("FeDeleteWithoutSiblingLock", range(20)),
+        ("FemInsertWithoutMarkAndLinkCheck", range(40)),
+        ("TnInsertWithoutStampCompare", range(40)),
+        ("TnInsertWithoutVersionBump", range(40)),
     ]
 }
 
