@@ -9,7 +9,9 @@ The parser only parses. Each count, range and mix is checked by the config
 it fills (``BenchConfig``, ``WorkloadSpec`` or ``StressConfig``), which also
 holds its default, and a value that config rejects exits 2 with the
 config's message before any run starts. The parser itself bounds only what
-no config holds: ``--repeats`` and bench's key-range cap.
+no config holds: ``--repeats``, and bench's key range, which the CLI caps
+well below ``WorkloadSpec``'s limit. Every usage error, the parser's own or
+a config's, is reported by the subcommand's parser, with its usage line.
 
 ``cbst check`` makes one recorded stress run and decides it two ways: the
 final tree's structure, and the history's linearizability ending at the
@@ -58,20 +60,20 @@ _MAX_KEY_RANGE = 10 * max(_PRESET_BUCKETS)
 _PRESET_THREADS = [1, 2, 4, 8, 16, 32]
 
 
-def _at_least(minimum: float, at_most: float = math.inf):
+def _at_least(minimum: int, at_most: float = math.inf):
     """An argparse type for an integer of at least ``minimum`` and at most
     ``at_most``, for the two bounds that no config holds: ``--repeats`` and
-    bench's key-range cap."""
+    bench's key range. Its error names every bound it has."""
+    bounds = f"at least {minimum}" if at_most == math.inf else (
+        f"at most {at_most} and at least {minimum}")
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        if value > at_most:
-            raise argparse.ArgumentTypeError(f"must be at most {at_most}, got {value}")
+        if not minimum <= value <= at_most:
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
         return value
 
     return parse
@@ -100,13 +102,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each subcommand runs with its own parser, which reports its usage errors.
     b = sub.add_parser("bench", help="run throughput benchmarks")
+    b.set_defaults(run=cmd_bench, parser=b)
     b.add_argument("--variant", choices=VARIANT_NAMES, default=None,
                    help="tree variant to benchmark (default fem, or the preset grid)")
     b.add_argument("--threads", type=_thread_list, default=None, metavar="N,N,...",
                    help="thread counts to sweep (default 1)")
     b.add_argument("--duration-ms", type=int, default=1000, metavar="MS")
-    b.add_argument("--key-range", type=_at_least(-math.inf, _MAX_KEY_RANGE), default=None,
+    b.add_argument("--key-range", type=_at_least(2, _MAX_KEY_RANGE), default=None,
                    metavar="N", help="key range aka bucket size (default 10000)")
     b.add_argument("--mix", type=_mix, default=None, metavar="I,D,S",
                    help="insert,delete,search percentages (default %s,%s,%s)" % bench_mod.MIX_MID)
@@ -119,6 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="expand to the published experiment grid for this mix")
 
     c = sub.add_parser("check", help="stress-check a variant, or replay a history file")
+    c.set_defaults(run=cmd_check, parser=c)
     c.add_argument("--variant", choices=VARIANT_NAMES, default=StressConfig.variant)
     c.add_argument("--threads", type=int, default=None,
                    help=f"worker threads (default {StressConfig.threads}; seq runs on 1)")
@@ -133,6 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default=None, metavar="PATH")
 
     m = sub.add_parser("model", help="evaluate the speedup model")
+    m.set_defaults(run=cmd_model, parser=m)
     action = m.add_mutually_exclusive_group(required=True)
     action.add_argument("--eval", action="store_true", help="print concurrent speedup")
     action.add_argument("--curve-alpha", action="store_true", help="emit the alpha(t) curve")
@@ -326,14 +332,9 @@ def cmd_model(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "bench":
-            return cmd_bench(args, parser)
-        if args.command == "check":
-            return cmd_check(args, parser)
-        return cmd_model(args, parser)
+        return args.run(args, args.parser)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -89,9 +89,12 @@ retired pred locked, fem leaves pred marked and locked, and curr locked, and
 tn leaves the retired pred locked with its version frozen, so a stale
 operation that still points at them fails its lock or validation step and
 retries from the root. fe releases them; its re-traversal never finds them
-again. The unlinked nodes themselves stay readable for as long as any
-in-flight traversal can reach them; reclamation is left to reference
-counting.
+again. fem's delete marks pred only once its checks have passed, so a mark
+is set once, by the delete that retires the router, and never cleared.
+Every failed pass of every variant therefore stores nothing, and its one
+rollback is ``_abort``, a plain release of the locks it took. The unlinked
+nodes themselves stay readable for as long as any in-flight traversal can
+reach them; reclamation is left to reference counting.
 """
 
 from __future__ import annotations
@@ -114,13 +117,6 @@ def _abort(*locks):
     return _RETRY
 
 
-def _unmark_abort(pred):
-    """fem rollback: clear pred's mark strictly before releasing its lock."""
-    pred.marked = False
-    pred.lock.release()
-    return _RETRY
-
-
 def _link(parent, right, child):
     """Point ``parent``'s right or left child pointer at ``child``."""
     if right:
@@ -130,13 +126,15 @@ def _link(parent, right, child):
 
 
 def _link_settled_sibling(ppred, pright, pred, right):
-    """Point ppred's child pointer at pred's other child, once no insert
-    holds that child's lock (the fem delete).
+    """Point ppred's child pointer at pred's other child, once no other
+    operation holds that child's lock (the fem delete).
 
     The lock test must come before the link re-read, otherwise a release
     between the two reads could hand back a sibling that was already
-    replaced. An insert that locks the sibling after the test fails its
-    validation on pred's mark, so the test and the store need not be atomic.
+    replaced. The caller marks pred before the call, so an insert that locks
+    the sibling leaf after the test, or a delete that holds the sibling as
+    its own pred, then finds pred marked and fails: the test and the store
+    need not be atomic.
     """
     sibling = pred.left if right else pred.right
     while sibling.lock.locked() or (pred.left if right else pred.right) is not sibling:
@@ -186,10 +184,10 @@ class LockedNode(Node):
 
 
 class MarkedNode(LockedNode):
-    """An fem node: ``marked`` is set only while ``lock`` is held, and only
-    on a router, by the delete that holds it as pred. A rollback clears it
-    before the release and a delete never releases, so a node seen marked
-    while its lock is free, or by the lock's holder, is retired for good."""
+    """An fem node: ``marked`` is set only on a router, by the delete that
+    holds it as pred, once that delete's checks have passed and before it
+    waits for pred's other child. It is never cleared, and that delete never
+    releases pred, so a marked node is retired for good and always held."""
 
     __slots__ = ("marked",)
 
@@ -651,12 +649,13 @@ class FemTree(TreeBase):
 
     insert owns the edge above the reached leaf by locking the leaf itself,
     then checks that pred is unmarked and still links to curr. delete locks
-    pred and sets ``marked`` on it right after the acquire, checks that
-    ppred is unmarked, then locks curr and re-checks the pred->curr link.
-    The mark is what lets a later operation tell a retired router from a
-    merely busy one without re-descending: a rollback unmarks strictly before
-    it releases, and a successful delete never releases pred, so a visibly
-    marked router is permanently out of the tree.
+    pred, checks that ppred is unmarked, locks curr and re-checks the
+    pred->curr link. Only then, when the pass can no longer fail, does it
+    set ``marked`` on pred, wait for pred's other child to be free and
+    splice that child up. The mark is what lets a later operation tell a
+    retired router from a merely busy one without re-descending. It is set
+    once, by the delete that retires the router, and never cleared, so every
+    rollback is a plain release and a failed pass stores nothing.
 
     Why that suffices:
 
@@ -665,12 +664,19 @@ class FemTree(TreeBase):
       and it stays reachable while it is held. A marked router is always
       held, so its acquire fails, and a test of the mark before it would
       only repeat it.
+    * The only order other operations rely on is that the mark comes before
+      the sibling wait. An insert that locks the sibling leaf after the
+      wait's test, or a delete that holds pred's other child as its own
+      pred, then finds pred marked and fails. One that passed its check of
+      pred's mark before it was set commits under pred on the sibling's
+      side, and the wait re-reads pred's other child until it finds one
+      free, so it splices up whatever that commit left there.
     * The edge into a router changes only when that router or its parent is
       retired. Holding pred rules out the first. A delete that retires ppred
-      marks it first, and then waits for ppred's other child, pred, to be
-      free before it splices that child up. So if ppred is unmarked once
-      pred is held, ppred->pred stays until this delete releases pred or
-      commits, and no re-check of that link is needed.
+      marks it before it waits for ppred's other child, pred, to be free,
+      and splices that child up only after the wait. So if ppred is unmarked
+      once pred is held, ppred->pred stays until this delete releases pred
+      or commits, and no re-check of that link is needed.
     * Inserts change only the edges into leaves, and every change to the
       edge into a leaf holds that leaf's lock or retires its parent. So
       holding pred and curr pins pred->curr once re-checked.
@@ -703,16 +709,21 @@ class FemTree(TreeBase):
         return True
 
     def _delete(self, key, ppred, pred, curr):
-        if not pred.lock.acquire(False):
+        plock = pred.lock
+        if not plock.acquire(False):
             return _abort()
-        pred.marked = True
         clock = curr.lock
         if ppred.marked or not clock.acquire(False):
-            return _unmark_abort(pred)
+            return _abort(plock)
         right = key >= pred.key
         if (pred.right if right else pred.left) is not curr:
-            clock.release()
-            return _unmark_abort(pred)
+            return _abort(clock, plock)
+        # Mark pred, then wait for its other child to be free rather than
+        # lock it. Splicing under the sibling's lock with fe's
+        # _link_locked_sibling also passed every schedule, but cost fem about
+        # 4 % of its rate relative to fn on the benchmark's 2-thread update
+        # workload (0.955 to 0.910, 6 pairs).
+        pred.marked = True
         _link_settled_sibling(ppred, key >= ppred.key, pred, right)
         # pred stays marked and locked forever, and curr locked: the mark
         # makes pred's retirement visible, and the held locks make every

@@ -2,10 +2,12 @@
 
 A mutant is a subclass of a tree whose ``_insert`` or ``_delete`` is its
 base's own method with one snippet of its source replaced, so it drops one
-lock, check, store or release and keeps everything else. Each is one row
-of ``STEPS`` or ``ROLLBACKS``, the necessity audit that ``test_schedule.py``
-decides; ``test_stress_mutants.py`` builds the mutants its recorded runs
-must catch from five of those rows, by name.
+lock, check, store or release and keeps everything else. A step inside a
+function of ``cbst.tree`` that a control phase calls is dropped the same
+way in that function, rebuilt by ``rebuilt``. Each is one row of ``STEPS``
+or ``ROLLBACKS``, the necessity audit that ``test_schedule.py`` decides;
+``test_stress_mutants.py`` builds the mutants its recorded runs must catch
+from five of those rows, by name.
 """
 
 import inspect
@@ -16,21 +18,28 @@ from cbst.tree import FemTree, FeTree, FnTree, TnTree
 from schedule import GRID_A, GRID_B, GRID_E
 
 
-def mutant(name, base, method, snippet, replacement):
-    """A subclass of ``base`` named ``name`` whose ``method`` is base's own,
-    rebuilt from its source with ``snippet`` replaced.
+def rebuilt(name, function, snippet, replacement):
+    """``function``, a method or a function of ``cbst.tree``, rebuilt from
+    its source with ``snippet`` replaced, for the mutant ``name``.
 
-    The method is compiled with ``cbst.tree``'s module dict as its globals,
-    so it sees every patch made there, as the real one does. ``snippet``
-    must occur exactly once, so an edit of the method that moves it fails
-    here, naming the mutant, instead of testing a different mutation.
+    It is compiled with ``cbst.tree``'s module dict as its globals, so it
+    sees every patch made there, as the real one does. ``snippet`` must
+    occur exactly once, so an edit of the function that moves it fails here,
+    naming the mutant, instead of testing a different mutation.
     """
-    source = textwrap.dedent(inspect.getsource(getattr(base, method)))
+    source = textwrap.dedent(inspect.getsource(function))
     found = source.count(snippet)
-    assert found == 1, f"{name}: {snippet!r} occurs {found} times in {base.__name__}.{method}"
+    assert found == 1, f"{name}: {snippet!r} occurs {found} times in {function.__qualname__}"
     namespace = {}
     exec(source.replace(snippet, replacement), vars(cbst.tree), namespace)
-    return type(name, (base,), {method: namespace[method]})
+    return namespace[function.__name__]
+
+
+def mutant(name, base, method, snippet, replacement):
+    """A subclass of ``base`` named ``name`` whose ``method`` is base's own,
+    rebuilt with ``snippet`` replaced."""
+    return type(name, (base,), {method: rebuilt(name, getattr(base, method), snippet,
+                                                replacement)})
 
 
 # The necessity audit: one row per step left in a control phase of fn, fe,
@@ -42,7 +51,9 @@ def mutant(name, base, method, snippet, replacement):
 # dropped, fn's leaf locks and ppred->pred re-check, fem's leaf mark, its
 # ppred->pred re-check and its mark test before pred's acquire, and tn's
 # ppred stamp compare and bump, passed grids A and B at bound 2 and grid C
-# at bound 1.
+# at bound 1. ``method`` names a method of ``base`` or, for a step inside a
+# function of ``cbst.tree`` that base's control phase calls, that function,
+# which the run patches into the module.
 STEPS = [
     ("FnInsertWithoutPredLock", FnTree, "_insert", "plock = pred.lock",
      "plock = threading.Lock()", GRID_A),
@@ -70,6 +81,12 @@ STEPS = [
      "_link_locked_sibling(ppred, key >= ppred.key, pred, key >= pred.key)",
      "_link(ppred, key >= ppred.key, pred.left if key >= pred.key else pred.right)",
      GRID_A),
+    # Splices the sibling up under its lock and never releases it, so a later
+    # update that needs the sibling waits for good. The release occurs twice
+    # in the function, so the snippet takes the line before it too.
+    ("FeDeleteKeepsSiblingLocked", FeTree, "_link_locked_sibling",
+     "_link(ppred, pright, sibling)\n    sibling.lock.release()",
+     "_link(ppred, pright, sibling)", GRID_A),
     ("FemInsertWithoutLeafLock", FemTree, "_insert", "clock = curr.lock",
      "clock = threading.Lock()", GRID_A),
     ("FemInsertWithoutMarkCheck", FemTree, "_insert", "pred.marked or ", "", GRID_A),
@@ -79,12 +96,15 @@ STEPS = [
     # pred's mark or link.
     ("FemInsertWithoutMarkAndLinkCheck", FemTree, "_insert",
      "pred.marked or (pred.right if right else pred.left) is not curr", "False", GRID_A),
-    # Its rollbacks still release pred's lock, which this pass never took,
-    # and the first failing run raises there. A drop that also skips those
-    # releases hangs on grid A at bound 1, in its 496th schedule.
-    ("FemDeleteWithoutPredLock", FemTree, "_delete", "pred.lock.acquire(False)",
-     "threading.Lock().acquire(False)", GRID_A),
+    ("FemDeleteWithoutPredLock", FemTree, "_delete", "plock = pred.lock",
+     "plock = threading.Lock()", GRID_A),
     ("FemDeleteWithoutPredMark", FemTree, "_delete", "pred.marked = True", "pass", GRID_A),
+    # Marks pred only after the splice, so an insert can lock the sibling
+    # leaf after the wait's test and still find pred unmarked.
+    ("FemDeleteMarksAfterSplice", FemTree, "_delete",
+     "pred.marked = True\n    _link_settled_sibling(ppred, key >= ppred.key, pred, right)",
+     "_link_settled_sibling(ppred, key >= ppred.key, pred, right)\n    pred.marked = True",
+     GRID_A),
     ("FemDeleteWithoutPpredMarkCheck", FemTree, "_delete", "ppred.marked or ", "", GRID_B),
     ("FemDeleteWithoutLeafLock", FemTree, "_delete", "clock = curr.lock",
      "clock = threading.Lock()", GRID_A),
@@ -126,16 +146,12 @@ ROLLBACKS = [
      "_abort(clock)", GRID_B),
     ("FemInsertKeepsLeafOnStalePred", FemTree, "_insert", "_abort(clock)", "_abort()",
      GRID_A),
-    # pred's two rollbacks call the same _unmark_abort(pred); each row keeps
-    # the line before it, and drops only the release.
-    ("FemDeleteKeepsPredOnMarkedPpredOrBusyLeaf", FemTree, "_delete",
-     "clock.acquire(False):\n        return _unmark_abort(pred)",
-     "clock.acquire(False):\n        return setattr(pred, 'marked', False) or _RETRY",
-     GRID_A),
-    ("FemDeleteKeepsLeafOnMovedLink", FemTree, "_delete", "clock.release()", "pass", GRID_A),
-    ("FemDeleteKeepsPredOnMovedLink", FemTree, "_delete",
-     "clock.release()\n        return _unmark_abort(pred)",
-     "clock.release()\n        return setattr(pred, 'marked', False) or _RETRY", GRID_E),
+    ("FemDeleteKeepsPredOnMarkedPpredOrBusyLeaf", FemTree, "_delete", "_abort(plock)",
+     "_abort()", GRID_A),
+    ("FemDeleteKeepsLeafOnMovedLink", FemTree, "_delete", "_abort(clock, plock)",
+     "_abort(plock)", GRID_A),
+    ("FemDeleteKeepsPredOnMovedLink", FemTree, "_delete", "_abort(clock, plock)",
+     "_abort(clock)", GRID_E),
     ("TnInsertKeepsPredOnMovedStamp", TnTree, "_insert", "_abort(plock)", "_abort()", GRID_B),
     ("TnDeleteKeepsPpredOnBusyPred", TnTree, "_delete", "_abort(glock)", "_abort()", GRID_A),
     ("TnDeleteKeepsPredOnMovedStamp", TnTree, "_delete", "_abort(plock, glock)",

@@ -50,7 +50,7 @@ The grids are the plans the tests and the wide search use:
 
 ``PYTHONPATH=src python tests/schedule.py [VARIANT ...]`` runs the wide
 search outside Tier-1 for the named clean variants, all by default: bound 2
-on grids A, B and S, bound 1 on grids C and D. It prints the schedules,
+on grids A, B, S and E, bound 1 on grids C and D. It prints the schedules,
 failures and seconds for each variant and grid, and exits 1 if any run
 failed.
 """
@@ -326,7 +326,7 @@ def explore(make_tree, prefill, plans, bound, first_failure=False) -> Result:
 
 
 # The wide search: (grid, bound) pairs.
-WIDE = [(GRID_A, 2), (GRID_B, 2), (GRID_S, 2), (GRID_C, 1), (GRID_D, 1)]
+WIDE = [(GRID_A, 2), (GRID_B, 2), (GRID_S, 2), (GRID_C, 1), (GRID_D, 1), (GRID_E, 2)]
 
 
 def main(variants) -> int:

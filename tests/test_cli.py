@@ -62,6 +62,14 @@ class TestModelEval:
         assert out == ""
         assert out_path.read_text() == "2.66667\n"
 
+    def test_missing_input_is_reported_by_the_model_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["model", "--eval", "--c", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cbst model ")
+        assert "cbst model: error: --eval requires --P and --c" in err
+
     def test_zero_processors_fails(self, capsys):
         # --P 0 is checked as given, not replaced by a default.
         rc, out, err = run(capsys, "model", "--eval", "--P", "0", "--c", "0")
@@ -272,6 +280,24 @@ class TestBenchCommand:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--variant", "fem", flag, value])
         assert exc.value.code == 2
+
+    def test_config_error_is_reported_by_the_bench_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--duration-ms", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cbst bench ")
+        assert "cbst bench: error: duration_ms must be positive" in err
+
+    def test_key_range_error_names_the_cli_range(self, capsys):
+        # WorkloadSpec would take any range up to POS_SENTINEL; the CLI's
+        # cap is 1000000, so the error names that range instead.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--key-range", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "at least 2" in err and "at most 1000000" in err
+        assert str(2**63 - 1) not in err
 
     def test_unopenable_out_fails_before_the_sweep(self, capsys, monkeypatch, tmp_path):
         runs = []
@@ -568,6 +594,14 @@ class TestCheckLinearizability:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--variant", "seq", "--threads", "2"])
         assert exc.value.code == 2
+
+    def test_config_error_is_reported_by_the_check_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--threads", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cbst check ")
+        assert "cbst check: error: threads must be at least 1" in err
 
     def test_small_batch_passes(self, capsys):
         rc, out, err = run(capsys, *self.ARGS)

@@ -1,4 +1,6 @@
 import ast
+import dis
+import functools
 import gc
 import random
 import sys
@@ -500,8 +502,11 @@ class TestRetryPause:
 # Stale passes: (variant, op, key, moves, busy). The pass for ``key`` runs
 # on a snapshot taken from a tree holding 10 and 30, after ``moves`` (k
 # inserts k, -k deletes k) changed the tree. ``busy`` names the one snapshot
-# node the moves left held; with None every node is free and unmarked, so
-# only a validation step can fail the pass.
+# node an update in flight holds, so that the pass fails its acquire of it
+# or, for a fem router, its mark test: the test takes the node's lock and,
+# on a fem router, sets its mark, as the delete that retires it does once
+# its checks pass. With None every node is free and unmarked, so only a
+# validation step can fail the pass.
 STALE_PASSES = [
     # curr (leaf 10) retired under a new parent; fn leaves carry no lock, so
     # the link re-check fails the pass
@@ -520,26 +525,52 @@ STALE_PASSES = [
     # the tree was emptied: the re-traversal starts at a leaf
     ("fe", "insert", 25, (-10, -30), None),
     ("fe", "delete", 10, (-10, -30), None),
+    # fem's delete fails its acquire of curr, its check of ppred's mark, and
+    # its acquire of pred; with the moved link above, that is every one of
+    # its rollback sites
+    ("fem", "delete", 10, (), "curr"),
+    ("fem", "delete", 10, (), "ppred"),
+    ("fem", "delete", 10, (), "pred"),
 ]
+
+
+def stale_pass(variant, op, key, moves, busy):
+    """The tree, the snapshot and the stale control-phase arguments of the
+    ``STALE_PASSES`` row given, with its moves made and its busy node held."""
+    t = new_tree(variant)
+    for k in (10, 30):
+        t.insert(k)
+    snap = t.find(key)
+    stale = control_args(t, op, key)
+    for k in moves:
+        if k > 0:
+            t.insert(k)
+        else:
+            t.delete(-k)
+    if busy is not None:
+        node = getattr(snap, busy)
+        node.lock.acquire()
+        if variant == "fem" and not node.is_leaf():
+            node.marked = True
+    return t, snap, stale
+
+
+@functools.cache
+def store_offsets(code):
+    """The attribute each STORE_ATTR of ``code`` stores, by byte offset."""
+    return {ins.offset: ins.argval for ins in dis.get_instructions(code)
+            if ins.opname == "STORE_ATTR"}
 
 
 class TestRollbackSites:
     """Passes on stale snapshots: every pass's validation step, which
-    threaded runs seldom reach. Each pass must fail and leave no reachable
-    node held or marked."""
+    threaded runs seldom reach. Each pass must fail, store nothing, and
+    leave no reachable node held or marked but the one an update in flight
+    holds."""
 
     @pytest.mark.parametrize("variant, op, key, moves, busy", STALE_PASSES)
     def test_stale_pass_rolls_back(self, variant, op, key, moves, busy):
-        t = new_tree(variant)
-        for k in (10, 30):
-            t.insert(k)
-        snap = t.find(key)
-        stale = control_args(t, op, key)
-        for k in moves:
-            if k > 0:
-                t.insert(k)
-            else:
-                t.delete(-k)
+        t, snap, stale = stale_pass(variant, op, key, moves, busy)
         names = ("ppred", "pred", "curr")
 
         def held():
@@ -552,7 +583,39 @@ class TestRollbackSites:
         assert getattr(t, "_" + op)(*stale) is _RETRY
         # The snapshot's nodes may have left the tree, so check them too.
         assert held() == [n == busy for n in names]
-        assert leaked_locks(t) == []
+        inflight = [] if busy is None else [getattr(snap, busy)]
+        assert leaked_locks(t) == [(n.key, True, getattr(n, "marked", False)) for n in inflight]
+
+    @pytest.mark.parametrize("variant, op, key, moves, busy", STALE_PASSES)
+    def test_failed_pass_stores_nothing(self, variant, op, key, moves, busy):
+        # A failed pass should cost about what a search does: its rollback
+        # only releases what it took, so no STORE_ATTR of cbst.tree runs
+        # before it returns _RETRY.
+        t, _, stale = stale_pass(variant, op, key, moves, busy)
+        stores = []
+
+        def trace(frame, event, arg):
+            if frame.f_globals is not vars(cbst.tree):
+                return None
+            offsets = store_offsets(frame.f_code)
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+
+            def local(frame, event, arg):
+                if event == "opcode" and frame.f_lasti in offsets:
+                    stores.append((frame.f_code.co_name, offsets[frame.f_lasti]))
+                return local
+
+            return local
+
+        saved = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            result = getattr(t, "_" + op)(*stale)
+        finally:
+            sys.settrace(saved)
+        assert result is _RETRY
+        assert stores == []
 
     def test_tn_commit_under_ppred_does_not_fail_a_delete(self):
         # insert(5) commits under ppred (router 10), on the side away from
