@@ -25,14 +25,20 @@ def rebuilt(name, function, snippet, replacement):
     It is compiled with ``cbst.tree``'s module dict as its globals, so it
     sees every patch made there, as the real one does. ``snippet`` must
     occur exactly once, so an edit of the function that moves it fails here,
-    naming the mutant, instead of testing a different mutation.
+    naming the mutant, instead of testing a different mutation. The result
+    keeps its source in ``rebuilt_source``, so it can be rebuilt in turn.
     """
-    source = textwrap.dedent(inspect.getsource(function))
+    source = getattr(function, "rebuilt_source", None)
+    if source is None:
+        source = textwrap.dedent(inspect.getsource(function))
     found = source.count(snippet)
     assert found == 1, f"{name}: {snippet!r} occurs {found} times in {function.__qualname__}"
+    source = source.replace(snippet, replacement)
     namespace = {}
-    exec(source.replace(snippet, replacement), vars(cbst.tree), namespace)
-    return namespace[function.__name__]
+    exec(source, vars(cbst.tree), namespace)
+    function = namespace[function.__name__]
+    function.rebuilt_source = source
+    return function
 
 
 def mutant(name, base, method, snippet, replacement):
@@ -113,6 +119,11 @@ STEPS = [
     ("FemDeleteWithoutSiblingWait", FemTree, "_delete",
      "_link_settled_sibling(ppred, key >= ppred.key, pred, right)",
      "_link(ppred, key >= ppred.key, pred.left if right else pred.right)", GRID_A),
+    # Reads pred's stamp but skips the unlocked link check after it, so an
+    # insert that committed under pred between the descent's read of pred's
+    # child and the stamp goes unseen.
+    ("TnInsertWithoutLinkRecheck", TnTree, "_insert",
+     "(pred.right if right else pred.left) is not curr", "False", GRID_A),
     ("TnInsertWithoutPredLock", TnTree, "_insert", "plock = pred.lock",
      "plock = threading.Lock()", GRID_A),
     # Commits under pred's lock without comparing its version with the
@@ -121,6 +132,8 @@ STEPS = [
      GRID_A),
     # Commits without bumping pred's version, so a stale stamp still matches.
     ("TnInsertWithoutVersionBump", TnTree, "_insert", "pred.version += 1", "pass", GRID_A),
+    ("TnDeleteWithoutLinkRecheck", TnTree, "_delete",
+     "(pred.right if right else pred.left) is not curr", "False", GRID_A),
     ("TnDeleteWithoutPpredLock", TnTree, "_delete", "glock = ppred.lock",
      "glock = threading.Lock()", GRID_B),
     ("TnDeleteWithoutPredLock", TnTree, "_delete", "plock = pred.lock",

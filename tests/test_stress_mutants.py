@@ -12,12 +12,13 @@ With no CPU free, a thread waiting for the GIL cannot ask for it, so the
 threads switch only when the OS preempts the holder: a run of 8,000
 operations switched threads 4 to 10 times, and fem's and tn's mutants
 passed all of 40 seeds. So each mutant runs with yields: every update
-yields on entering its control phase and before each child-pointer store.
-A yield is a call to ``cbst.tree.pause``, ``os.sched_yield``, which drops
-the GIL and lets the OS run a thread waiting for it, so the runs
-interleave inside updates whether or not a CPU is free. The clean trees
-must pass the same yielding runs. ``test_schedule.py`` decides the full
-audit, on controlled schedules.
+yields on entering its control phase and before each child-pointer store,
+and a tn update also just before it reads its first lock. A yield is a
+call to ``cbst.tree.pause``, ``os.sched_yield``, which drops the GIL and
+lets the OS run a thread waiting for it, so the runs interleave inside
+updates whether or not a CPU is free. The clean trees must pass the same
+yielding runs. ``test_schedule.py`` decides the full audit, on controlled
+schedules.
 """
 
 import threading
@@ -35,7 +36,7 @@ from cbst.verify import (
     check_structure,
     run_stress,
 )
-from mutants import ROWS, mutant
+from mutants import ROWS, mutant, rebuilt
 
 # A clean run takes about 50 ms; the timeout only bounds a hung one.
 CONFIG = StressConfig(threads=4, key_range=12, insert_pct=40, delete_pct=30,
@@ -98,24 +99,42 @@ def yielding_link(parent, right, child):
     _store(parent, right, child)
 
 
+# tn reads pred's stamp and link on entering its control phase, and its
+# stamp compare and bump guard only commits that land after that, while it
+# takes its locks. With the entry yield alone its mutants without the
+# compare or the bump were caught at 0 and 1 of seeds 0-9, so its control
+# phases, rebuilt from their source, yield again just before the first lock
+# read; then both were caught at 10 of 10.
+TN_FIRST_LOCK_READS = {"_insert": "plock = pred.lock", "_delete": "glock = ppred.lock"}
+
+
+def entering(control):
+    """``control`` after a yield."""
+
+    def yielding_control(self, *args):
+        cbst.tree.pause()
+        return control(self, *args)
+
+    return yielding_control
+
+
 def yielding(tree_class):
     """A subclass of ``tree_class`` that yields on entering each control
-    phase."""
-
-    def _insert(self, *args):
-        cbst.tree.pause()
-        return tree_class._insert(self, *args)
-
-    def _delete(self, *args):
-        cbst.tree.pause()
-        return tree_class._delete(self, *args)
-
-    return type(tree_class.__name__, (tree_class,), {"_insert": _insert, "_delete": _delete})
+    phase and, for tn, again before its first lock read."""
+    controls = {}
+    for name in ("_insert", "_delete"):
+        control = getattr(tree_class, name)
+        if issubclass(tree_class, TnTree):
+            snippet = TN_FIRST_LOCK_READS[name]
+            control = rebuilt(f"yielding {tree_class.__name__}", control, snippet,
+                              f"pause()\n    {snippet}")
+        controls[name] = entering(control)
+    return type(tree_class.__name__, (tree_class,), controls)
 
 
 def fails_yielding(tree_class, seed, monkeypatch):
-    """``fails`` for a run of ``tree_class`` whose updates yield on entering
-    the control phase and before each child-pointer store."""
+    """``fails`` for a run of ``tree_class`` whose updates yield as
+    ``yielding`` makes them and before each child-pointer store."""
     yielding_class = yielding(tree_class)
     monkeypatch.setattr(cbst.verify, "new_tree", lambda variant: yielding_class())
     monkeypatch.setattr(cbst.tree, "_link", yielding_link)

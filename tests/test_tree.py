@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,8 @@ from cbst.tree import (
     Node,
     Snapshot,
     StampedNode,
+    TnTree,
+    TreeBase,
     new_locked_node,
     new_marked_node,
     new_node,
@@ -198,30 +201,22 @@ class TestDescentSides:
 
     @pytest.mark.parametrize("variant", ALL)
     def test_each_pass_hands_its_control_phase_the_descended_path(self, variant):
-        # The retry loops' inline descent must reach find()'s nodes, and
-        # tn's must also stamp pred with its version (a quiescent tree).
-        # tn's delete hands over no stamp of ppred: it is never compared.
+        # The retry loops' inline descent must reach find()'s nodes; tn's
+        # control phases get the same arguments and read pred's stamp
+        # themselves.
         t = _churned(variant)
         present = set(t.collect_leaf_keys())
-        bumped = 0
         for key in range(-1, 402):
             ppred, _, pred, _, curr = t.find(key)
             if key in present:
-                args = control_args(t, "delete", key)
-                if variant == "tn":
-                    expected = (key, ppred, pred, pred.version, curr)
-                    bumped += pred.version > 0
-                else:
-                    expected = (key, ppred, pred, curr)
+                assert control_args(t, "delete", key) == (key, ppred, pred, curr), key
             else:
-                args = control_args(t, "insert", key)
-                if variant == "tn":
-                    expected = (key, pred, pred.version, curr)
-                else:
-                    expected = (key, pred, curr)
-            assert args == expected, key
-        if variant == "tn":
-            assert bumped > 0
+                assert control_args(t, "insert", key) == (key, pred, curr), key
+
+    def test_tn_runs_the_shared_retry_loops(self):
+        # So a failed tn update runs exactly seq's descent: pred's stamp is
+        # read in the control phase, not on the way down.
+        assert TnTree.insert is TreeBase.insert and TnTree.delete is TreeBase.delete
 
 
 class TestInsertDelete:
@@ -520,7 +515,9 @@ STALE_PASSES = [
     # the re-traversal reaches the new router, not the locked path
     ("fe", "insert", 25, (15,), None),
     ("fe", "delete", 10, (15,), None),
-    # an insert under pred moved pred's stamp
+    # an insert under pred split curr, so tn's link check, made before any
+    # lock, fails the pass; a commit inside the pass moves pred's stamp
+    # (TestTnStamps)
     ("tn", "delete", 10, (15,), None),
     # the tree was emptied: the re-traversal starts at a leaf
     ("fe", "insert", 25, (-10, -30), None),
@@ -1054,13 +1051,28 @@ class TestTnStamps:
         assert pred.lock.locked() and pred.version == pversion
 
     def test_stamp_taken_before_a_commit_no_longer_matches(self):
-        t = self._tree()
-        _, pred, pstamp, _ = control_args(t, "insert", 25)
-        assert pred.version == pstamp
-        # Another insert under the same pred commits in between.
-        assert t.find(26).pred is pred
-        assert t.insert(26)
-        assert pred.version != pstamp
+        # insert(other) commits under the pass's pred, on the side of its
+        # curr, after the pass read pred's stamp and checked the link and
+        # just before it acquires pred's lock: only the compare of pred's
+        # version with the stamp can see it. A commit that lands before the
+        # stamp is read is the link check's (STALE_PASSES' tn rows).
+        for op, key, other in [("insert", 25, 26), ("delete", 20, 25)]:
+            t = self._tree()
+            stale = control_args(t, op, key)
+            pred = stale[-2]
+            assert t.find(other).pred is pred and t.find(other).curr is stale[-1]
+            lock, version, keys = pred.lock, pred.version, t.collect_leaf_keys()
+
+            def commit_first(blocking):
+                pred.lock = lock
+                assert t.insert(other)
+                return lock.acquire(blocking)
+
+            pred.lock = SimpleNamespace(acquire=commit_first, release=lock.release)
+            assert getattr(t, "_" + op)(*stale) is _RETRY, op
+            assert pred.lock is lock and pred.version == version + 1
+            assert leaked_locks(t) == []
+            assert t.collect_leaf_keys() == sorted(keys + [other])
 
 
 class TestCollectLeafKeys:
