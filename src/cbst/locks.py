@@ -1,19 +1,21 @@
 """Try-lock wrapper classes, kept as the benchmark's lock-layer probes.
 
 No tree uses these classes: every node a variant locks carries a bare
-``threading.Lock``, and fem's mark and tn's version stamp are plain slots on
-the node (see ``cbst.tree``). They stay only because ``perfbench/layers.py``
-times their construction, acquire and release in traced runs.
+``threading.Lock``. tn's version stamp is a plain slot on the node, and
+fem's mark takes no slot: a delete marks a router by storing the always-held
+lock ``cbst.tree._RETIRED`` in its ``lock`` slot. They stay only because
+``perfbench/layers.py`` times their construction, acquire and release in
+traced runs.
 
 All three locks are non-blocking: ``try_acquire`` either takes the lock and
 returns True or returns False immediately, and callers run their own retry
 loops. None of them spin or queue.
 
 On CPython the interpreter lock makes single attribute loads and stores
-atomic and sequentially consistent, which is what the plain ``marked`` and
-``version`` fields rely on; the compound read-modify-write steps of
-:class:`TicketLock` are guarded by an internal mutex because ``x += 1`` is
-not atomic.
+atomic and sequentially consistent, which is what fem's store of its mark
+lock and tn's plain ``version`` field rely on; the compound read-modify-write
+steps of :class:`TicketLock` are guarded by an internal mutex because
+``x += 1`` is not atomic.
 """
 
 from __future__ import annotations

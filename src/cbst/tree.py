@@ -50,27 +50,30 @@ Variant summary::
             like a node lock
     fn      node locks on ppred/pred       pred->curr link re-checked
     fe      node locks on pred/curr/sib.   fresh root-to-leaf re-traversal
-    fem     node locks on pred/curr, and   insert: pred's mark and the
-            a mark on delete's pred        pred->curr link; delete: ppred's
-                                           mark and the pred->curr link
+    fem     node locks on pred/curr; a     insert: pred's mark and the
+            delete marks its pred by       pred->curr link; delete: ppred's
+            swapping in a held lock        mark and the pred->curr link
     tn      node locks on ppred/pred       pred's version stamp, read with
                                            the pred->curr link before the
                                            locks; bumped by insert commits
 
 Each variant's nodes hold only the state its protocol touches. seq and
 coarse build every node as a plain ``Node``: a key and two child pointers.
-fe builds ``LockedNode``s, which add one bare ``threading.Lock``, and fem's
-``MarkedNode`` adds the ``marked`` flag to that. fn and tn lock only routers,
-so their leaves, sentinels included, are plain ``Node``s; fn's routers are
-``LockedNode``s and tn's ``StampedNode``s (a lock and a ``version``). A mark
-or a version is written only by the holder of its node's lock. No node class
-has an ``__init__``: each has one builder (``new_node``, ``new_locked_node``,
-``new_marked_node``, ``new_stamped_node``) that calls its class bare and sets
-every slot, which is cheaper than an ``__init__`` would be. All four take
-``(key, left=None, right=None, lock=None)``; ``new_node`` ignores the lock.
-Every node lock, and coarse's tree mutex, is taken only with
-``acquire(False)`` and a pause after each miss, so no thread ever blocks on
-a lock. Retries are counted per thread, so counting takes no lock.
+fe and fem build ``LockedNode``s, which add one bare ``threading.Lock``;
+fem marks a router retired by replacing its lock with ``_RETIRED``, a lock
+held for good, so a mark takes no slot of its own. fn and tn lock only
+routers, so their leaves, sentinels included, are ``Leaf``s, which hold
+only a key; fn's routers are ``LockedNode``s and tn's ``StampedNode``s (a
+lock and a ``version``). A mark or a version is written only by the holder
+of its node's lock. No node class has an ``__init__``: each has one builder
+(``new_node``, ``new_leaf``, ``new_locked_node``, ``new_stamped_node``)
+that calls its class bare and sets every slot, which is cheaper than an
+``__init__`` would be. All four take ``(key, left=None, right=None,
+lock=None)``; ``new_node`` and ``new_leaf`` ignore the lock, and
+``new_leaf`` the children. Every node lock, and coarse's tree mutex, is
+taken only with ``acquire(False)`` and a pause after each miss, so no
+thread ever blocks on a lock. Retries are counted per thread, so counting
+takes no lock.
 
 A benchmark prefill does not insert its keys one at a time.
 ``TreeBase._load`` hangs under the root of an empty tree, before the tree is
@@ -81,22 +84,23 @@ same 64-byte pymalloc size class as a ``Node`` and a ``LockedNode`` (CPython
 and spread the locked nodes over up to twice the pages that seq's take.
 The load therefore makes all the locks it needs first, in one batch, and
 calls every builder with the lock drawn for it: the batch's next lock for a
-locked node, None for a plain one. Nodes built by an insert still get their
-locks from their builders, so they alternate with them. The load takes no
-lock and moves no version, so tn's prefilled routers start at version 0
-rather than at the number of commits the inserts would have made on them.
+locked node, None for one without a lock. Nodes built by an insert still
+get their locks from their builders, so they alternate with them. The load
+takes no lock and moves no version, so tn's prefilled routers start at
+version 0 rather than at the number of commits the inserts would have made
+on them.
 
 Nodes unlinked by a delete are never recycled in place: fn leaves the
-retired pred locked, fem leaves pred marked and locked, and curr locked, and
-tn leaves the retired pred locked with its version frozen, so a stale
-operation that still points at them fails its lock or validation step and
-retries from the root. fe releases them; its re-traversal never finds them
-again. fem's delete marks pred only once its checks have passed, so a mark
-is set once, by the delete that retires the router, and never cleared.
-Every failed pass of every variant therefore stores nothing, and its one
-rollback is ``_abort``, a plain release of the locks it took. The unlinked
-nodes themselves stay readable for as long as any in-flight traversal can
-reach them; reclamation is left to reference counting.
+retired pred locked, fem leaves pred marked, its old lock still held, and
+curr locked, and tn leaves the retired pred locked with its version frozen,
+so a stale operation that still points at them fails its lock or validation
+step and retries from the root. fe releases them; its re-traversal never
+finds them again. fem's delete marks pred only once its checks have passed,
+so a mark is set once, by the delete that retires the router, and never
+cleared. Every failed pass of every variant therefore stores nothing, and
+its one rollback is ``_abort``, a plain release of the locks it took. The
+unlinked nodes themselves stay readable for as long as any in-flight
+traversal can reach them; reclamation is left to reference counting.
 """
 
 from __future__ import annotations
@@ -110,6 +114,13 @@ from .core import NEG_SENTINEL, POS_SENTINEL, check_key, pause
 
 # What a failed pass returns in place of a result.
 _RETRY = object()
+
+# fem's mark. A delete that retires a router stores this lock in the
+# router's ``lock`` slot once its checks pass. It is taken here and never
+# released, so an acquire of it always fails, as an acquire of the lock it
+# replaces does: that delete holds the old lock for good.
+_RETIRED = threading.Lock()
+_RETIRED.acquire(False)
 
 
 def _abort(*locks):
@@ -133,10 +144,10 @@ def _link_settled_sibling(ppred, pright, pred, right):
 
     The lock test must come before the link re-read, otherwise a release
     between the two reads could hand back a sibling that was already
-    replaced. The caller marks pred before the call, so an insert that locks
-    the sibling leaf after the test, or a delete that holds the sibling as
-    its own pred, then finds pred marked and fails: the test and the store
-    need not be atomic.
+    replaced. The caller marks pred, storing ``_RETIRED`` as its lock, before
+    the call, so an insert that locks the sibling leaf after the test, or a
+    delete that holds the sibling as its own pred, then finds pred marked
+    and fails: the test and the store need not be atomic.
     """
     sibling = pred.left if right else pred.right
     while sibling.lock.locked() or (pred.left if right else pred.right) is not sibling:
@@ -164,9 +175,8 @@ def _link_locked_sibling(ppred, pright, pred, right):
 class Node:
     """One tree node. Leaves have both children None; key never changes.
 
-    It carries no lock: seq and coarse build every node as one, and fn and
-    tn build their leaves as one. Like every node class it has no ``__init__``;
-    its builder ``new_node`` makes it.
+    It carries no lock: seq and coarse build every node as one. Like every
+    node class it has no ``__init__``; its builder ``new_node`` makes it.
     """
 
     __slots__ = ("key", "left", "right")
@@ -179,19 +189,28 @@ class Node:
         return f"<{kind} {self.key}>"
 
 
+class Leaf:
+    """An fn or tn leaf: only a key, 40 bytes against a ``Node``'s 56 on
+    CPython 3.11. Its children are None as class attributes.
+
+    It does not subclass ``Node``, whose three slots it would inherit. seq,
+    coarse and fe keep their leaves in their routers' class: on CPython 3.11
+    a leaf of another class makes the descent's ``node.left`` load
+    specialize for two classes, which cost seq 5 to 9 % of its search rate,
+    while fn's and tn's descents already meet two classes.
+    """
+
+    __slots__ = ("key",)
+    left = right = None
+    is_leaf = Node.is_leaf
+    __repr__ = Node.__repr__
+
+
 class LockedNode(Node):
-    """An fe node or an fn router; ``lock`` is a bare ``threading.Lock``."""
+    """An fe or fem node or an fn router; ``lock`` is a bare
+    ``threading.Lock``, or ``_RETIRED`` on a router fem has retired."""
 
     __slots__ = ("lock",)
-
-
-class MarkedNode(LockedNode):
-    """An fem node: ``marked`` is set only on a router, by the delete that
-    holds it as pred, once that delete's checks have passed and before it
-    waits for pred's other child. It is never cleared, and that delete never
-    releases pred, so a marked node is retired for good and always held."""
-
-    __slots__ = ("marked",)
 
 
 class StampedNode(LockedNode):
@@ -207,10 +226,10 @@ class StampedNode(LockedNode):
 # argument wrapper that object.__new__(cls) goes through. With timeit on
 # CPython 3.11.7 (x86-64 Xeon), new_node took 122 ns, against 166 ns through
 # object.__new__ and 191 ns for a class whose __init__ sets the slots;
-# new_marked_node took 214 ns, against 248 ns. Each builder sets every slot
-# itself rather than call another builder, which would cost one more call
-# per node: a locked node gets a free lock, made here unless the caller hands
-# one over (``TreeBase._load`` does), a mark starts False and a version 0.
+# new_locked_node took 201-208 ns, against 237-262 ns. Each builder sets
+# every slot itself rather than call another builder, which would cost one
+# more call per node: a locked node gets a free lock, made here unless the
+# caller hands one over (``TreeBase._load`` does), and a version starts at 0.
 def new_node(key, left=None, right=None, lock=None):
     """A ``Node``; it has no lock slot, so ``lock`` is ignored."""
     node = Node()
@@ -220,6 +239,14 @@ def new_node(key, left=None, right=None, lock=None):
     return node
 
 
+def new_leaf(key, left=None, right=None, lock=None):
+    """A ``Leaf``. It has only a key, so the other arguments, there to give
+    every builder one signature, are ignored."""
+    leaf = Leaf()
+    leaf.key = key
+    return leaf
+
+
 def new_locked_node(key, left=None, right=None, lock=None):
     """A ``LockedNode`` holding ``lock``, or a new lock."""
     node = LockedNode()
@@ -227,17 +254,6 @@ def new_locked_node(key, left=None, right=None, lock=None):
     node.left = left
     node.right = right
     node.lock = threading.Lock() if lock is None else lock
-    return node
-
-
-def new_marked_node(key, left=None, right=None, lock=None):
-    """An unmarked ``MarkedNode`` holding ``lock``, or a new lock."""
-    node = MarkedNode()
-    node.key = key
-    node.left = left
-    node.right = right
-    node.lock = threading.Lock() if lock is None else lock
-    node.marked = False
     return node
 
 
@@ -265,7 +281,7 @@ class Snapshot(NamedTuple):
     pright: bool
     pred: Node
     right: bool
-    curr: Node
+    curr: Node | Leaf
 
 
 class TreeBase:
@@ -388,10 +404,10 @@ class TreeBase:
         The nodes are allocated in preorder, each leaf when its slot is
         reached, so that a descent reads memory laid out along its path.
         The locks come first, in one batch, and every builder call is handed
-        the lock drawn for it, None for a plain ``Node``: a lock shares the
-        nodes' pymalloc size class, so locks made between them would take
-        every other block (see the module docstring). Nothing is locked and
-        no version moves: the tree is not shared yet.
+        the lock drawn for it, None for a node without a lock: a lock shares
+        the locked nodes' pymalloc size class, so locks made between them
+        would take every other block (see the module docstring). Nothing is
+        locked and no version moves: the tree is not shared yet.
         """
         root = self.root
         if root.left is not self._neg_leaf:
@@ -536,7 +552,7 @@ class FnTree(TreeBase):
     insert locks pred; delete locks ppred, then pred, top-down so lock
     chains run toward the leaves and cannot cycle. Each then re-checks only
     the link from pred to curr. Only routers are locked, so they are
-    ``LockedNode``s and the leaves, sentinels included, plain ``Node``s.
+    ``LockedNode``s and the leaves, sentinels included, ``Leaf``s.
 
     Why that suffices:
 
@@ -554,6 +570,7 @@ class FnTree(TreeBase):
 
     variant = "fn"
     _router = staticmethod(new_locked_node)
+    _leaf = staticmethod(new_leaf)
 
     def _insert(self, key, pred, curr):
         plock = pred.lock
@@ -563,9 +580,9 @@ class FnTree(TreeBase):
         if (pred.right if right else pred.left) is not curr:
             return _abort(plock)
         if key < curr.key:
-            router = new_locked_node(curr.key, new_node(key), curr)
+            router = new_locked_node(curr.key, new_leaf(key), curr)
         else:
-            router = new_locked_node(key, curr, new_node(key))
+            router = new_locked_node(key, curr, new_leaf(key))
         _link(pred, right, router)
         plock.release()
         return True
@@ -652,26 +669,33 @@ class FemTree(TreeBase):
     then checks that pred is unmarked and still links to curr. delete locks
     pred, checks that ppred is unmarked, locks curr and re-checks the
     pred->curr link. Only then, when the pass can no longer fail, does it
-    set ``marked`` on pred, wait for pred's other child to be free and
-    splice that child up. The mark is what lets a later operation tell a
-    retired router from a merely busy one without re-descending. It is set
-    once, by the delete that retires the router, and never cleared, so every
-    rollback is a plain release and a failed pass stores nothing.
+    mark pred, wait for pred's other child to be free and splice that child
+    up. The mark is what lets a later operation tell a retired router from
+    a merely busy one without re-descending. It takes no slot of its own:
+    the delete stores ``_RETIRED``, a lock taken once at import and never
+    released, in pred's ``lock`` slot, and a mark test is
+    ``node.lock is _RETIRED``. So fem's nodes are fe's ``LockedNode``s. A
+    mark is set once, by the delete that retires the router, and never
+    cleared; every rollback comes before that store, so each is a plain
+    release of the locks the pass read, and a failed pass stores nothing.
 
     Why that suffices:
 
     * A router leaves the tree only as some delete's pred, and that delete
       never releases it. So a router whose acquire succeeds is reachable,
-      and it stays reachable while it is held. A marked router is always
-      held, so its acquire fails, and a test of the mark before it would
-      only repeat it.
+      and it stays reachable while it is held. A marked router's acquire
+      always fails: a thread that read its lock before the mark holds the
+      old lock, which the delete never releases, and one that reads it
+      after gets ``_RETIRED``, which is always held. A test of the mark
+      before the acquire would only repeat it.
     * The only order other operations rely on is that the mark comes before
       the sibling wait. An insert that locks the sibling leaf after the
       wait's test, or a delete that holds pred's other child as its own
       pred, then finds pred marked and fails. One that passed its check of
       pred's mark before it was set commits under pred on the sibling's
       side, and the wait re-reads pred's other child until it finds one
-      free, so it splices up whatever that commit left there.
+      free, so it splices up whatever that commit left there. A marked
+      sibling reads as locked, so the wait outlasts its delete's splice.
     * The edge into a router changes only when that router or its parent is
       retired. Holding pred rules out the first. A delete that retires ppred
       marks it before it waits for ppred's other child, pred, to be free,
@@ -681,30 +705,24 @@ class FemTree(TreeBase):
     * Inserts change only the edges into leaves, and every change to the
       edge into a leaf holds that leaf's lock or retires its parent. So
       holding pred and curr pins pred->curr once re-checked.
-    * A leaf is never pred or ppred, so no code reads a leaf's mark, and
-      delete does not mark curr.
+    * A leaf is never pred or ppred, so no code tests a leaf's mark, and
+      delete does not mark curr: it keeps curr's own lock held.
     """
 
     variant = "fem"
-    # The leaves stay MarkedNodes although their mark is never read. Built
-    # as LockedNodes they saved 8 bytes a key, but fem's benchmark rate on
-    # 2-thread updates fell (median 0.677 to 0.643 of the reference, lower
-    # in 4 of 4 pairs) and a single-thread loop ran 3.3 % slower (2 vCPUs,
-    # CPython 3.11). The likely cause, unverified, is that such leaves share
-    # pymalloc's 64-byte size class with the locks.
-    _router = _leaf = staticmethod(new_marked_node)
+    _router = _leaf = staticmethod(new_locked_node)
 
     def _insert(self, key, pred, curr):
         clock = curr.lock
         if not clock.acquire(False):
             return _abort()
         right = key >= pred.key
-        if pred.marked or (pred.right if right else pred.left) is not curr:
+        if pred.lock is _RETIRED or (pred.right if right else pred.left) is not curr:
             return _abort(clock)
         if key < curr.key:
-            router = new_marked_node(curr.key, new_marked_node(key), curr)
+            router = new_locked_node(curr.key, new_locked_node(key), curr)
         else:
-            router = new_marked_node(key, curr, new_marked_node(key))
+            router = new_locked_node(key, curr, new_locked_node(key))
         _link(pred, right, router)
         clock.release()
         return True
@@ -714,7 +732,7 @@ class FemTree(TreeBase):
         if not plock.acquire(False):
             return _abort()
         clock = curr.lock
-        if ppred.marked or not clock.acquire(False):
+        if ppred.lock is _RETIRED or not clock.acquire(False):
             return _abort(plock)
         right = key >= pred.key
         if (pred.right if right else pred.left) is not curr:
@@ -724,11 +742,11 @@ class FemTree(TreeBase):
         # _link_locked_sibling also passed every schedule, but cost fem about
         # 4 % of its rate relative to fn on the benchmark's 2-thread update
         # workload (0.955 to 0.910, 6 pairs).
-        pred.marked = True
+        pred.lock = _RETIRED
         _link_settled_sibling(ppred, key >= ppred.key, pred, right)
-        # pred stays marked and locked forever, and curr locked: the mark
-        # makes pred's retirement visible, and the held locks make every
-        # later acquire on either fail.
+        # pred stays marked, and plock and curr's lock stay held forever: the
+        # mark makes pred's retirement visible, and every later acquire of
+        # pred's lock, old or new, or of curr's fails.
         return True
 
 
@@ -746,7 +764,7 @@ class TnTree(TreeBase):
     check covers a commit in between. An aborted pass wrote nothing and
     releases without a bump. The retired pred is never released and its
     version never moves again. Leaves are never locked or stamped, so they
-    are plain ``Node``s.
+    are ``Leaf``s.
 
     Why that suffices:
 
@@ -766,6 +784,7 @@ class TnTree(TreeBase):
 
     variant = "tn"
     _router = staticmethod(new_stamped_node)
+    _leaf = staticmethod(new_leaf)
 
     def _insert(self, key, pred, curr):
         pstamp = pred.version
@@ -778,9 +797,9 @@ class TnTree(TreeBase):
         if pred.version != pstamp:
             return _abort(plock)
         if key < curr.key:
-            router = new_stamped_node(curr.key, new_node(key), curr)
+            router = new_stamped_node(curr.key, new_leaf(key), curr)
         else:
-            router = new_stamped_node(key, curr, new_node(key))
+            router = new_stamped_node(key, curr, new_leaf(key))
         _link(pred, right, router)
         pred.version += 1
         plock.release()

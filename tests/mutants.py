@@ -95,23 +95,27 @@ STEPS = [
      "_link(ppred, pright, sibling)", GRID_A),
     ("FemInsertWithoutLeafLock", FemTree, "_insert", "clock = curr.lock",
      "clock = threading.Lock()", GRID_A),
-    ("FemInsertWithoutMarkCheck", FemTree, "_insert", "pred.marked or ", "", GRID_A),
+    ("FemInsertWithoutMarkCheck", FemTree, "_insert", "pred.lock is _RETIRED or ", "",
+     GRID_A),
     ("FemInsertWithoutLinkCheck", FemTree, "_insert",
      "(pred.right if right else pred.left) is not curr", "False", GRID_A),
     # Both checks at once: commits under the leaf's lock without looking at
     # pred's mark or link.
     ("FemInsertWithoutMarkAndLinkCheck", FemTree, "_insert",
-     "pred.marked or (pred.right if right else pred.left) is not curr", "False", GRID_A),
+     "pred.lock is _RETIRED or (pred.right if right else pred.left) is not curr", "False",
+     GRID_A),
     ("FemDeleteWithoutPredLock", FemTree, "_delete", "plock = pred.lock",
      "plock = threading.Lock()", GRID_A),
-    ("FemDeleteWithoutPredMark", FemTree, "_delete", "pred.marked = True", "pass", GRID_A),
+    ("FemDeleteWithoutPredMark", FemTree, "_delete", "pred.lock = _RETIRED", "pass",
+     GRID_A),
     # Marks pred only after the splice, so an insert can lock the sibling
     # leaf after the wait's test and still find pred unmarked.
     ("FemDeleteMarksAfterSplice", FemTree, "_delete",
-     "pred.marked = True\n    _link_settled_sibling(ppred, key >= ppred.key, pred, right)",
-     "_link_settled_sibling(ppred, key >= ppred.key, pred, right)\n    pred.marked = True",
+     "pred.lock = _RETIRED\n    _link_settled_sibling(ppred, key >= ppred.key, pred, right)",
+     "_link_settled_sibling(ppred, key >= ppred.key, pred, right)\n    pred.lock = _RETIRED",
      GRID_A),
-    ("FemDeleteWithoutPpredMarkCheck", FemTree, "_delete", "ppred.marked or ", "", GRID_B),
+    ("FemDeleteWithoutPpredMarkCheck", FemTree, "_delete", "ppred.lock is _RETIRED or ", "",
+     GRID_B),
     ("FemDeleteWithoutLeafLock", FemTree, "_delete", "clock = curr.lock",
      "clock = threading.Lock()", GRID_A),
     ("FemDeleteWithoutLinkCheck", FemTree, "_delete",

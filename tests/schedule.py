@@ -6,12 +6,13 @@ schedule. Each worker is a real thread, but only one runs at a time, and the
 running thread gives way only at a *visible step*: the start of an
 operation, before its invocation stamp, or an instruction of ``cbst.tree``
 that reads or writes shared state, that is every LOAD_ATTR, STORE_ATTR and
-LOAD_METHOD of ``left``, ``right``, ``marked``, ``version``, ``lock``,
-``acquire``, ``release`` or ``locked``. Everything else there touches only
-locals and keys, which never change. A ``sys.settrace`` opcode tracer in each worker
-finds those instructions in every function whose globals are ``cbst.tree``'s,
-so a mutant compiled into that namespace is traced too. The node builders
-are left out: no other thread can see a node before its builder returns.
+LOAD_METHOD of ``left``, ``right``, ``version``, ``lock``, ``acquire``,
+``release`` or ``locked``; fem's mark is a store and a test of ``lock``.
+Everything else there touches only locals and keys, which never change. A
+``sys.settrace`` opcode tracer in each worker finds those instructions in
+every function whose globals are ``cbst.tree``'s, so a mutant compiled into
+that namespace is traced too. The node builders are left out: no other
+thread can see a node before its builder returns.
 
 At a visible step the running thread goes on by default, and a switch to
 another live thread costs one preemption. At the start and when a thread
@@ -72,11 +73,9 @@ from cbst.tree import CONCURRENT_VARIANTS, new_tree
 from cbst.verify import History, Operation, check_linearizable, check_structure
 
 # Attribute names whose loads and stores are visible steps.
-VISIBLE = frozenset(
-    {"left", "right", "marked", "version", "lock", "acquire", "release", "locked"}
-)
+VISIBLE = frozenset({"left", "right", "version", "lock", "acquire", "release", "locked"})
 _ACCESSES = frozenset({"LOAD_ATTR", "STORE_ATTR", "LOAD_METHOD"})
-_BUILDERS = frozenset({"new_node", "new_locked_node", "new_marked_node", "new_stamped_node"})
+_BUILDERS = frozenset({"new_node", "new_leaf", "new_locked_node", "new_stamped_node"})
 _TREE_GLOBALS = vars(cbst.tree)
 # Visible steps a run may take before it counts as a hang. No passing run
 # at bound 2 on grid A or bound 1 on grids C and D takes more than 126.

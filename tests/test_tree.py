@@ -16,18 +16,19 @@ import cbst.tree
 from cbst.bench import WorkloadSpec, prefill
 from cbst.core import NEG_SENTINEL, POS_SENTINEL, OpKind, SeqOracle, draw_op, run_threads
 from cbst.tree import (
+    _RETIRED,
     _RETRY,
     CONCURRENT_VARIANTS,
     VARIANT_NAMES,
+    Leaf,
     LockedNode,
-    MarkedNode,
     Node,
     Snapshot,
     StampedNode,
     TnTree,
     TreeBase,
+    new_leaf,
     new_locked_node,
-    new_marked_node,
     new_node,
     new_stamped_node,
     new_tree,
@@ -57,9 +58,14 @@ def reachable(tree):
 
 def is_held(node):
     """Whether ``node``'s lock is held. A node with no lock (every seq and
-    coarse node, every tn leaf) cannot be held."""
+    coarse node, every fn and tn leaf) cannot be held."""
     lock = getattr(node, "lock", None)
     return lock is not None and lock.locked()
+
+
+def is_marked(node):
+    """Whether fem marked ``node`` retired: its lock is ``_RETIRED``."""
+    return getattr(node, "lock", None) is _RETIRED
 
 
 def control_args(tree, op, key):
@@ -92,7 +98,7 @@ def leaked_locks(tree):
     leaked = []
     for node in reachable(tree):
         held = is_held(node)
-        marked = getattr(node, "marked", False)
+        marked = is_marked(node)
         if held or marked:
             leaked.append((node.key, held, marked))
     return leaked
@@ -499,9 +505,9 @@ class TestRetryPause:
 # inserts k, -k deletes k) changed the tree. ``busy`` names the one snapshot
 # node an update in flight holds, so that the pass fails its acquire of it
 # or, for a fem router, its mark test: the test takes the node's lock and,
-# on a fem router, sets its mark, as the delete that retires it does once
-# its checks pass. With None every node is free and unmarked, so only a
-# validation step can fail the pass.
+# on a fem router, marks it, storing ``_RETIRED`` as its lock, as the delete
+# that retires it does once its checks pass. With None every node is free
+# and unmarked, so only a validation step can fail the pass.
 STALE_PASSES = [
     # curr (leaf 10) retired under a new parent; fn leaves carry no lock, so
     # the link re-check fails the pass
@@ -548,7 +554,7 @@ def stale_pass(variant, op, key, moves, busy):
         node = getattr(snap, busy)
         node.lock.acquire()
         if variant == "fem" and not node.is_leaf():
-            node.marked = True
+            node.lock = _RETIRED
     return t, snap, stale
 
 
@@ -572,7 +578,7 @@ class TestRollbackSites:
 
         def held():
             nodes = [getattr(snap, n) for n in names]
-            return [is_held(node) or getattr(node, "marked", False) for node in nodes]
+            return [is_held(node) or is_marked(node) for node in nodes]
 
         assert held() == [n == busy for n in names]
         # Only the snapshot handed to the control phase is stale; fe's
@@ -581,7 +587,7 @@ class TestRollbackSites:
         # The snapshot's nodes may have left the tree, so check them too.
         assert held() == [n == busy for n in names]
         inflight = [] if busy is None else [getattr(snap, busy)]
-        assert leaked_locks(t) == [(n.key, True, getattr(n, "marked", False)) for n in inflight]
+        assert leaked_locks(t) == [(n.key, True, is_marked(n)) for n in inflight]
 
     @pytest.mark.parametrize("variant, op, key, moves, busy", STALE_PASSES)
     def test_failed_pass_stores_nothing(self, variant, op, key, moves, busy):
@@ -636,14 +642,16 @@ class TestRetirementBookkeeping:
         t.insert(5)
         s = t.find(5)
         pred, curr = s.pred, s.curr
+        plock, clock = pred.lock, curr.lock
         assert t.delete(5)
-        # The retired parent stays marked and locked forever, and the leaf
-        # locked. No code reads a leaf's mark, so delete never sets it.
-        assert pred.marked is True
-        assert curr.marked is False
-        for node in (pred, curr):
-            assert node.lock.locked() is True
-            assert node.lock.acquire(False) is False
+        # The retired parent stays marked forever, its old lock held, and
+        # the leaf keeps its own lock, held. No code tests a leaf's mark, so
+        # delete never sets it.
+        assert pred.lock is _RETIRED
+        assert curr.lock is clock
+        for lock in (plock, pred.lock, clock):
+            assert lock.locked() is True
+            assert lock.acquire(False) is False
 
     def test_fn_delete_keeps_flags_held(self):
         # The retired router stays locked; the leaf has no lock to hold.
@@ -654,7 +662,7 @@ class TestRetirementBookkeeping:
         assert t.delete(5)
         assert pred.lock.locked()
         assert pred.lock.acquire(False) is False
-        assert type(curr) is Node and not hasattr(curr, "lock")
+        assert type(curr) is Leaf and not hasattr(curr, "lock")
 
     def test_fe_delete_releases_flags(self):
         t = new_tree("fe")
@@ -696,12 +704,6 @@ def _grown(variant):
 class TestLockPlumbing:
     """Each variant's nodes hold only the state its protocol touches."""
 
-    def test_fem_nodes_are_marked_nodes_with_bare_locks(self):
-        for node in reachable(_grown("fem")):
-            assert type(node) is MarkedNode
-            assert type(node.lock) is BARE_LOCK
-            assert node.marked is False
-
     def test_tn_routers_are_stamped_and_leaves_plain(self):
         t = _grown("tn")
         assert type(t.root) is StampedNode
@@ -709,7 +711,7 @@ class TestLockPlumbing:
         for node in reachable(t):
             if node.left is None:
                 leaves += 1
-                assert type(node) is Node
+                assert type(node) is Leaf
                 assert not hasattr(node, "lock") and not hasattr(node, "version")
             else:
                 assert type(node) is StampedNode
@@ -717,23 +719,24 @@ class TestLockPlumbing:
         # Both sentinels and the three keys.
         assert leaves == 5
 
-    @pytest.mark.parametrize("variant", ["fn", "fe"])
+    @pytest.mark.parametrize("variant", ["fn", "fe", "fem"])
     def test_flag_variants_use_locked_nodes_with_bare_locks(self, variant):
-        # fe locks every node. fn locks only routers, so, as in tn, its
-        # leaves, sentinels included, are plain nodes.
+        # fe and fem lock every node; fem's mark is a lock, so its nodes are
+        # fe's. fn locks only routers, so, as in tn, its leaves, sentinels
+        # included, are key-only leaves.
         t = _grown(variant)
         assert type(t.root) is LockedNode
         leaves = 0
         for node in reachable(t):
             if variant == "fn" and node.left is None:
                 leaves += 1
-                assert type(node) is Node and not hasattr(node, "lock")
+                assert type(node) is Leaf and not hasattr(node, "lock")
                 continue
             assert type(node) is LockedNode
             assert type(node.lock) is BARE_LOCK
-            assert not hasattr(node, "marked") and not hasattr(node, "version")
+            assert not hasattr(node, "version")
         # Both sentinels and the three keys.
-        assert leaves == {"fn": 5, "fe": 0}[variant]
+        assert leaves == {"fn": 5, "fe": 0, "fem": 0}[variant]
 
     def test_seq_nodes_carry_no_locks(self):
         # Nor do coarse's: its one lock is the tree mutex.
@@ -754,58 +757,93 @@ class TestLockPlumbing:
         assert len(nodes) == 3 + 2 * 500
         locks = []
         for node in nodes:
-            plain_leaf = variant in ("fn", "tn") and node.left is None
-            if variant in ("seq", "coarse") or plain_leaf:
+            if variant in ("fn", "tn") and node.left is None:
+                assert type(node) is Leaf
+                continue
+            if variant in ("seq", "coarse"):
                 assert type(node) is Node and not hasattr(node, "lock")
                 continue
             assert type(node.lock) is BARE_LOCK
             assert node.lock.acquire(False) is True
             node.lock.release()
             locks.append(node.lock)
-            if variant == "fem":
-                assert node.marked is False
-            elif variant == "tn":
+            if variant == "tn":
                 assert node.version == 0
         # fn and tn lock only their 501 routers; fe and fem every node.
         expected = {"seq": 0, "coarse": 0, "fn": 501, "tn": 501}.get(variant, 1003)
         assert len(locks) == expected
         assert len({id(lock) for lock in locks}) == len(locks)
 
-    def test_tn_holds_less_per_key_than_fem(self):
-        # A tn leaf drops fem's lock, mark and their slots; fem and tn
-        # routers are the same size.
+    @pytest.mark.parametrize("variant", ALL)
+    def test_bytes_per_key_follow_the_node_layout(self, variant, monkeypatch):
+        # Each insert of a new key adds one router, one leaf and a lock per
+        # locked node, and holds nothing else. fem's mark is a lock, so its
+        # nodes are fe's, and fn and tn build key-only leaves.
         keys = random.Random(11).sample(range(100_000), 2000)
+        locks = [None] * len(keys)
 
-        def held_bytes(variant):
-            t = new_tree(variant)
+        def per_key(fill):
+            """Bytes that ``fill(i, key)`` for every i-th key allocated and
+            still holds, as traced, per key. Rounding drops the few dozen bytes
+            that the measurement's own ints and one-time caches of the
+            process take. The collector stays off: a callback some other
+            module registered in ``gc.callbacks`` may allocate when it runs."""
             gc.collect()
+            gc.disable()
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                for k in keys:
-                    t.insert(k)
-                gc.collect()
-                return tracemalloc.get_traced_memory()[0] - before
+                for i, key in enumerate(keys):
+                    fill(i, key)
+                return round((tracemalloc.get_traced_memory()[0] - before) / len(keys))
             finally:
                 tracemalloc.stop()
+                gc.enable()
 
-        saved = (held_bytes("fem") - held_bytes("tn")) / len(keys)
-        assert saved >= 90, saved
+        def tree_per_key(name):
+            t = new_tree(name)
+            return per_key(lambda i, key: t.insert(key))
+
+        def make_lock(i, key):
+            locks[i] = threading.Lock()
+
+        node, leaf, locked, stamped = (
+            sys.getsizeof(build(1))
+            for build in (new_node, new_leaf, new_locked_node, new_stamped_node)
+        )
+        lock = per_key(make_lock)
+        expected = {
+            "seq": 2 * node,
+            "coarse": 2 * node,
+            "fn": locked + lock + leaf,
+            "fe": 2 * (locked + lock),
+            "fem": 2 * (locked + lock),
+            "tn": stamped + lock + leaf,
+        }
+        measured = tree_per_key(variant)
+        assert measured == expected[variant]
+        if variant == "fem":
+            assert measured == tree_per_key("fe")
+        if variant in ("fn", "tn"):
+            # Built as Nodes, as they were before key-only leaves, the
+            # leaves hold exactly a Node's two child slots more per key.
+            monkeypatch.setattr(cbst.tree, "new_leaf", new_node)
+            assert tree_per_key(variant) - measured == node - leaf == 16
 
 
 # Each builder and the class of the nodes it builds.
 BUILDERS = [
     (new_node, Node),
+    (new_leaf, Leaf),
     (new_locked_node, LockedNode),
-    (new_marked_node, MarkedNode),
     (new_stamped_node, StampedNode),
 ]
-INITIAL = {"marked": False, "version": 0}
+INITIAL = {"version": 0}
 
 
 def assert_fresh(node):
     """Every slot of ``node`` is set, and to its initial value where it has
-    one: a free bare lock, no mark, version 0."""
+    one: a free bare lock, version 0."""
     for cls in type(node).__mro__:
         for name in cls.__dict__.get("__slots__", ()):
             value = getattr(node, name)
@@ -824,18 +862,22 @@ class TestNodeBuilders:
         right = new_node(9)
         leaf = build(7)
         router = build(9, leaf, right)
+        # A Leaf has no child slots; new_leaf takes the others' arguments
+        # so that _load calls every builder alike.
+        children = (None, None) if cls is Leaf else (leaf, right)
         assert type(leaf) is cls and type(router) is cls
         assert (leaf.key, leaf.left, leaf.right) == (7, None, None)
-        assert (router.key, router.left, router.right) == (9, leaf, right)
+        assert (router.key, router.left, router.right) == (9, *children)
         assert_fresh(leaf)
         assert_fresh(router)
-        # As _load calls it, with a lock handed over; new_node ignores it.
+        # As _load calls it, with a lock handed over; new_node and new_leaf
+        # ignore it.
         lock = threading.Lock()
         loaded = build(9, leaf, right, lock)
         assert type(loaded) is cls
-        assert (loaded.key, loaded.left, loaded.right) == (9, leaf, right)
+        assert (loaded.key, loaded.left, loaded.right) == (9, *children)
         assert_fresh(loaded)
-        if build is new_node:
+        if build in (new_node, new_leaf):
             assert not hasattr(loaded, "lock")
         else:
             assert leaf.lock is not router.lock
@@ -869,11 +911,11 @@ def test_tree_module_never_blocks_on_a_lock():
     assert blocking == []
 
 
-# The only code that may make a lock: the locked nodes' builders, the bulk
-# load's batch and coarse's tree mutex.
+# The only code that may make a lock: the module itself, for fem's mark
+# ``_RETIRED``, the locked nodes' builders, the bulk load's batch and
+# coarse's tree mutex.
 LOCK_MAKERS = {
-    "new_locked_node", "new_marked_node", "new_stamped_node", "TreeBase._load",
-    "CoarseTree.__init__",
+    "", "new_locked_node", "new_stamped_node", "TreeBase._load", "CoarseTree.__init__",
 }
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import cbst.verify
 from cbst.core import run_threads
-from cbst.tree import _RETRY, CONCURRENT_VARIANTS, new_tree
+from cbst.tree import _RETIRED, _RETRY, CONCURRENT_VARIANTS, new_tree
 from cbst.verify import (
     StressConfig,
     check_balance,
@@ -177,10 +177,12 @@ def test_stale_operation_on_retired_nodes_retries():
     tree = new_tree("fem")
     tree.insert(5)
     snap = tree.find(5)
+    plock = snap.pred.lock
     assert tree.delete(5) is True
-    # The retired parent is marked and held, the retired leaf only held.
-    assert snap.pred.marked and snap.pred.lock.locked()
-    assert snap.curr.lock.locked() and not snap.curr.marked
+    # The retired parent is marked, its old lock still held; the retired
+    # leaf keeps its own lock, held.
+    assert snap.pred.lock is _RETIRED and plock.locked()
+    assert snap.curr.lock.locked() and snap.curr.lock is not _RETIRED
     assert tree._delete(5, snap.ppred, snap.pred, snap.curr) is _RETRY
     assert tree.delete(5) is False
     assert check_structure(tree).ok
