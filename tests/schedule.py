@@ -1,32 +1,43 @@
 """Bounded-preemption search over controlled schedules of tree operations.
 
-A *plan* gives each worker thread its own list of operations, ``(OpKind,
-key)`` pairs. :func:`run_schedule` runs one plan on a fresh tree under one
-schedule. Each worker is a real thread, but only one runs at a time, and the
-running thread gives way only at a *visible step*: the start of an
-operation, before its invocation stamp, or an instruction of ``cbst.tree``
-that reads or writes shared state, that is every LOAD_ATTR, STORE_ATTR and
-LOAD_METHOD of ``left``, ``right``, ``version``, ``lock``, ``acquire``,
-``release`` or ``locked``; fem's mark is a store and a test of ``lock``.
-Everything else there touches only locals and keys, which never change. A
-``sys.settrace`` opcode tracer in each worker finds those instructions in
-every function whose globals are ``cbst.tree``'s, so a mutant compiled into
-that namespace is traced too. The node builders are left out: no other
-thread can see a node before its builder returns.
+A *plan* gives each worker its own list of operations, ``(OpKind, key)``
+pairs. :func:`run_schedule` runs one plan on a fresh tree under one
+schedule, on the calling thread. A control phase of ``cbst.tree`` only
+tries a lock with ``acquire(False)`` and waits only through ``pause()``, so
+no operation blocks, and each worker is a generator that the driver steps
+(VeriSoft's stateless search: Godefroid, POPL 1997). A worker runs its
+operations through :func:`twin`, which compiles each function of
+``cbst.tree`` that an operation reaches into a generator of the same source.
+It yields STEP at the start of each operation, before its invocation stamp,
+and before each load of a name in :data:`VISIBLE`, once the object is
+evaluated: a node's ``left``, ``right``, ``version`` and ``lock``, and a
+lock's ``acquire``, ``release`` and ``locked`` (fem's mark is a store and a
+test of ``lock``). It yields STORE before each store of one, once the value
+and then the object are evaluated, and PAUSE in place of ``pause()``.
+Everything else touches only locals and keys, which never change. A call of
+``_abort``, ``_link``, ``_link_*_sibling``, ``self._insert``,
+``self._delete`` or ``_serialised``'s ``op`` runs the callee's twin by
+``yield from``. The callee is looked up where the original looks, so a
+mutant patched into ``cbst.tree`` is compiled too. A twin is compiled with
+``cbst.tree``'s globals, from ``rebuilt_source`` when the function has one
+(a mutant's, see ``mutants.py``), and cached per function object. The node
+builders, and every function defined outside ``cbst.tree``, run as one
+step: no other worker can see a node before its builder returns.
+``test_schedule.py`` pins each twin's yields, one for one and in order, to
+the visible instructions of the original's bytecode.
 
-At a visible step the running thread goes on by default, and a switch to
-another live thread costs one preemption. At the start and when a thread
-ends, the next thread is a free choice, the lowest live id by default.
-``cbst.tree.pause`` hands over to the next live thread in cyclic order,
-which costs no preemption, so a thread waiting on another's lock lets the
-holder run.
+At a visible step the running worker goes on by default, and a switch to
+another live worker costs one preemption. At the start and when a worker
+ends, the next worker is a free choice, the lowest live id by default. A
+pause hands over to the next live worker in cyclic order, which costs no
+preemption, so a worker waiting on another's lock lets the holder run.
 
 :func:`explore` visits every schedule with at most ``bound`` preemptions by
 a stateless depth-first search (CHESS; Musuvathi & Qadeer, PLDI 2007). A run
 follows a prefix of choices, then the defaults, and records each choice
 point. Every alternative after the prefix that stays within the bound
 becomes a new prefix, so each schedule runs exactly once. Stamps come from a
-logical clock, and the prefilled keys enter the history as a pseudo-thread's
+logical clock, and the prefilled keys enter the history as a pseudo-worker's
 inserts before the first stamp. A run fails when a worker raises, when it
 takes more than :data:`STEP_BUDGET` visible steps (a hang), or when
 ``check_structure`` or ``check_linearizable`` against the final keys rejects
@@ -34,37 +45,36 @@ it.
 
 The grids are the plans the tests and the wide search use:
 
-* A: 2 threads x 1 update over keys 1-4 with 2 and 3 prefilled, every
+* A: 2 workers x 1 update over keys 1-4 with 2 and 3 prefilled, every
   unordered pair of the 8 updates (36 plans).
 * B: the same over keys 0-8 with 1, 3, 5 and 7 prefilled (171 plans).
 * C: 2 updates against 1, 300 random plans over B's keys.
-* D: 3 threads x 1 update, 150 random plans over B's keys.
+* D: 3 workers x 1 update, 150 random plans over B's keys.
 * E: two plans of C's shape over B's prefill, insert(6), delete(6) against
   insert(6), and delete(5), delete(3) against insert(6). A rollback that
   keeps a lock held shows only as a hang, when a later operation needs
-  that lock. Here the thread with two operations may need, for its second,
-  a router that a failed pass of either thread's first left locked. Three
-  such rollbacks hang on these plans and on no plan of A or B.
+  that lock, as a second operation here may. Three such rollbacks hang on
+  these plans and on no plan of A or B.
 * S: a search of each of B's keys against a delete of each prefilled key
   (36 plans). Every delete retires a router, which is on the path of some
   of the searches.
 
 ``PYTHONPATH=src python tests/schedule.py [VARIANT ...]`` runs the wide
 search outside Tier-1 for the named clean variants, all by default: bound 2
-on grids A, B, S and E, bound 1 on grids C and D. It prints the schedules,
-failures and seconds for each variant and grid, and exits 1 if any run
-failed.
+on grids A, B, S and E, bound 1 on grids C and D. It prints each grid's
+schedules, failures and seconds, and exits 1 if any run failed.
 """
 
 from __future__ import annotations
 
-import dis
-import functools
+import ast
+import inspect
 import random
 import sys
-import threading
+import textwrap
 import time
 from itertools import combinations_with_replacement, count
+from types import MethodType
 from typing import NamedTuple
 
 import cbst.tree
@@ -74,29 +84,100 @@ from cbst.verify import History, Operation, check_linearizable, check_structure
 
 # Attribute names whose loads and stores are visible steps.
 VISIBLE = frozenset({"left", "right", "version", "lock", "acquire", "release", "locked"})
-_ACCESSES = frozenset({"LOAD_ATTR", "STORE_ATTR", "LOAD_METHOD"})
-_BUILDERS = frozenset({"new_node", "new_leaf", "new_locked_node", "new_stamped_node"})
-_TREE_GLOBALS = vars(cbst.tree)
-# Visible steps a run may take before it counts as a hang. No passing run
-# at bound 2 on grid A or bound 1 on grids C and D takes more than 126.
+STEP, STORE, PAUSE = "step", "store", "pause"
+# Callees run by ``yield from`` their twins, as are self._insert and _delete.
+_CALLEES = frozenset({"_abort", "_link", "_link_settled_sibling", "_link_locked_sibling", "op"})
+# Visible steps a run may take before it counts as a hang. No passing run of
+# the wide search, on any grid and clean variant, takes more than 126 (fe, D/1).
 STEP_BUDGET = 3000
-# Wall-clock seconds a single run may take before the search gives up on
-# the scheduler itself; a hang of the tree is caught by STEP_BUDGET first.
-RUN_TIMEOUT_S = 60
+# Each compiled function of cbst.tree, by the function it was compiled from.
+TWINS = {}
 
 
-@functools.cache
-def visible_offsets(code) -> frozenset[int]:
-    """Byte offsets of ``code``'s visible instructions."""
-    return frozenset(
-        ins.offset
-        for ins in dis.get_instructions(code)
-        if ins.opname in _ACCESSES and ins.argval in VISIBLE
-    )
+def _visible_load(obj, attr):
+    """``(_t := obj, (yield STEP), _t.attr)[2]``."""
+    load = ast.parse(f"(_t := _, (yield {STEP!r}), _t.{attr})[2]", mode="eval").body
+    load.value.elts[0].value = obj
+    return load
 
 
-class Halted(Exception):
-    """Raised in a worker to end a run that has already failed."""
+def _visible_store(obj, attr, value):
+    """``_v = value; _o = obj; yield STORE; _o.attr = _v``."""
+    store = ast.parse(f"_v = _\n_o = _\nyield {STORE!r}\n_o.{attr} = _v").body
+    store[0].value, store[1].value = value, obj
+    return store
+
+
+class _Twin(ast.NodeTransformer):
+    """Rewrites a function of ``cbst.tree`` into its generator twin."""
+
+    def visit_Attribute(self, node):
+        self.generic_visit(node)
+        if isinstance(node.ctx, ast.Load) and node.attr in VISIBLE:
+            return _visible_load(node.value, node.attr)
+        return node
+
+    def visit_Assign(self, node):
+        self.generic_visit(node)
+        [target] = node.targets
+        if isinstance(target, ast.Attribute) and target.attr in VISIBLE:
+            return _visible_store(target.value, target.attr, node.value)
+        return node
+
+    def visit_AugAssign(self, node):
+        self.generic_visit(node)
+        target = node.target
+        if not (isinstance(target, ast.Attribute) and target.attr in VISIBLE):
+            return node
+        # The object is evaluated once, as in the bytecode, and held in _a.
+        obj = ast.NamedExpr(ast.Name("_a", ast.Store()), target.value)
+        value = ast.BinOp(_visible_load(obj, target.attr), node.op, node.value)
+        return _visible_store(ast.Name("_a", ast.Load()), target.attr, value)
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "pause":
+            return ast.Yield(ast.Constant(PAUSE))
+        if (isinstance(func, ast.Name) and func.id in _CALLEES
+                or isinstance(func, ast.Attribute) and func.attr in ("_insert", "_delete")):
+            node.func = ast.Call(ast.Name("_twin", ast.Load()), [func], [])
+            return ast.YieldFrom(node)
+        return node
+
+
+def _one_step(function):
+    """``function`` as a generator that runs it whole and yields nothing."""
+
+    def whole(*args):
+        return function(*args)
+        yield
+
+    return whole
+
+
+def twin(function):
+    """The generator twin of ``function``, a function or a bound method: it
+    takes the same arguments, yields at each visible step, and returns what
+    ``function`` returns."""
+    if isinstance(function, MethodType):
+        return MethodType(twin(function.__func__), function.__self__)
+    if function in TWINS:
+        return TWINS[function]
+    if function.__globals__ is not vars(cbst.tree):
+        return _one_step(function)
+    source = (getattr(function, "rebuilt_source", None)
+              or textwrap.dedent(inspect.getsource(function)))
+    definition = _Twin().visit(ast.parse(source)).body[0]
+    # A closure's free variables become the parameters of a maker function.
+    maker = ast.parse(f"def _make(_twin, {', '.join(function.__code__.co_freevars)}): pass")
+    maker.body[0].body = [definition, ast.Return(ast.Name(definition.name, ast.Load()))]
+    namespace = {}
+    exec(compile(ast.fix_missing_locations(maker), f"<twin of {function.__qualname__}>",
+                 "exec"), vars(cbst.tree), namespace)
+    cells = [cell.cell_contents for cell in function.__closure__ or ()]
+    TWINS[function] = made = namespace["_make"](twin, *cells)
+    return made
 
 
 class Grid(NamedTuple):
@@ -114,8 +195,7 @@ def _pairs(keys):
 
 
 def _random_plans(shape, n, seed):
-    """``n`` plans with ``shape[i]`` updates on thread i, drawn over grid
-    B's keys."""
+    """``n`` plans with ``shape[i]`` updates on worker i, over B's keys."""
     rng = random.Random(seed)
     pool = _updates(range(9))
     return [tuple(tuple(rng.choice(pool) for _ in range(k)) for k in shape) for _ in range(n)]
@@ -134,8 +214,8 @@ GRID_S = Grid("S", GRID_B.prefill, [(((OpKind.SEARCH, s),), ((OpKind.DELETE, d),
 
 
 class Choice(NamedTuple):
-    """One choice point of a run: the thread chosen, the default, the other
-    live threads, the preemptions spent before it, and what a choice other
+    """One choice point of a run: the worker chosen, the default, the other
+    live workers, the preemptions spent before it, and what a choice other
     than the default costs."""
 
     chosen: int
@@ -145,149 +225,69 @@ class Choice(NamedTuple):
     cost: int
 
 
-class _Run:
-    """One plan under one schedule. Only the running thread touches this
-    state; each hand-over releases the next thread's gate, which orders
-    the two threads' accesses."""
-
-    def __init__(self, tree, plan, prefix, first_stamp):
-        self.tree = tree
-        self.plan = plan
-        self.prefix = prefix
-        self.points: list[Choice] = []
-        self.spent = 0
-        self.steps = 0
-        self.live = list(range(len(plan)))
-        self.running = 0
-        self.gates = [threading.Lock() for _ in plan]
-        for gate in self.gates:
-            gate.acquire()
-        self.done = threading.Lock()
-        self.done.acquire()
-        self.clock = count(first_stamp)
-        self.ops: list[Operation] = []
-        self.failure: str | None = None
-
-    def choose(self, default, cost):
-        """The next thread, by the prefix or else by ``default``."""
-        alternatives = tuple(t for t in self.live if t != default)
-        if not alternatives or self.failure is not None:
-            return default
-        i = len(self.points)
-        chosen = self.prefix[i] if i < len(self.prefix) else default
-        self.points.append(Choice(chosen, default, alternatives, self.spent, cost))
-        if chosen != default:
-            self.spent += cost
-        return chosen
-
-    def hand_over(self, nxt):
-        me = self.running
-        if nxt != me:
-            self.running = nxt
-            self.gates[nxt].release()
-            self.gates[me].acquire()
-        if self.failure is not None:
-            raise Halted
-
-    def step(self):
-        """A visible step of the running thread."""
-        if self.failure is not None:
-            raise Halted
-        self.steps += 1
-        if self.steps > STEP_BUDGET:
-            self.failure = f"hang: more than {STEP_BUDGET} visible steps"
-            raise Halted
-        self.hand_over(self.choose(self.running, 1))
-
-    def pause(self):
-        live = self.live
-        self.hand_over(live[(live.index(self.running) + 1) % len(live)])
-
-    def trace(self, frame, event, arg):
-        """The global tracer: opcode-trace ``cbst.tree``'s functions."""
-        code = frame.f_code
-        if frame.f_globals is not _TREE_GLOBALS or code.co_name in _BUILDERS:
-            return None
-        offsets = visible_offsets(code)
-        if not offsets:
-            return None
-        step = self.step
-        frame.f_trace_lines = False
-        frame.f_trace_opcodes = True
-
-        def local(frame, event, arg):
-            if event == "opcode" and frame.f_lasti in offsets:
-                step()
-            return local
-
-        return local
-
-    def work(self, tid):
-        self.gates[tid].acquire()
-        tree = self.tree
-        calls = {OpKind.SEARCH: tree.search, OpKind.INSERT: tree.insert,
-                 OpKind.DELETE: tree.delete}
-        try:
-            if self.failure is not None:
-                raise Halted
-            sys.settrace(self.trace)
-            for op, key in self.plan[tid]:
-                self.step()
-                invoke = next(self.clock)
-                result = calls[op](key)
-                self.ops.append(Operation(tid, op, key, result, invoke, next(self.clock)))
-        except Halted:
-            pass
-        except Exception as exc:
-            self.failure = f"thread {tid} raised {exc!r}"
-        finally:
-            sys.settrace(None)
-            self.live.remove(tid)
-            if self.live:
-                self.running = self.choose(self.live[0], 0)
-                self.gates[self.running].release()
-            else:
-                self.done.release()
+def _worker(tree, tid, ops, clock, done):
+    """Worker ``tid``: each of ``ops`` after a step of its own, recorded in
+    ``done`` once it returns."""
+    calls = {OpKind.SEARCH: twin(tree.search), OpKind.INSERT: twin(tree.insert),
+             OpKind.DELETE: twin(tree.delete)}
+    for op, key in ops:
+        yield STEP
+        invoke = next(clock)
+        result = yield from calls[op](key)
+        done.append(Operation(tid, op, key, result, invoke, next(clock)))
 
 
 def run_schedule(make_tree, prefill, plan, prefix=()):
     """Run ``plan`` on ``make_tree()`` loaded with ``prefill``, following the
-    choices in ``prefix`` and then the defaults.
-
-    Returns the verdict (None when the run passed, else why it failed) and
-    the run's choice points.
-    """
+    choices in ``prefix`` and then the defaults. Returns the verdict (None
+    when the run passed, else why it failed) and the run's choice points."""
     tree = make_tree()
     if prefill:
         tree._load(list(prefill))
-    pseudo = len(plan)
-    ops = [Operation(pseudo, OpKind.INSERT, key, True, i, i) for i, key in enumerate(prefill)]
-    run = _Run(tree, plan, list(prefix), len(prefill))
-    workers = [
-        threading.Thread(target=run.work, args=(tid,), daemon=True, name=f"sched-{tid}")
-        for tid in range(len(plan))
-    ]
-    saved_pause = cbst.tree.pause
-    cbst.tree.pause = run.pause
-    try:
-        for worker in workers:
-            worker.start()
-        run.running = run.choose(0, 0)
-        run.gates[run.running].release()
-        if not run.done.acquire(timeout=RUN_TIMEOUT_S):
-            raise RuntimeError(f"schedule {prefix} of plan {plan} did not finish")
-        for worker in workers:
-            worker.join(RUN_TIMEOUT_S)
-    finally:
-        cbst.tree.pause = saved_pause
-    if run.failure is not None:
-        return run.failure, run.points
+    ops = [Operation(len(plan), OpKind.INSERT, key, True, i, i) for i, key in enumerate(prefill)]
+    clock = count(len(prefill))
+    done = []
+    workers = [_worker(tree, tid, work, clock, done) for tid, work in enumerate(plan)]
+    live = list(range(len(plan)))
+    points = []
+    spent = 0
+
+    def choose(default, cost):
+        """The next worker, by the prefix or else by ``default``."""
+        nonlocal spent
+        alternatives = tuple(t for t in live if t != default)
+        if not alternatives:
+            return default
+        i = len(points)
+        chosen = prefix[i] if i < len(prefix) else default
+        points.append(Choice(chosen, default, alternatives, spent, cost))
+        if chosen != default:
+            spent += cost
+        return chosen
+
+    running = choose(0, 0)
+    steps = 0
+    while live:
+        try:
+            event = next(workers[running])
+        except StopIteration:
+            live.remove(running)
+            running = choose(live[0], 0) if live else None
+            continue
+        except Exception as exc:
+            return f"thread {running} raised {exc!r}", points
+        if event == PAUSE:
+            running = live[(live.index(running) + 1) % len(live)]
+        elif (steps := steps + 1) > STEP_BUDGET:
+            return f"hang: more than {STEP_BUDGET} visible steps", points
+        else:
+            running = choose(running, 1)
     report = check_structure(tree)
     if not report.ok:
-        return f"structure: {report.violations[0]}", run.points
-    if not check_linearizable(History(ops + run.ops), tree.collect_leaf_keys()):
-        return "not linearizable", run.points
-    return None, run.points
+        return f"structure: {report.violations[0]}", points
+    if not check_linearizable(History(ops + done), tree.collect_leaf_keys()):
+        return "not linearizable", points
+    return None, points
 
 
 class Failure(NamedTuple):

@@ -8,13 +8,19 @@ decides the full audit, the rows of ``mutants.py``;
 made to yield inside updates, to catch five of these mutants.
 """
 
+import dis
+
 import pytest
 
 import cbst.tree
+import schedule
 from cbst.core import OpKind
-from cbst.tree import _RETRY, CONCURRENT_VARIANTS, FnTree, SeqTree, new_tree
-from mutants import ROLLBACKS, STEPS, mutant, rebuilt
-from schedule import GRID_A, GRID_B, GRID_E, GRID_S, explore, run_schedule
+from cbst.tree import (_RETRY, CONCURRENT_VARIANTS, VARIANT_NAMES, CoarseTree, FemTree,
+                       FeTree, FnTree, SeqTree, TnTree, TreeBase, new_leaf, new_locked_node,
+                       new_node, new_stamped_node, new_tree)
+from mutants import ROLLBACKS, ROWS, STEPS, mutant, rebuilt
+from schedule import (GRID_A, GRID_B, GRID_E, GRID_S, PAUSE, STEP, STORE, VISIBLE, explore,
+                      run_schedule, twin)
 
 AUDIT = STEPS + ROLLBACKS
 
@@ -105,3 +111,62 @@ def test_endless_retries_are_a_hang():
 
     why, _ = run_schedule(Stuck, (2,), (((OpKind.INSERT, 1),), ((OpKind.DELETE, 2),)))
     assert why.startswith("hang")
+
+
+# Every function of cbst.tree that an operation of seq, coarse, fn, fe, fem or
+# tn reaches. CoarseTree's three operations are one closure of _serialised.
+REACHED = {f.__qualname__: f for f in [
+    TreeBase.search, TreeBase.insert, TreeBase.delete, SeqTree._insert, SeqTree._delete,
+    FnTree._insert, FnTree._delete, FeTree._insert, FeTree._delete, FemTree._insert,
+    FemTree._delete, TnTree._insert, TnTree._delete, cbst.tree._abort, cbst.tree._link,
+    cbst.tree._link_settled_sibling, cbst.tree._link_locked_sibling,
+]}
+REACHED["CoarseTree.search"] = CoarseTree.search
+# A module-function mutant, compiled from its rebuilt source.
+_, _, _, _snippet, _replacement, _ = ROWS["FeDeleteKeepsSiblingLocked"]
+REACHED["_link_locked_sibling[FeDeleteKeepsSiblingLocked]"] = rebuilt(
+    "FeDeleteKeepsSiblingLocked", cbst.tree._link_locked_sibling, _snippet, _replacement)
+
+
+def visible_instructions(code):
+    """What the twin of ``code`` must yield, in code order: STEP at each
+    visible load, STORE at each visible store, PAUSE at each load of
+    ``pause``."""
+    marks = []
+    for ins in dis.get_instructions(code):
+        if ins.opname in ("LOAD_ATTR", "LOAD_METHOD") and ins.argval in VISIBLE:
+            marks.append(STEP)
+        elif ins.opname == "STORE_ATTR" and ins.argval in VISIBLE:
+            marks.append(STORE)
+        elif ins.opname == "LOAD_GLOBAL" and ins.argval == "pause":
+            marks.append(PAUSE)
+    return marks
+
+
+def yields(code):
+    """The constants ``code`` yields, in code order."""
+    ins = list(dis.get_instructions(code))
+    return [a.argval for a, b in zip(ins, ins[1:])
+            if a.opname == "LOAD_CONST" and b.opname == "YIELD_VALUE"]
+
+
+@pytest.mark.parametrize("function", REACHED.values(), ids=REACHED.keys())
+def test_compiled_yields_match_visible_instructions(function):
+    # The executor runs the twin, not the function: each visible step of
+    # the original must be one yield of the twin, in the same place.
+    assert yields(twin(function).__code__) == visible_instructions(function.__code__)
+
+
+def test_operations_compile_the_reached_functions_only(monkeypatch):
+    # Runs with conflicts and searches on every variant compile exactly the
+    # functions pinned above; a builder runs as one step and is never
+    # compiled.
+    monkeypatch.setattr(schedule, "TWINS", {})
+    for variant in VARIANT_NAMES:
+        explore(lambda: new_tree(variant), GRID_A.prefill, GRID_A.plans, 1)
+        explore(lambda: new_tree(variant), GRID_S.prefill, GRID_S.plans[:6], 0)
+    compiled = {function.__code__ for function in schedule.TWINS}
+    assert compiled == {function.__code__ for function in REACHED.values()
+                        if not hasattr(function, "rebuilt_source")}
+    builders = {new_node, new_leaf, new_locked_node, new_stamped_node}
+    assert compiled.isdisjoint(builder.__code__ for builder in builders)
