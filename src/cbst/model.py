@@ -31,6 +31,8 @@ from .bench import BenchRecord, open_text
 
 COMPARISON_FIELDS = ("variant", "threads", "measured_speedup", "predicted_speedup", "ratio", "c_fitted")
 COMPARISON_HEADER = ",".join(COMPARISON_FIELDS)
+# The most points alpha_curve samples.
+MAX_CURVE_POINTS = 100_000
 
 
 class ModelDomainError(ValueError):
@@ -143,13 +145,18 @@ def alpha_at(t: float, params: ModelParams) -> float:
 def alpha_curve(hardness: float, asymptote: float, t_max: float, step: float) -> list[tuple[float, float]]:
     """Sample (t, alpha) pairs from 0 to t_max inclusive at the given step.
 
-    The asymptote, t_max and step must be finite, or the grid is undefined.
+    The asymptote, t_max and step must be finite, or the grid is undefined,
+    and the grid may hold at most ``MAX_CURVE_POINTS`` points, checked
+    before any is built.
     """
     _require(
         ("step", "0 < step < inf", step, 0 < step < math.inf),
         ("t_max", "0 <= t_max < inf", t_max, 0 <= t_max < math.inf),
     )
-    n = int(math.floor(t_max / step + 1e-9))
+    span = t_max / step + 1e-9
+    _require(("t_max / step", f"t_max / step < {MAX_CURVE_POINTS}", t_max / step,
+              span < MAX_CURVE_POINTS))
+    n = int(math.floor(span))
     return _alpha_points(hardness, asymptote, [i * step for i in range(n + 1)])
 
 

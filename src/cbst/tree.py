@@ -840,10 +840,10 @@ CONCURRENT_VARIANTS = tuple(n for n in _VARIANTS if n != "seq")
 
 
 def new_tree(variant: str) -> TreeBase:
-    """Construct an empty tree of the named variant."""
+    """Construct an empty tree of the variant named exactly ``variant``."""
     try:
-        cls = _VARIANTS[variant.lower()]
-    except (KeyError, AttributeError):
+        cls = _VARIANTS[variant]
+    except (KeyError, TypeError):
         raise ValueError(
             f"unknown variant {variant!r}; expected one of {', '.join(_VARIANTS)}"
         ) from None

@@ -55,7 +55,7 @@ from .core import (
     run_threads,
     thread_rng,
 )
-from .tree import TreeBase, new_tree
+from .tree import VARIANT_NAMES, TreeBase, new_tree
 
 class Operation(NamedTuple):
     """A completed operation: what it did and when it was invoked and
@@ -407,7 +407,8 @@ def check_balance(history: History, final_keys: Iterable[int]) -> list[str]:
 class StressConfig:
     """Parameters for one randomized multi-thread run.
 
-    ``ops_per_thread`` (zero or more) must be set. Keys are drawn from
+    ``variant`` is one of ``VARIANT_NAMES``, exactly, and ``ops_per_thread``
+    (zero or more) must be set. Keys are drawn from
     ``[0, key_range)``, so ``key_range`` is at most ``POS_SENTINEL``. The
     percentages must sum to 100. ``timeout_s`` is the time the run may take
     before it is declared stuck: positive and at most
@@ -435,6 +436,8 @@ class StressConfig:
     record_events: bool = True
 
     def __post_init__(self):
+        if self.variant not in VARIANT_NAMES:
+            raise ValueError(f"unknown variant: {self.variant!r}")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         if not 1 <= self.key_range <= POS_SENTINEL:

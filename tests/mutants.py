@@ -6,8 +6,8 @@ lock, check, store or release and keeps everything else. A step inside a
 function of ``cbst.tree`` that a control phase calls is dropped the same
 way in that function, rebuilt by ``rebuilt``. Each is one row of ``STEPS``
 or ``ROLLBACKS``, the necessity audit that ``test_schedule.py`` decides;
-``test_stress_mutants.py`` builds the mutants its recorded runs must catch
-from five of those rows, by name.
+``test_stress_mutants.py`` builds the mutants that its seeded random
+controlled runs must catch from five of those rows, by name.
 """
 
 import inspect
@@ -26,7 +26,8 @@ def rebuilt(name, function, snippet, replacement):
     sees every patch made there, as the real one does. ``snippet`` must
     occur exactly once, so an edit of the function that moves it fails here,
     naming the mutant, instead of testing a different mutation. The result
-    keeps its source in ``rebuilt_source``, so it can be rebuilt in turn.
+    keeps its source in ``rebuilt_source``, so it can be rebuilt in turn and
+    compiled into its generator twin.
     """
     source = getattr(function, "rebuilt_source", None)
     if source is None:

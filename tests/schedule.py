@@ -32,16 +32,27 @@ ends, the next worker is a free choice, the lowest live id by default. A
 pause hands over to the next live worker in cyclic order, which costs no
 preemption, so a worker waiting on another's lock lets the holder run.
 
+Given a seed, :func:`run_schedule` draws every choice instead, by the
+random policy: a free choice is a uniformly chosen live worker, a visible
+step switches to a uniformly chosen other live worker with probability
+:data:`SWITCH_P`, and a pause always switches to a uniformly chosen other
+live worker. A naive random scheduler of this kind was found competitive
+with schedule bounding (Thomson, Donaldson & Betts, PPoPP 2014). The draws
+come from stream ``len(plan)`` of ``thread_rng(seed)``, the one after the
+workers' own, so a seed replays exactly. :func:`stress_plan` gives the
+workers the streams ``run_stress`` draws for a ``StressConfig``;
+``test_stress_mutants.py`` runs them, with no prefill, at its scale.
+
 :func:`explore` visits every schedule with at most ``bound`` preemptions by
 a stateless depth-first search (CHESS; Musuvathi & Qadeer, PLDI 2007). A run
 follows a prefix of choices, then the defaults, and records each choice
 point. Every alternative after the prefix that stays within the bound
 becomes a new prefix, so each schedule runs exactly once. Stamps come from a
 logical clock, and the prefilled keys enter the history as a pseudo-worker's
-inserts before the first stamp. A run fails when a worker raises, when it
-takes more than :data:`STEP_BUDGET` visible steps (a hang), or when
-``check_structure`` or ``check_linearizable`` against the final keys rejects
-it.
+inserts before the first stamp. A run, bounded or random, fails when a
+worker raises, when it takes more than :data:`STEP_BUDGET` visible steps
+with no operation completing (a hang), or when ``check_structure`` or
+``check_linearizable`` against the final keys rejects it.
 
 The grids are the plans the tests and the wide search use:
 
@@ -78,18 +89,23 @@ from types import MethodType
 from typing import NamedTuple
 
 import cbst.tree
-from cbst.core import OpKind
+from cbst.core import OpKind, draw_op, thread_rng
 from cbst.tree import CONCURRENT_VARIANTS, new_tree
-from cbst.verify import History, Operation, check_linearizable, check_structure
+from cbst.verify import History, Operation, StressConfig, check_linearizable, check_structure
 
 # Attribute names whose loads and stores are visible steps.
 VISIBLE = frozenset({"left", "right", "version", "lock", "acquire", "release", "locked"})
 STEP, STORE, PAUSE = "step", "store", "pause"
 # Callees run by ``yield from`` their twins, as are self._insert and _delete.
 _CALLEES = frozenset({"_abort", "_link", "_link_settled_sibling", "_link_locked_sibling", "op"})
-# Visible steps a run may take before it counts as a hang. No passing run of
-# the wide search, on any grid and clean variant, takes more than 126 (fe, D/1).
+# Visible steps a run may take with no operation completing before it counts
+# as a hang. No passing run of the wide search, on any grid and clean
+# variant, takes more than 126 in all (fe, D/1), and no clean random run at
+# test_stress_mutants.py's scale more than 203 between two completed
+# operations (fe; coarse, fn, fe, fem and tn at seeds 0-19).
 STEP_BUDGET = 3000
+# The random policy's chance of a switch at a visible step.
+SWITCH_P = 0.3
 # Each compiled function of cbst.tree, by the function it was compiled from.
 TWINS = {}
 
@@ -214,11 +230,10 @@ GRID_S = Grid("S", GRID_B.prefill, [(((OpKind.SEARCH, s),), ((OpKind.DELETE, d),
 
 
 class Choice(NamedTuple):
-    """One choice point of a run: the worker chosen, the default, the other
-    live workers, the preemptions spent before it, and what a choice other
-    than the default costs."""
+    """One choice point of a run: the default worker, the other live
+    workers, the preemptions spent before it, and what a choice other than
+    the default costs."""
 
-    chosen: int
     default: int
     alternatives: tuple[int, ...]
     spent: int
@@ -237,10 +252,39 @@ def _worker(tree, tid, ops, clock, done):
         done.append(Operation(tid, op, key, result, invoke, next(clock)))
 
 
-def run_schedule(make_tree, prefill, plan, prefix=()):
-    """Run ``plan`` on ``make_tree()`` loaded with ``prefill``, following the
-    choices in ``prefix`` and then the defaults. Returns the verdict (None
-    when the run passed, else why it failed) and the run's choice points."""
+class Run(NamedTuple):
+    """One run: its verdict (None when it passed, else why it failed), the
+    worker chosen at each choice point, the points themselves, and its
+    operations in invocation order, the prefill's pseudo-inserts included.
+    A random run records no points: none is ever extended, and a record per
+    visible step would double its time."""
+
+    why: str | None
+    choices: list[int]
+    points: list[Choice]
+    operations: list[Operation]
+
+
+def stress_plan(config: StressConfig):
+    """The operations ``run_stress(config)`` runs, one tuple per thread, each
+    drawn by ``draw_op`` from the thread's ``thread_rng`` stream."""
+    plan = []
+    for tid in range(config.threads):
+        rng = thread_rng(config.seed, tid)
+        plan.append(tuple(draw_op(rng, config.insert_pct, config.delete_pct, config.key_range)
+                          for _ in range(config.ops_per_thread)))
+    return tuple(plan)
+
+
+def _others(live):
+    """The other live workers, by live worker."""
+    return {t: tuple(u for u in live if u != t) for t in live}
+
+
+def run_schedule(make_tree, prefill, plan, prefix=(), seed=None) -> Run:
+    """Run ``plan`` on ``make_tree()`` loaded with ``prefill``: following the
+    choices in ``prefix`` and then the defaults, or, given ``seed``, the
+    random policy drawn from stream ``len(plan)`` of ``thread_rng(seed)``."""
     tree = make_tree()
     if prefill:
         tree._load(list(prefill))
@@ -249,45 +293,65 @@ def run_schedule(make_tree, prefill, plan, prefix=()):
     done = []
     workers = [_worker(tree, tid, work, clock, done) for tid, work in enumerate(plan)]
     live = list(range(len(plan)))
+    others = _others(live)
+    choices = []
     points = []
     spent = 0
+    rng = None if seed is None else thread_rng(seed, len(plan))
 
     def choose(default, cost):
-        """The next worker, by the prefix or else by ``default``."""
+        """The next worker: by the prefix, else ``default``, or drawn by ``rng``."""
         nonlocal spent
-        alternatives = tuple(t for t in live if t != default)
+        alternatives = others[default]
         if not alternatives:
             return default
-        i = len(points)
-        chosen = prefix[i] if i < len(prefix) else default
-        points.append(Choice(chosen, default, alternatives, spent, cost))
+        if rng is None:
+            i = len(choices)
+            chosen = prefix[i] if i < len(prefix) else default
+            points.append(Choice(default, alternatives, spent, cost))
+        elif cost == 0:
+            chosen = rng.choice(live)
+        else:
+            chosen = rng.choice(alternatives) if rng.random() < SWITCH_P else default
+        choices.append(chosen)
         if chosen != default:
             spent += cost
         return chosen
 
+    why = None
     running = choose(0, 0)
-    steps = 0
+    steps = completed = 0
     while live:
         try:
             event = next(workers[running])
         except StopIteration:
             live.remove(running)
+            others = _others(live)
             running = choose(live[0], 0) if live else None
             continue
         except Exception as exc:
-            return f"thread {running} raised {exc!r}", points
+            why = f"thread {running} raised {exc!r}"
+            break
+        if len(done) > completed:
+            completed, steps = len(done), 0
         if event == PAUSE:
-            running = live[(live.index(running) + 1) % len(live)]
+            if rng is None:
+                running = live[(live.index(running) + 1) % len(live)]
+            elif others[running]:
+                running = rng.choice(others[running])
         elif (steps := steps + 1) > STEP_BUDGET:
-            return f"hang: more than {STEP_BUDGET} visible steps", points
+            why = f"hang: more than {STEP_BUDGET} visible steps since an operation completed"
+            break
         else:
             running = choose(running, 1)
-    report = check_structure(tree)
-    if not report.ok:
-        return f"structure: {report.violations[0]}", points
-    if not check_linearizable(History(ops + done), tree.collect_leaf_keys()):
-        return "not linearizable", points
-    return None, points
+    history = History(ops + done)
+    if why is None:
+        report = check_structure(tree)
+        if not report.ok:
+            why = f"structure: {report.violations[0]}"
+        elif not check_linearizable(history, tree.collect_leaf_keys()):
+            why = "not linearizable"
+    return Run(why, choices, points, history.operations())
 
 
 class Failure(NamedTuple):
@@ -310,9 +374,8 @@ def explore(make_tree, prefill, plans, bound, first_failure=False) -> Result:
         stack = [[]]
         while stack:
             prefix = stack.pop()
-            why, points = run_schedule(make_tree, prefill, plan, prefix)
+            why, choices, points, _ = run_schedule(make_tree, prefill, plan, prefix)
             schedules += 1
-            choices = [point.chosen for point in points]
             if why is not None:
                 failures.append(Failure(plan, choices, why))
                 if first_failure:

@@ -144,6 +144,15 @@ class TestModelCurve:
         assert out == ""
         assert len(err.splitlines()) == 1 and value in err
 
+    @pytest.mark.parametrize("t_max,step", [("1e300", "1e-10"), ("1e12", "1")])
+    def test_oversized_grid_fails(self, capsys, t_max, step):
+        # The first overflows t_max / step; neither grid is built.
+        rc, out, err = run(capsys, "model", "--curve-alpha", "--h", "2", "--asymptote", "1",
+                           "--t-max", t_max, "--step", step)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: t_max / step out of range") and len(err.splitlines()) == 1
+
     def test_bad_hardness(self, capsys):
         rc, _, err = run(capsys, "model", "--curve-alpha", "--h", "1",
                          "--asymptote", "0.5")

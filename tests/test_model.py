@@ -12,6 +12,7 @@ import cbst.model
 from cbst.bench import BenchRecord
 from cbst.model import (
     COMPARISON_HEADER,
+    MAX_CURVE_POINTS,
     ModelDomainError,
     ModelInputError,
     ModelParams,
@@ -229,6 +230,14 @@ class TestAlphaCurve:
             alpha_curve(2.0, 0.5, 5.0, 0.0)
         with pytest.raises(ModelDomainError):
             alpha_curve(2.0, 0.5, -1.0, 0.5)
+
+    def test_curve_point_cap(self):
+        # The grid is refused before it is built: t_max / step overflows to
+        # inf here, and is one past the cap below.
+        for t_max, step in ((1e300, 1e-10), (MAX_CURVE_POINTS, 1.0)):
+            with pytest.raises(ModelDomainError, match="t_max / step"):
+                alpha_curve(2.0, 1.0, t_max, step)
+        assert len(alpha_curve(2.0, 1.0, MAX_CURVE_POINTS - 1, 1.0)) == MAX_CURVE_POINTS
 
     @pytest.mark.parametrize("args", [
         (NAN, 0.5, 5.0, 0.5), (2.0, NAN, 5.0, 0.5), (2.0, 0.5, NAN, 0.5),

@@ -1,14 +1,17 @@
 """Protocol mutants are caught, and the clean trees pass, on controlled
 schedules (see ``schedule.py``).
 
-Every verdict here is deterministic: a schedule replays exactly, whatever
-the host's CPUs, so a mutant caught once is caught on every run. This file
-decides the full audit, the rows of ``mutants.py``;
-``test_stress_mutants.py`` also requires recorded runs on real threads,
-made to yield inside updates, to catch five of these mutants.
+Every verdict here is deterministic: a schedule, and a random run of a
+seed, replays exactly, whatever the host's CPUs, so a mutant caught once is
+caught on every run. This file decides the full audit, the rows of
+``mutants.py``, on bounded-preemption schedules, and pins the random
+policy's replay, plans and hang rule; ``test_stress_mutants.py`` requires
+five of these mutants to be caught also on random runs at ``run_stress``'s
+scale.
 """
 
 import dis
+from dataclasses import replace
 
 import pytest
 
@@ -18,9 +21,10 @@ from cbst.core import OpKind
 from cbst.tree import (_RETRY, CONCURRENT_VARIANTS, VARIANT_NAMES, CoarseTree, FemTree,
                        FeTree, FnTree, SeqTree, TnTree, TreeBase, new_leaf, new_locked_node,
                        new_node, new_stamped_node, new_tree)
+from cbst.verify import History, StressConfig, count_overlapping, run_stress
 from mutants import ROLLBACKS, ROWS, STEPS, mutant, rebuilt
-from schedule import (GRID_A, GRID_B, GRID_E, GRID_S, PAUSE, STEP, STORE, VISIBLE, explore,
-                      run_schedule, twin)
+from schedule import (GRID_A, GRID_B, GRID_E, GRID_S, PAUSE, STEP, STEP_BUDGET, STORE, VISIBLE,
+                      explore, run_schedule, stress_plan, twin)
 
 AUDIT = STEPS + ROLLBACKS
 
@@ -65,9 +69,9 @@ def test_searches_run_on_schedules():
     # A search in a plan calls search and is judged with the rest: here a
     # search for 5 that runs after delete(5) must miss.
     plan = (((OpKind.DELETE, 5),), ((OpKind.SEARCH, 5),))
-    assert run_schedule(FnTree, (5,), plan)[0] is None
+    assert run_schedule(FnTree, (5,), plan).why is None
     lying = type("Lying", (FnTree,), {"search": lambda self, key: True})
-    assert run_schedule(lying, (5,), plan)[0] == "not linearizable"
+    assert run_schedule(lying, (5,), plan).why == "not linearizable"
 
 
 def test_seq_loses_an_update():
@@ -90,9 +94,43 @@ def test_a_schedule_replays_exactly():
     # Thread 0 starts, then is preempted at its first visible step.
     prefix = [0, 1]
     first = run_schedule(FnTree, (2, 3), plan, prefix)
-    assert first[0] is None
-    assert [point.chosen for point in first[1][:2]] == prefix
+    assert first.why is None
+    assert first.choices[:2] == prefix
     assert run_schedule(FnTree, (2, 3), plan, prefix) == first
+
+
+# A small run_stress-shaped run for the random policy.
+SMALL = StressConfig(threads=3, key_range=8, insert_pct=40, delete_pct=30, search_pct=30,
+                     ops_per_thread=300)
+
+
+def test_stress_plan_is_run_stress_streams():
+    config = replace(SMALL, variant="fn", seed=5)
+    history, _ = run_stress(config)
+    streams = tuple(tuple((o.op, o.key) for o in history.operations() if o.thread_id == tid)
+                    for tid in range(config.threads))
+    assert stress_plan(config) == streams
+
+
+@pytest.mark.parametrize("tree_class", [FemTree, mutant(*ROWS["TnInsertWithoutVersionBump"][:5])],
+                         ids=["clean", "mutant"])
+def test_a_random_run_replays_exactly(tree_class):
+    # The seed fixes every choice: a second run makes the same choices,
+    # gives the same history and reaches the same verdict.
+    plan = stress_plan(replace(SMALL, seed=3))
+    first = run_schedule(tree_class, (), plan, seed=3)
+    assert (first.why is None) == (tree_class is FemTree)
+    assert run_schedule(tree_class, (), plan, seed=3) == first
+    # It preempts inside operations, and another seed makes other choices.
+    assert count_overlapping(History(first.operations)) > 0
+    assert run_schedule(tree_class, (), plan, seed=4).choices != first.choices
+
+
+def test_step_budget_counts_from_the_last_completed_operation():
+    # A passing run may take many times the budget in all.
+    run = run_schedule(FnTree, (), stress_plan(replace(SMALL, seed=0)), seed=0)
+    assert run.why is None
+    assert len(run.choices) > 3 * STEP_BUDGET
 
 
 def test_worker_exception_fails_the_run():
@@ -100,7 +138,7 @@ def test_worker_exception_fails_the_run():
         def _insert(self, key, pred, curr):
             raise RuntimeError("release unlocked lock")
 
-    why, _ = run_schedule(Raising, (2,), (((OpKind.INSERT, 1),), ((OpKind.DELETE, 2),)))
+    why = run_schedule(Raising, (2,), (((OpKind.INSERT, 1),), ((OpKind.DELETE, 2),))).why
     assert why == "thread 0 raised RuntimeError('release unlocked lock')"
 
 
@@ -109,8 +147,11 @@ def test_endless_retries_are_a_hang():
         def _insert(self, key, pred, curr):
             return _RETRY
 
-    why, _ = run_schedule(Stuck, (2,), (((OpKind.INSERT, 1),), ((OpKind.DELETE, 2),)))
-    assert why.startswith("hang")
+    # Bounded and random runs share the hang rule.
+    for seed in (None, 0):
+        why = run_schedule(Stuck, (2,), (((OpKind.INSERT, 1),), ((OpKind.DELETE, 2),)),
+                           seed=seed).why
+        assert why.startswith("hang")
 
 
 # Every function of cbst.tree that an operation of seq, coarse, fn, fe, fem or

@@ -1,24 +1,25 @@
-"""Recorded run_stress runs catch one-line protocol mutants, and the
-unmutated trees pass them.
+"""One-line protocol mutants are caught on seeded random controlled runs at
+``run_stress``'s scale; the unmutated trees pass those runs and recorded
+``run_stress`` runs on real threads.
 
-A recorded run of 4 threads x 2,000 operations over 12 keys at 40/30/30 is
-decided by ``check_structure`` and by ``check_linearizable`` ending at the
-final contents. A run that hangs fails too, as ``cbst check`` reports it.
-Each clean tree must pass every seed of a fixed range, which pins the
-checkers' false-positive rate on real threads.
+A run is 4 workers x 2,000 operations over 12 keys at 40/30/30, with no
+prefill. Each worker runs the stream that ``run_stress`` draws for the seed
+(``stress_plan``), and ``run_schedule`` steps the workers on one thread
+under its random policy, drawn from the same seed (see ``schedule.py``): at
+each visible step it switches to a uniformly chosen other live worker with
+probability ``SWITCH_P``, and at each ``pause`` it always switches. A run
+fails when a worker raises, when it hangs (``STEP_BUDGET`` visible steps
+with no operation completed), or when ``check_structure`` or
+``check_linearizable`` ending at the final contents rejects it. A seed
+replays exactly, whatever the host's CPUs.
 
-Plain recorded runs caught the mutants at rates that moved with the host.
-With no CPU free, a thread waiting for the GIL cannot ask for it, so the
-threads switch only when the OS preempts the holder: a run of 8,000
-operations switched threads 4 to 10 times, and fem's and tn's mutants
-passed all of 40 seeds. So each mutant runs with yields: every update
-yields on entering its control phase and before each child-pointer store,
-and a tn update also just before it reads its first lock. A yield is a
-call to ``cbst.tree.pause``, ``os.sched_yield``, which drops the GIL and
-lets the OS run a thread waiting for it, so the runs interleave inside
-updates whether or not a CPU is free. The clean trees must pass the same
-yielding runs. ``test_schedule.py`` decides the full audit, on controlled
-schedules.
+Recorded runs on real threads caught these mutants at rates that moved with
+the host: with no CPU free, a thread waiting for the GIL cannot ask for it,
+so the threads switch only when the OS preempts the holder, a few times per
+run. They stay as the check of the real-thread path: each clean tree must
+pass every recorded seed of a fixed range, which pins the checkers'
+false-positive rate on real threads. ``test_schedule.py`` decides the full
+audit on bounded-preemption schedules.
 """
 
 import threading
@@ -27,7 +28,6 @@ from dataclasses import replace
 import pytest
 
 import cbst.tree
-import cbst.verify
 from cbst.tree import FemTree, FeTree, FnTree, TnTree
 from cbst.verify import (
     DeadlockSuspectedError,
@@ -36,16 +36,17 @@ from cbst.verify import (
     check_structure,
     run_stress,
 )
-from mutants import ROWS, mutant, rebuilt
+from mutants import ROWS, mutant
+from schedule import run_schedule, stress_plan
 
-# A clean run takes about 50 ms; the timeout only bounds a hung one.
+# A clean recorded run takes about 50 ms; the timeout only bounds a hung one.
 CONFIG = StressConfig(threads=4, key_range=12, insert_pct=40, delete_pct=30,
                       search_pct=30, ops_per_thread=2000, timeout_s=10)
 
 # The audit rows (see mutants.py) whose mutants must be caught, each within
-# its seeds. With yields, each was caught at every one of the first 10 seeds
-# (2 vCPUs, neither free, CPython 3.11); fem's by a hang, so its first seed
-# takes the timeout.
+# its seeds. On controlled runs each was caught at every seed of its range,
+# first at seed 0, in 0.06-0.2 s a run (2 vCPUs, CPython 3.11); fem's as not
+# linearizable, except at 3 of its 40 seeds as a hang.
 MUTANTS = {
     mutant(*ROWS[name][:5]): seeds
     for name, seeds in [
@@ -63,9 +64,8 @@ class Halted(Exception):
 
 
 def halt_workers():
-    """End the workers of a run declared stuck. Every wait in tree.py, and
-    every yield, is a call to its ``pause``, so one that raises ends each at
-    its next wait."""
+    """End the workers of a run declared stuck. Every wait in tree.py is a
+    call to its ``pause``, so one that raises ends each at its next wait."""
 
     def halt():
         raise Halted
@@ -90,61 +90,16 @@ def fails(variant, seed):
                 and check_linearizable(history, tree.collect_leaf_keys()))
 
 
-_store = cbst.tree._link
-
-
-def yielding_link(parent, right, child):
-    """``cbst.tree._link`` after a yield."""
-    cbst.tree.pause()
-    _store(parent, right, child)
-
-
-# tn reads pred's stamp and link on entering its control phase, and its
-# stamp compare and bump guard only commits that land after that, while it
-# takes its locks. With the entry yield alone its mutants without the
-# compare or the bump were caught at 0 and 1 of seeds 0-9, so its control
-# phases, rebuilt from their source, yield again just before the first lock
-# read; then both were caught at 10 of 10.
-TN_FIRST_LOCK_READS = {"_insert": "plock = pred.lock", "_delete": "glock = ppred.lock"}
-
-
-def entering(control):
-    """``control`` after a yield."""
-
-    def yielding_control(self, *args):
-        cbst.tree.pause()
-        return control(self, *args)
-
-    return yielding_control
-
-
-def yielding(tree_class):
-    """A subclass of ``tree_class`` that yields on entering each control
-    phase and, for tn, again before its first lock read."""
-    controls = {}
-    for name in ("_insert", "_delete"):
-        control = getattr(tree_class, name)
-        if issubclass(tree_class, TnTree):
-            snippet = TN_FIRST_LOCK_READS[name]
-            control = rebuilt(f"yielding {tree_class.__name__}", control, snippet,
-                              f"pause()\n    {snippet}")
-        controls[name] = entering(control)
-    return type(tree_class.__name__, (tree_class,), controls)
-
-
-def fails_yielding(tree_class, seed, monkeypatch):
-    """``fails`` for a run of ``tree_class`` whose updates yield as
-    ``yielding`` makes them and before each child-pointer store."""
-    yielding_class = yielding(tree_class)
-    monkeypatch.setattr(cbst.verify, "new_tree", lambda variant: yielding_class())
-    monkeypatch.setattr(cbst.tree, "_link", yielding_link)
-    return fails(tree_class.variant, seed)
+def fails_controlled(tree_class, seed):
+    """Whether the controlled run of ``tree_class`` at ``seed`` fails."""
+    plan = stress_plan(replace(CONFIG, seed=seed))
+    return run_schedule(tree_class, (), plan, seed=seed).why is not None
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS), ids=lambda cls: cls.__name__)
-def test_mutant_is_caught(mutant, monkeypatch):
+def test_mutant_is_caught(mutant):
     seeds = MUTANTS[mutant]
-    assert any(fails_yielding(mutant, seed, monkeypatch) for seed in seeds), (
+    assert any(fails_controlled(mutant, seed) for seed in seeds), (
         f"{mutant.__name__} passed seeds {seeds.start}-{seeds.stop - 1}")
 
 
@@ -158,8 +113,8 @@ def test_clean_tree_passes_every_seed(variant):
     assert [seed for seed in SEEDS[variant] if fails(variant, seed)] == []
 
 
-# A yielding run takes about 90 ms; these are the seeds at which every
+# A controlled run takes about 0.1 s; these are the seeds at which every
 # mutant was measured caught.
 @pytest.mark.parametrize("clean", [FnTree, FeTree, FemTree, TnTree], ids=lambda cls: cls.variant)
-def test_clean_tree_passes_every_yielding_seed(clean, monkeypatch):
-    assert [seed for seed in range(10) if fails_yielding(clean, seed, monkeypatch)] == []
+def test_clean_tree_passes_every_controlled_seed(clean):
+    assert [seed for seed in range(10) if fails_controlled(clean, seed)] == []

@@ -154,8 +154,10 @@ class TestInitialStructure:
             assert new_tree(name).variant == name
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            new_tree("avl")
+        # Names are exact: no variant is found by another case.
+        for name in ("avl", "SEQ", "Fem", None, ["fem"]):
+            with pytest.raises(ValueError, match="unknown variant"):
+                new_tree(name)
 
 
 class _IntSubclass(int):

@@ -705,6 +705,11 @@ class TestRunStress:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="ops_per_thread must be set"):
             StressConfig(variant="fem")
+        # Names are exact and checked here, not when the run starts: "SEQ"
+        # once passed and ran the seq tree on 4 threads.
+        for variant in ("bogus", "SEQ", "Fem"):
+            with pytest.raises(ValueError, match="unknown variant"):
+                StressConfig(variant=variant, threads=4, ops_per_thread=5)
         with pytest.raises(ValueError):
             StressConfig(variant="seq", threads=2, ops_per_thread=5)
         with pytest.raises(ValueError):
