@@ -98,25 +98,9 @@ class SeqOracle:
             return True
         return False
 
-    def apply(self, op: OpKind, key: int) -> bool:
-        """Apply one operation and return its result."""
-        if op is OpKind.SEARCH:
-            return self.search(key)
-        if op is OpKind.INSERT:
-            return self.insert(key)
-        if op is OpKind.DELETE:
-            return self.delete(key)
-        raise TypeError(f"unknown operation kind: {op!r}")
-
     def contents(self) -> list[int]:
         """Keys currently in the set, ascending."""
         return sorted(self._keys)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
 
 
 def check_mix(insert_pct: float, delete_pct: float, search_pct: float) -> None:

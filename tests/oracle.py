@@ -1,8 +1,19 @@
-"""A test-only linearizability oracle that the differential tests compare
-``cbst.verify.check_linearizable`` against."""
+"""Test-only references: :func:`apply_op`, which runs one operation on a
+tree or a ``SeqOracle``, and a brute-force linearizability oracle that the
+differential tests compare ``cbst.verify.check_linearizable`` against."""
 
 from cbst.core import OpKind
 from cbst.verify import History
+
+
+def apply_op(target, op, key):
+    """Run ``op`` on ``key`` against ``target``, a tree or a ``SeqOracle``,
+    and return its result."""
+    if op is OpKind.INSERT:
+        return target.insert(key)
+    if op is OpKind.DELETE:
+        return target.delete(key)
+    return target.search(key)
 
 
 def brute_force_linearizable(history: History) -> bool:

@@ -35,7 +35,7 @@ from cbst.verify import (
     run_stress,
 )
 
-from oracle import brute_force_linearizable
+from oracle import apply_op, brute_force_linearizable
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -51,14 +51,6 @@ class _Clock:
 
     def report(self, label):
         print(f"{label}: PASS in {self.elapsed:.2f}s")
-
-
-def apply_op(target, op, key):
-    if op is OpKind.INSERT:
-        return target.insert(key)
-    if op is OpKind.DELETE:
-        return target.delete(key)
-    return target.search(key)
 
 
 def test_01_single_thread_oracle_equivalence():

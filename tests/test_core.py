@@ -15,6 +15,7 @@ from cbst.core import (
     draw_op,
     run_threads,
 )
+from oracle import apply_op
 
 KEYS = st.integers(min_value=-1000, max_value=1000)
 
@@ -42,7 +43,7 @@ class TestSeqOracle:
     def test_empty_searches_false(self):
         o = SeqOracle()
         assert o.search(7) is False
-        assert len(o) == 0
+        assert o.contents() == []
 
     def test_insert_then_delete_cycle(self):
         o = SeqOracle()
@@ -53,24 +54,10 @@ class TestSeqOracle:
         assert o.delete(5) is False
         assert o.search(5) is False
 
-    def test_apply_matches_methods(self):
-        o1, o2 = SeqOracle(), SeqOracle()
-        rng = random.Random(11)
-        for _ in range(2000):
-            op = (OpKind.SEARCH, OpKind.INSERT, OpKind.DELETE)[rng.randrange(3)]
-            k = rng.randrange(50)
-            direct = {
-                OpKind.SEARCH: o1.search,
-                OpKind.INSERT: o1.insert,
-                OpKind.DELETE: o1.delete,
-            }[op](k)
-            assert o2.apply(op, k) == direct
-        assert o1.contents() == o2.contents()
-
     def test_contents_sorted(self):
         o = SeqOracle(initial=[5, 1, 9])
         assert o.contents() == [1, 5, 9]
-        assert 5 in o
+        assert o.search(5) is True
 
     def test_sentinel_rejected(self):
         o = SeqOracle()
@@ -85,14 +72,14 @@ class TestSeqOracle:
                 method(bad)
         with pytest.raises(ValueError):
             SeqOracle(initial=[bad])
-        assert len(o) == 0
+        assert o.contents() == []
 
     @given(st.lists(st.tuples(st.sampled_from(list(OpKind)), KEYS), max_size=200))
     def test_result_encodes_state_change(self, ops):
         o = SeqOracle()
         shadow = set()
         for op, key in ops:
-            res = o.apply(op, key)
+            res = apply_op(o, op, key)
             if op is OpKind.SEARCH:
                 assert res == (key in shadow)
             elif op is OpKind.INSERT:

@@ -7,24 +7,28 @@ caught on every run. This file decides the full audit, the rows of
 ``mutants.py``, on bounded-preemption schedules, and pins the random
 policy's replay, plans and hang rule; ``test_stress_mutants.py`` requires
 five of these mutants to be caught also on random runs at ``run_stress``'s
-scale.
+scale. The trees' other concurrent properties (small histories,
+contention without leaked locks, conserved contents and searches beside
+writers) are decided here on seeded random runs too.
 """
 
 import dis
+import random
 from dataclasses import replace
 
 import pytest
 
 import cbst.tree
 import schedule
-from cbst.core import OpKind
+from cbst.core import OpKind, thread_rng
 from cbst.tree import (_RETRY, CONCURRENT_VARIANTS, VARIANT_NAMES, CoarseTree, FemTree,
                        FeTree, FnTree, SeqTree, TnTree, TreeBase, new_leaf, new_locked_node,
                        new_node, new_stamped_node, new_tree)
-from cbst.verify import History, StressConfig, count_overlapping, run_stress
+from cbst.verify import History, StressConfig, check_structure, count_overlapping, run_stress
 from mutants import ROLLBACKS, ROWS, STEPS, mutant, rebuilt
 from schedule import (GRID_A, GRID_B, GRID_E, GRID_S, PAUSE, STEP, STEP_BUDGET, STORE, VISIBLE,
                       explore, run_schedule, stress_plan, twin)
+from test_tree import leaked_locks
 
 AUDIT = STEPS + ROLLBACKS
 
@@ -211,3 +215,126 @@ def test_operations_compile_the_reached_functions_only(monkeypatch):
                         if not hasattr(function, "rebuilt_source")}
     builders = {new_node, new_leaf, new_locked_node, new_stamped_node}
     assert compiled.isdisjoint(builder.__code__ for builder in builders)
+
+
+# The protocol properties below hold for every interleaving. Real threads
+# seldom interleave on a busy host, so each is decided on seeded random
+# runs, which preempt inside operations and replay exactly.
+
+
+def run_keeping_tree(make_tree, prefill, plan, seed):
+    """``run_schedule`` at ``seed``, and the tree it ran on."""
+    trees = []
+    run = run_schedule(lambda: trees.append(make_tree()) or trees[0], prefill, plan, seed=seed)
+    return run, trees[0]
+
+
+@pytest.mark.parametrize("variant", CONCURRENT_VARIANTS)
+def test_small_histories_linearizable(variant):
+    config = StressConfig(threads=3, key_range=4, insert_pct=40, delete_pct=30, search_pct=30,
+                          ops_per_thread=5)
+    for seed in range(30):
+        run = run_schedule(lambda: new_tree(variant), (), stress_plan(replace(config, seed=seed)),
+                           seed=seed)
+        history = History(run.operations)
+        assert run.why is None, "\n".join(history.to_lines())
+        assert count_overlapping(history) > 0, f"seed {seed} ran its threads in turn"
+
+
+# Four writers over two or three keys: something must collide and retry.
+CONTENTION = StressConfig(threads=4, insert_pct=50, delete_pct=50, search_pct=0,
+                          ops_per_thread=200)
+
+
+@pytest.mark.parametrize("variant", ["fn", "fe", "fem", "tn"])
+def test_contention_is_observed(variant):
+    # A rollback that keeps a lock held shows as a hang or a leaked lock.
+    for key_range in (2, 3):
+        for seed in range(5):
+            config = replace(CONTENTION, key_range=key_range, seed=seed)
+            run, tree = run_keeping_tree(lambda: new_tree(variant), (), stress_plan(config), seed)
+            assert run.why is None, (key_range, seed, run.why)
+            assert tree.retry_count() > 0, f"key range {key_range}, seed {seed}: no retry"
+            assert leaked_locks(tree) == [], (key_range, seed)
+
+
+# Two 50/50 writers over 64 keys, half of them prefilled.
+CONSERVE = StressConfig(threads=2, key_range=64, insert_pct=50, delete_pct=50, search_pct=0,
+                        ops_per_thread=2000)
+CONSERVE_PREFILL = tuple(random.Random(5).sample(range(64), 32))
+CONSERVE_SEEDS = range(3)
+# Each clean tree conserves the contents at every seed, and each of these
+# mutants, which lose or double an update, fails to at every seed.
+CONSERVES = {**{type(new_tree(v)): True for v in CONCURRENT_VARIANTS},
+             **{mutant(*ROWS[name][:5]): False
+                for name in ("FeDeleteWithoutSiblingLock", "FemInsertWithoutMarkAndLinkCheck")}}
+
+
+def unconserved(tree_class, seed):
+    """The run of ``tree_class`` at ``seed``, and the keys whose presence at
+    its end is not the prefill plus the writers' net successful inserts and
+    deletes."""
+    plan = stress_plan(replace(CONSERVE, seed=seed))
+    run, tree = run_keeping_tree(tree_class, CONSERVE_PREFILL, plan, seed)
+    net = dict.fromkeys(CONSERVE_PREFILL, 1)
+    for o in run.operations:
+        # The prefill's pseudo-inserts, thread len(plan), are counted above.
+        if o.thread_id < len(plan) and o.result:
+            net[o.key] = net.get(o.key, 0) + (1 if o.op is OpKind.INSERT else -1)
+    final = set(tree.collect_leaf_keys())
+    return run, sorted(k for k in final | set(range(64)) if net.get(k, 0) != (k in final))
+
+
+@pytest.mark.parametrize("tree_class", CONSERVES,
+                         ids=lambda cls: cls.__name__ if cls.__name__ in ROWS else cls.variant)
+def test_updates_conserve_contents(tree_class):
+    """The final leaf keys are the prefill plus each key's net successful
+    inserts and deletes, key by key.
+
+    This is a floor for lost or doubled updates: before the fe delete took
+    its sibling's flag for the splice, an fe insert was lost.
+    """
+    for seed in CONSERVE_SEEDS:
+        run, wrong = unconserved(tree_class, seed)
+        if CONSERVES[tree_class]:
+            assert run.why is None, (seed, run.why)
+            assert wrong == [], f"seed {seed}: keys {wrong}"
+        else:
+            assert wrong, f"{tree_class.__name__} conserved the contents at seed {seed}"
+
+
+# Keys 3i are resident, 3i+1 churned by the writers and 3i+2 never inserted.
+# The resident keys are loaded in a shuffled order: in ascending order they
+# build a path 100 routers deep, and each run takes five times the steps.
+RESIDENT = tuple(random.Random(3).sample(range(0, 300, 3), 100))
+
+
+def search_plan(seed):
+    """Two writers that insert and delete keys 3i+1, 2,000 operations each,
+    and a reader that searches keys 3i and 3i+2, 4,000 times."""
+    plan = []
+    for tid in (0, 1):
+        rng = thread_rng(seed, tid)
+        plan.append(tuple((OpKind.INSERT if rng.random() < 0.5 else OpKind.DELETE,
+                           3 * rng.randrange(100) + 1) for _ in range(2000)))
+    rng = thread_rng(seed, 2)
+    plan.append(tuple((OpKind.SEARCH, 3 * rng.randrange(100) + rng.choice((0, 2)))
+                      for _ in range(4000)))
+    return tuple(plan)
+
+
+@pytest.mark.parametrize("variant", CONCURRENT_VARIANTS)
+def test_search_under_writers(variant):
+    """A search that runs beside writers finds every resident key no writer
+    touches and never finds a key that was never inserted.
+
+    The keys interleave, so the routers above the resident leaves are the
+    ones the writers keep splicing in and out.
+    """
+    run, tree = run_keeping_tree(lambda: new_tree(variant), RESIDENT, search_plan(0), 0)
+    assert run.why is None, run.why
+    wrong = [o.key for o in run.operations
+             if o.op is OpKind.SEARCH and o.result != (o.key % 3 == 0)]
+    assert wrong == []
+    assert check_structure(tree).ok
+    assert set(RESIDENT) <= set(tree.collect_leaf_keys())

@@ -16,10 +16,11 @@ replays exactly, whatever the host's CPUs.
 Recorded runs on real threads caught these mutants at rates that moved with
 the host: with no CPU free, a thread waiting for the GIL cannot ask for it,
 so the threads switch only when the OS preempts the holder, a few times per
-run. They stay as the check of the real-thread path: each clean tree must
-pass every recorded seed of a fixed range, which pins the checkers'
-false-positive rate on real threads. ``test_schedule.py`` decides the full
-audit on bounded-preemption schedules.
+run. They stay as the check of the real-thread path: each clean tree,
+coarse included, must pass every recorded seed of a fixed range, which pins
+the checkers' false-positive rate on real threads. ``test_schedule.py``
+decides the full audit on bounded-preemption schedules, and the other
+concurrent properties of the trees on seeded random runs.
 """
 
 import threading
@@ -79,15 +80,18 @@ def halt_workers():
 
 
 def fails(variant, seed):
-    """Whether a recorded run of ``variant`` at ``seed`` hangs, or ends with
-    a broken structure or a history that is not linearizable."""
+    """Whether a recorded run of ``variant`` at ``seed`` hangs, ends with a
+    broken structure or a history that is not linearizable, or, for coarse,
+    retried."""
     try:
         history, tree = run_stress(replace(CONFIG, variant=variant, seed=seed))
     except DeadlockSuspectedError:
         halt_workers()
         return True
+    # coarse runs every operation under its one mutex, so no pass can fail.
     return not (check_structure(tree).ok
-                and check_linearizable(history, tree.collect_leaf_keys()))
+                and check_linearizable(history, tree.collect_leaf_keys())
+                and (variant != "coarse" or tree.retry_count() == 0))
 
 
 def fails_controlled(tree_class, seed):
@@ -104,8 +108,10 @@ def test_mutant_is_caught(mutant):
 
 
 # The seed ranges the mutant rows of each variant have, fn's from the row of
-# its insert without the link re-check that this file once held.
-SEEDS = {"fn": range(60), "fe": range(20), "fem": range(40), "tn": range(40)}
+# its insert without the link re-check that this file once held; coarse has
+# no mutant row.
+SEEDS = {"coarse": range(20), "fn": range(60), "fe": range(20), "fem": range(40),
+         "tn": range(40)}
 
 
 @pytest.mark.parametrize("variant", SEEDS)

@@ -34,16 +34,9 @@ from cbst.tree import (
     new_tree,
 )
 from cbst.verify import check_structure
+from oracle import apply_op
 
 ALL = list(VARIANT_NAMES)
-
-
-def apply_op(tree, op, key):
-    if op is OpKind.SEARCH:
-        return tree.search(key)
-    if op is OpKind.INSERT:
-        return tree.insert(key)
-    return tree.delete(key)
 
 
 def reachable(tree):
@@ -334,7 +327,7 @@ class TestOracleEquivalence:
         for i in range(10_000):
             op = kinds[rng.randrange(3)]
             key = rng.randrange(300)
-            assert apply_op(t, op, key) == oracle.apply(op, key), (i, op, key)
+            assert apply_op(t, op, key) == apply_op(oracle, op, key), (i, op, key)
         assert t.collect_leaf_keys() == oracle.contents()
         assert check_structure(t).ok
 
@@ -349,7 +342,7 @@ class TestOracleEquivalence:
         t = new_tree(variant)
         oracle = SeqOracle()
         for op, key in ops:
-            assert apply_op(t, op, key) == oracle.apply(op, key)
+            assert apply_op(t, op, key) == apply_op(oracle, op, key)
         assert t.collect_leaf_keys() == oracle.contents()
 
     @pytest.mark.parametrize("variant", ALL)
@@ -385,7 +378,7 @@ class TestOracleEquivalence:
         passes = 0
         for i in range(3000):
             op, key = draw_op(rng, 40, 40, 64)
-            expected = oracle.apply(op, key)
+            expected = apply_op(oracle, op, key)
             # A single thread never retries, so an update that changes the
             # set runs exactly one pass.
             ran_pass = op is not OpKind.SEARCH and expected
@@ -433,7 +426,7 @@ class TestOracleEquivalence:
         for key_range in (4, 64):
             for i in range(2000):
                 op, key = draw_op(rng, 40, 40, key_range)
-                assert apply_op(t, op, key) == oracle.apply(op, key), (i, op, key)
+                assert apply_op(t, op, key) == apply_op(oracle, op, key), (i, op, key)
         assert reads == []
         assert t.collect_leaf_keys() == oracle.contents()
 
@@ -691,6 +684,46 @@ class TestRetirementBookkeeping:
         s = t.find(5)
         assert s.curr.lock.acquire(False) is True
         s.curr.lock.release()
+
+    def test_stale_operation_on_retired_nodes_retries(self):
+        # A deleter retires a parent and leaf; a second delete that had already
+        # descended to them must fail its pass, and a fresh one report absence.
+        tree = new_tree("fem")
+        tree.insert(5)
+        snap = tree.find(5)
+        plock = snap.pred.lock
+        assert tree.delete(5) is True
+        # The retired parent is marked, its old lock still held; the retired
+        # leaf keeps its own lock, held.
+        assert snap.pred.lock is _RETIRED and plock.locked()
+        assert snap.curr.lock.locked() and snap.curr.lock is not _RETIRED
+        assert tree._delete(5, snap.ppred, snap.pred, snap.curr) is _RETRY
+        assert tree.delete(5) is False
+        assert check_structure(tree).ok
+
+    def test_search_never_blocks_on_held_locks(self):
+        # Optimistic searches traverse even while every node's lock is held.
+        tree = new_tree("fem")
+        for k in (2, 4, 6):
+            tree.insert(k)
+        held = []
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.lock.acquire(False):
+                held.append(node)
+            if node.left is not None:
+                stack.extend((node.left, node.right))
+        try:
+            done = []
+            t = threading.Thread(target=lambda: done.append(tree.search(4)))
+            t.start()
+            t.join(10)
+            assert not t.is_alive()
+            assert done == [True]
+        finally:
+            for node in held:
+                node.lock.release()
 
 
 BARE_LOCK = type(threading.Lock())
