@@ -6,9 +6,10 @@ of integer keys with three operations (search, insert, delete). This module
 pins down that contract once so the trees, the verification harness, and the
 benchmark driver all agree on what counts as a key and what each operation
 returns. :func:`draw_op` defines the operation stream: benchmark runs draw
-through it, and stress runs run its rule inline before their workers start.
-Both run their threads through :func:`run_threads`. Only a tree operation
-waits for another thread, and it waits through :data:`pause`.
+through it, and stress runs through :func:`draw_stream`, its rule in one
+loop, before their workers start. Both run their threads through
+:func:`run_threads`. Only a tree operation waits for another thread, and it
+waits through :data:`pause`.
 
 Keys are signed 64-bit integers with the two extremes reserved: the trees use
 them as immortal routing sentinels, so application code may only store keys
@@ -181,8 +182,8 @@ def draw_op(rng, insert_pct: float, delete_pct: float, key_range: int):
     ``random.Random``: the key is drawn with the ``getrandbits`` rejection
     loop that its ``randrange(key_range)`` runs (CPython 3.11), so the
     stream is the same, without that method's argument checks.
-    :func:`cbst.verify.run_stress` runs this rule inline, and its tests pin
-    the two to the same streams.
+    :func:`draw_stream` runs this rule in one loop, and the tests pin the
+    two to the same streams.
     """
     r = rng.random() * 100.0
     bits = key_range.bit_length()
@@ -194,3 +195,24 @@ def draw_op(rng, insert_pct: float, delete_pct: float, key_range: int):
     if r < insert_pct + delete_pct:
         return OpKind.DELETE, key
     return OpKind.SEARCH, key
+
+
+def draw_stream(rng, insert_pct: float, delete_pct: float, key_range: int, n: int):
+    """Draw ``n`` operations by :func:`draw_op`'s rule in one loop: the
+    stream of ``n`` ``draw_op`` calls on the same generator, as two lists,
+    the operation kinds and their keys. A stress run draws each thread's
+    stream through this before its workers start."""
+    roll, getrandbits = rng.random, rng.getrandbits
+    ins_del, bits = insert_pct + delete_pct, key_range.bit_length()
+    INSERT, DELETE, SEARCH = OpKind.INSERT, OpKind.DELETE, OpKind.SEARCH
+    kinds: list[OpKind] = []
+    keys: list[int] = []
+    add_kind, add_key = kinds.append, keys.append
+    for _ in range(n):
+        r = roll() * 100.0
+        key = getrandbits(bits)
+        while key >= key_range:
+            key = getrandbits(bits)
+        add_kind(INSERT if r < insert_pct else DELETE if r < ins_del else SEARCH)
+        add_key(key)
+    return kinds, keys

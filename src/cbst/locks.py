@@ -11,11 +11,8 @@ All three locks are non-blocking: ``try_acquire`` either takes the lock and
 returns True or returns False immediately, and callers run their own retry
 loops. None of them spin or queue.
 
-On CPython the interpreter lock makes single attribute loads and stores
-atomic and sequentially consistent, which is what fem's store of its mark
-lock and tn's plain ``version`` field rely on; the compound read-modify-write
-steps of :class:`TicketLock` are guarded by an internal mutex because
-``x += 1`` is not atomic.
+The read-modify-write steps of :class:`TicketLock` are guarded by an
+internal mutex, because ``x += 1`` is not atomic.
 """
 
 from __future__ import annotations
@@ -41,19 +38,10 @@ class FlagLock:
     def release(self) -> None:
         self._flag.release()
 
-    @property
-    def held(self) -> bool:
-        return self._flag.locked()
-
 
 class FlagMarkWord(FlagLock):
-    """An ownership flag paired with a logical-retirement mark.
-
-    The mark may only be flipped while the flag is held. Because rollback
-    paths clear the mark strictly before releasing the flag, and successful
-    removals never release at all, any node observed marked while its flag
-    is free (or while the observer holds the flag) is retired for good.
-    """
+    """An ownership flag paired with a ``marked`` slot: the size of a lock
+    and mark word."""
 
     __slots__ = ("marked",)
 
@@ -66,9 +54,7 @@ class TicketLock:
     """A (ticket, version) counter pair; locked while ticket != version.
 
     ``try_acquire`` advances the ticket only when the counters agree, and
-    ``release`` advances the version, so the version doubles as a write
-    stamp: a reader that sampled version v and later observes v unchanged
-    knows no critical section committed on this lock in between.
+    ``release`` advances the version.
     """
 
     __slots__ = ("_guard", "ticket", "version")
@@ -90,13 +76,3 @@ class TicketLock:
             if self.ticket == self.version:
                 raise RuntimeError("release of a TicketLock that is not held")
             self.version += 1
-
-    def counters(self) -> tuple[int, int]:
-        """A consistent (ticket, version) snapshot, for observers."""
-        with self._guard:
-            return self.ticket, self.version
-
-    @property
-    def held(self) -> bool:
-        with self._guard:
-            return self.ticket != self.version

@@ -26,13 +26,13 @@ another thread's; a history where none do tested no race.
 
 :func:`run_stress` drives a variant with several threads of randomized
 operations and returns the recorded history plus the quiescent tree. It
-draws every thread's operations before the threads start, by
-:func:`~cbst.core.draw_op`'s rule run inline, so a worker's loop only calls
-the tree and, when recording, stamps each call and keeps its result; the
-operations are built from those after the join. No worker waits for
-another, so threads switch inside tree calls as well as between them. It
-aborts with :class:`DeadlockSuspectedError` naming a stuck thread's last
-invocation if the run fails to terminate within its grace period.
+draws every thread's operations before the threads start, through
+:func:`~cbst.core.draw_stream`, so a worker's loop only calls the tree
+and, when recording, stamps each call and keeps its result; the operations
+are built from those after the join. No worker waits for another, so
+threads switch inside tree calls as well as between them. It aborts with
+:class:`DeadlockSuspectedError` naming a stuck thread's last invocation if
+the run fails to terminate within its grace period.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .core import (
     POS_SENTINEL,
     OpKind,
     check_mix,
+    draw_stream,
     run_threads,
     thread_rng,
 )
@@ -414,14 +415,13 @@ class StressConfig:
     before it is declared stuck: positive and at most
     ``threading.TIMEOUT_MAX``, the longest wait a join accepts.
 
-    Each thread's stream is drawn before the workers start.
-    :func:`~cbst.core.draw_op` defines the stream, and :func:`run_stress`
-    runs that rule inline, so a recorded run, an unrecorded run and
-    ``draw_op`` give the same stream for a (seed, thread index). The timed
-    loop only calls the tree and, in a recorded run, stamps the clock
-    before and after each call and keeps its result. After the workers are
-    joined, each operation becomes one :class:`Operation` from its two
-    stamps and its result.
+    Each thread's stream is drawn before the workers start, by
+    :func:`~cbst.core.draw_stream`, so a recorded run, an unrecorded run and
+    :func:`~cbst.core.draw_op` give the same stream for a (seed, thread
+    index). The timed loop only calls the tree and, in a recorded run,
+    stamps the clock before and after each call and keeps its result. After
+    the workers are joined, each operation becomes one :class:`Operation`
+    from its two stamps and its result.
     """
 
     variant: str = "fem"
@@ -457,8 +457,8 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     Each thread's operations come from its own seeded generator, so the
     per-thread operation streams are fully determined by (seed, thread
     index), recorded or not. They are drawn on the calling thread before
-    any worker starts, by :func:`~cbst.core.draw_op`'s rule inlined into
-    one loop per thread that also picks each operation's bound tree method.
+    any worker starts, one :func:`~cbst.core.draw_stream` call per thread,
+    and each operation's bound tree method is picked from its kind.
     The workers then start together at a 10 us switch interval, and each
     one's timed loop only runs its operations. No worker ever waits for
     another, so thread switches fall inside tree calls as well as between
@@ -474,40 +474,19 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     nt = config.threads
     n = config.ops_per_thread
     record = config.record_events
-    # Per thread: the operations, their keys and their bound tree methods.
-    # Each operation is drawn by draw_op's rule, inlined: the mix roll, then
-    # the key's getrandbits rejection loop.
-    ops: list[list[OpKind]] = []
+    # Per thread: the operation kinds, their keys and their bound tree methods.
+    kinds: list[list[OpKind]] = []
     keys: list[list[int]] = []
     calls: list[list] = []
     insert, delete, search = tree.insert, tree.delete, tree.search
-    ins, kr = config.insert_pct, config.key_range
-    ins_del = ins + config.delete_pct
-    bits = kr.bit_length()
-    SEARCH, INSERT, DELETE = OpKind.SEARCH, OpKind.INSERT, OpKind.DELETE
+    INSERT, DELETE = OpKind.INSERT, OpKind.DELETE
     for tid in range(nt):
-        rng = thread_rng(config.seed, tid)
-        roll, getrandbits = rng.random, rng.getrandbits
-        t_ops, t_keys, t_calls = [], [], []
-        add_op, add_key, add_call = t_ops.append, t_keys.append, t_calls.append
-        for _ in range(n):
-            r = roll() * 100.0
-            key = getrandbits(bits)
-            while key >= kr:
-                key = getrandbits(bits)
-            if r < ins:
-                add_op(INSERT)
-                add_call(insert)
-            elif r < ins_del:
-                add_op(DELETE)
-                add_call(delete)
-            else:
-                add_op(SEARCH)
-                add_call(search)
-            add_key(key)
-        ops.append(t_ops)
+        t_kinds, t_keys = draw_stream(thread_rng(config.seed, tid), config.insert_pct,
+                                      config.delete_pct, config.key_range, n)
+        kinds.append(t_kinds)
         keys.append(t_keys)
-        calls.append(t_calls)
+        calls.append([insert if k is INSERT else delete if k is DELETE else search
+                      for k in t_kinds])
 
     now = time.monotonic_ns
     # Each thread's invocation and response stamps, two per operation, and
@@ -535,7 +514,7 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
     if stuck:
         tid = stuck[0]
         invoked = n - length_hint(left[tid])
-        op, key = (ops[tid][invoked - 1], keys[tid][invoked - 1]) if invoked else (None, None)
+        op, key = (kinds[tid][invoked - 1], keys[tid][invoked - 1]) if invoked else (None, None)
         raise DeadlockSuspectedError(tid, op, key, len(stuck), nt)
 
     done: list[Operation] = []
@@ -544,6 +523,6 @@ def run_stress(config: StressConfig) -> tuple[History, TreeBase]:
         for tid in range(nt):
             t_stamps = stamps[tid]
             done.extend(map(new, repeat(Operation), zip(
-                repeat(tid), ops[tid], keys[tid], results[tid], t_stamps[::2], t_stamps[1::2],
+                repeat(tid), kinds[tid], keys[tid], results[tid], t_stamps[::2], t_stamps[1::2],
             )))
     return History(done), tree

@@ -89,7 +89,7 @@ from types import MethodType
 from typing import NamedTuple
 
 import cbst.tree
-from cbst.core import OpKind, draw_op, thread_rng
+from cbst.core import OpKind, draw_stream, thread_rng
 from cbst.tree import CONCURRENT_VARIANTS, new_tree
 from cbst.verify import History, Operation, StressConfig, check_linearizable, check_structure
 
@@ -266,14 +266,13 @@ class Run(NamedTuple):
 
 
 def stress_plan(config: StressConfig):
-    """The operations ``run_stress(config)`` runs, one tuple per thread, each
-    drawn by ``draw_op`` from the thread's ``thread_rng`` stream."""
-    plan = []
-    for tid in range(config.threads):
-        rng = thread_rng(config.seed, tid)
-        plan.append(tuple(draw_op(rng, config.insert_pct, config.delete_pct, config.key_range)
-                          for _ in range(config.ops_per_thread)))
-    return tuple(plan)
+    """The operations ``run_stress(config)`` runs, one tuple per thread of
+    ``(kind, key)`` pairs: ``draw_stream`` on the thread's ``thread_rng``
+    stream, the call ``run_stress`` makes."""
+    return tuple(
+        tuple(zip(*draw_stream(thread_rng(config.seed, tid), config.insert_pct,
+                               config.delete_pct, config.key_range, config.ops_per_thread)))
+        for tid in range(config.threads))
 
 
 def _others(live):

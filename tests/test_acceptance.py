@@ -27,15 +27,16 @@ from cbst.model import (
 from cbst.tree import CONCURRENT_VARIANTS, VARIANT_NAMES, new_tree
 from cbst.verify import (
     History,
-    Operation,
     StressConfig,
     _first_violation,
     check_linearizable,
     check_structure,
+    count_overlapping,
     run_stress,
 )
 
-from oracle import apply_op, brute_force_linearizable
+from oracle import apply_op, brute_force_linearizable, random_history, region_ok
+from schedule import run_schedule, stress_plan
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -73,7 +74,10 @@ def test_01_single_thread_oracle_equivalence():
 
 
 def test_02_randomized_histories_linearizable():
-    # 10 recorded runs per concurrent variant, 3 threads x 1000 ops, key range 4
+    # 10 runs per concurrent variant, 3 threads x 1000 ops, key range 4, each
+    # a seeded random controlled run of run_stress's streams for its config
+    # (see schedule.py): it preempts inside operations on any host, where
+    # real threads on a busy host may run in turn and test no race.
     with _Clock() as clock:
         for v_index, variant in enumerate(sorted(CONCURRENT_VARIANTS)):
             for i in range(10):
@@ -82,39 +86,14 @@ def test_02_randomized_histories_linearizable():
                     insert_pct=20, delete_pct=10, search_pct=70,
                     seed=10_000 * v_index + i, ops_per_thread=1000,
                 )
-                history, _ = run_stress(config)
-                assert check_linearizable(history), "\n".join(history.to_lines())
-    clock.report("criterion 2 (5 x 10 randomized 3,000-op histories all linearizable)")
-
-
-def _random_history(rng, max_ops):
-    n_threads = rng.randint(1, 3)
-    n_ops = rng.randint(1, max_ops)
-    owners = [rng.randrange(n_threads) for _ in range(n_ops)]
-    kinds = [rng.choice((OpKind.SEARCH, OpKind.INSERT, OpKind.DELETE))
-             for _ in range(n_ops)]
-    keys = [rng.randrange(2) for _ in range(n_ops)]
-    results = [rng.random() < 0.5 for _ in range(n_ops)]
-
-    ops = []
-    open_op = {}  # tid -> (op index, invoke tick)
-    todo = list(range(n_ops))
-    tick = 0
-    while todo or open_op:
-        closable = list(open_op)
-        startable = [i for i in todo if owners[i] not in open_op]
-        if closable and (not startable or rng.random() < 0.5):
-            tid = rng.choice(closable)
-            i, invoke = open_op.pop(tid)
-            ops.append(Operation(tid, kinds[i], keys[i], results[i], invoke, tick))
-        else:
-            i = rng.choice(startable)
-            todo.remove(i)
-            open_op[owners[i]] = (i, tick)
-        tick += 1
-    # History takes each thread's operations together, in invocation order.
-    ops.sort(key=lambda o: o.thread_id)
-    return History(ops)
+                run = run_schedule(lambda: new_tree(variant), (), stress_plan(config),
+                                   seed=config.seed)
+                # A run passes only when no worker raised or hung and the
+                # tree passes check_structure, and the history
+                # check_linearizable against the tree's final keys.
+                assert run.why is None, (variant, config.seed, run.why)
+                assert count_overlapping(History(run.operations)) > 0, (variant, config.seed)
+    clock.report("criterion 2 (5 x 10 randomized 3,000-op controlled runs all linearizable)")
 
 
 def test_03_checker_agrees_with_brute_force():
@@ -123,7 +102,7 @@ def test_03_checker_agrees_with_brute_force():
         rng = random.Random(20_26)
         agree_true = agree_false = 0
         for _ in range(500):
-            h = _random_history(rng, max_ops=8)
+            h = random_history(rng, max_ops=8)
             fast = check_linearizable(h)
             slow = brute_force_linearizable(h)
             assert fast == slow, "\n".join(h.to_lines())
@@ -210,18 +189,6 @@ def test_06_relative_scaling_at_four_threads():
     clock.report("criterion 6 (4-thread relative scaling)")
 
 
-def _region_ok(P, c, alpha, beta, wp, ws, wc, h):
-    if not (P >= 1 and 0 <= c <= 1 and wp > 0 and ws > 0 and wc >= 0 and h > 1):
-        return False
-    if not (1.0 / ws <= beta <= 1.0):
-        return False
-    if not 0 <= alpha <= 1:
-        return False
-    if wc > 0 and alpha > ws * beta / wc:
-        return False
-    return True
-
-
 def test_07_model_exactness():
     with _Clock() as clock:
         worked = ModelParams(processors=16, contention=0.5, alpha=0.5,
@@ -259,7 +226,7 @@ def test_07_model_exactness():
                                  beta=beta, parallel_work=wp, snapshot_work=ws,
                                  control_work=wc, hardness=h)
             ok = validate(params) == []
-            assert ok == _region_ok(P, c, alpha, beta, wp, ws, wc, h), params
+            assert ok == region_ok(P, c, alpha, beta, wp, ws, wc, h), params
             accepted += ok
             rejected += not ok
         assert accepted > 0 and rejected > 0

@@ -13,6 +13,7 @@ from cbst.core import (
     SeqOracle,
     check_key,
     draw_op,
+    draw_stream,
     run_threads,
 )
 from oracle import apply_op
@@ -131,6 +132,47 @@ class TestDrawOp:
         assert abs(counts[OpKind.INSERT] / n * 100 - 20) < 2
         assert abs(counts[OpKind.DELETE] / n * 100 - 10) < 2
         assert abs(counts[OpKind.SEARCH] / n * 100 - 70) < 2
+
+
+class EdgeRandom(random.Random):
+    """A generator whose ``random()`` lands exactly on one of ``edges`` on
+    about a third of its calls, so that a mix threshold compared with the
+    wrong operator changes the stream."""
+
+    edges: tuple[float, ...] = ()
+
+    def random(self):
+        x = super().random()
+        if self.edges and x < 1 / 3:
+            return self.edges[int(x * 3 * len(self.edges))]
+        return x
+
+
+def edge_rng(seed, insert_pct, delete_pct):
+    """An :class:`EdgeRandom` that lands on the mix's thresholds: roll * 100.0
+    equals insert_pct, or insert_pct + delete_pct."""
+    thresholds = (insert_pct, insert_pct + delete_pct)
+    rng = EdgeRandom(seed)
+    rng.edges = tuple(t / 100 for t in thresholds if t < 100)
+    assert all(e * 100.0 in thresholds for e in rng.edges)
+    return rng
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize("mix", [
+        (100, 0, 0), (0, 100, 0), (0, 0, 100), (20, 10, 70), (33.3, 33.3, 33.4),
+    ], ids=lambda mix: "-".join(map(str, mix)))
+    @pytest.mark.parametrize("key_range", [1, 2, 3, 64, 1000, 2**63 - 1])
+    def test_is_draw_op_stream(self, key_range, mix):
+        # n draws of draw_stream are n calls of draw_op on a twin generator,
+        # and leave it in the same state. The generators land on the mix
+        # thresholds.
+        insert_pct, delete_pct, _ = mix
+        rng, twin = edge_rng(5, insert_pct, delete_pct), edge_rng(5, insert_pct, delete_pct)
+        kinds, keys = draw_stream(rng, insert_pct, delete_pct, key_range, 300)
+        assert list(zip(kinds, keys)) == [draw_op(twin, insert_pct, delete_pct, key_range)
+                                          for _ in range(300)]
+        assert rng.getstate() == twin.getstate()
 
 
 class TestRunThreads:

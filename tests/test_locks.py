@@ -36,12 +36,9 @@ def _exclusion_stress(lock):
 class TestFlagLock:
     def test_acquire_release_cycle(self):
         lock = FlagLock()
-        assert lock.held is False
         assert lock.try_acquire() is True
-        assert lock.held is True
         assert lock.try_acquire() is False
         lock.release()
-        assert lock.held is False
         assert lock.try_acquire() is True
 
     def test_release_unheld_raises(self):
@@ -74,7 +71,7 @@ class TestFlagMarkWord:
     def test_starts_unmarked(self):
         word = FlagMarkWord()
         assert word.marked is False
-        assert word.held is False
+        assert word.try_acquire() is True
 
     def test_mark_survives_release(self):
         word = FlagMarkWord()
@@ -98,8 +95,11 @@ class TestFlagMarkWord:
         seen = []
 
         def observer():
+            # The mark is set under the flag, so once the flag is free again
+            # the observer can take it and see the mark.
             while True:
-                if word.marked and not word.held:
+                if word.marked and word.try_acquire():
+                    word.release()
                     seen.append(True)
                     return
                 time.sleep(0)
@@ -118,31 +118,23 @@ class TestFlagMarkWord:
 
 class TestTicketLock:
     def test_counters_advance_in_lockstep(self):
+        # The lock is held exactly while the counters differ.
         lock = TicketLock()
-        assert lock.counters() == (0, 0)
+        assert (lock.ticket, lock.version) == (0, 0)
         for i in range(1, 6):
             assert lock.try_acquire() is True
-            assert lock.counters() == (i, i - 1)
+            assert (lock.ticket, lock.version) == (i, i - 1)
             assert lock.try_acquire() is False
             lock.release()
-            assert lock.counters() == (i, i)
+            assert (lock.ticket, lock.version) == (i, i)
         assert lock.version == 5
-
-    def test_held_iff_counters_differ(self):
-        lock = TicketLock()
-        assert lock.held is False
-        lock.try_acquire()
-        assert lock.held is True
-        lock.release()
-        assert lock.held is False
 
     def test_release_unheld_raises(self):
         with pytest.raises(RuntimeError):
             TicketLock().release()
 
     def test_version_stamps_detect_writes(self):
-        # A reader that sampled the version can tell whether any critical
-        # section committed since the sample.
+        # Only a release advances the version.
         lock = TicketLock()
         stamp = lock.version
         assert lock.try_acquire()
@@ -156,11 +148,15 @@ class TestTicketLock:
         bad = []
 
         def observer():
+            # Under the lock no other thread moves the counters, and the
+            # holder's acquire left them one apart.
             while not stop.is_set():
-                ticket, version = lock.counters()
-                if ticket - version not in (0, 1):
-                    bad.append((ticket, version))
-                    return
+                if lock.try_acquire():
+                    ticket, version = lock.ticket, lock.version
+                    lock.release()
+                    if ticket - version != 1:
+                        bad.append((ticket, version))
+                        return
 
         obs = threading.Thread(target=observer)
         obs.start()

@@ -26,6 +26,7 @@ from cbst.model import (
     write_comparison_csv,
 )
 
+from oracle import region_ok
 
 NAN = float("nan")
 INF = float("inf")
@@ -247,19 +248,6 @@ class TestAlphaCurve:
     def test_curve_non_finite_rejected(self, args):
         with pytest.raises(ModelDomainError, match="nan|inf"):
             alpha_curve(*args)
-
-
-def region_ok(P, c, alpha, beta, wp, ws, wc, h):
-    """Literal transcription of the published constraint block."""
-    if not (P >= 1 and 0 <= c <= 1 and wp > 0 and ws > 0 and wc >= 0 and h > 1):
-        return False
-    if not (1.0 / ws <= beta <= 1.0):
-        return False
-    if not 0 <= alpha <= 1:
-        return False
-    if wc > 0 and alpha > ws * beta / wc:
-        return False
-    return True
 
 
 class TestValidate:

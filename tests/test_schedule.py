@@ -24,7 +24,7 @@ from cbst.core import OpKind, thread_rng
 from cbst.tree import (_RETRY, CONCURRENT_VARIANTS, VARIANT_NAMES, CoarseTree, FemTree,
                        FeTree, FnTree, SeqTree, TnTree, TreeBase, new_leaf, new_locked_node,
                        new_node, new_stamped_node, new_tree)
-from cbst.verify import History, StressConfig, check_structure, count_overlapping, run_stress
+from cbst.verify import History, StressConfig, check_structure, count_overlapping
 from mutants import ROLLBACKS, ROWS, STEPS, mutant, rebuilt
 from schedule import (GRID_A, GRID_B, GRID_E, GRID_S, PAUSE, STEP, STEP_BUDGET, STORE, VISIBLE,
                       explore, run_schedule, stress_plan, twin)
@@ -106,14 +106,6 @@ def test_a_schedule_replays_exactly():
 # A small run_stress-shaped run for the random policy.
 SMALL = StressConfig(threads=3, key_range=8, insert_pct=40, delete_pct=30, search_pct=30,
                      ops_per_thread=300)
-
-
-def test_stress_plan_is_run_stress_streams():
-    config = replace(SMALL, variant="fn", seed=5)
-    history, _ = run_stress(config)
-    streams = tuple(tuple((o.op, o.key) for o in history.operations() if o.thread_id == tid)
-                    for tid in range(config.threads))
-    assert stress_plan(config) == streams
 
 
 @pytest.mark.parametrize("tree_class", [FemTree, mutant(*ROWS["TnInsertWithoutVersionBump"][:5])],

@@ -23,7 +23,8 @@ from cbst.verify import (
     run_stress,
 )
 
-from oracle import brute_force_linearizable
+from oracle import brute_force_linearizable, random_history
+from schedule import stress_plan
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -43,44 +44,41 @@ def on_worker_start(monkeypatch, hook):
     monkeypatch.setattr(cbst.verify, "run_threads", hooked)
 
 
-def drawn_streams(cfg, rng_of=thread_rng):
+def drawn_streams(cfg):
     """Each thread's (op, key) stream as draw_op draws it on the thread's
-    generator, ``rng_of(seed, tid)``."""
+    generator."""
     streams = {}
     for tid in range(cfg.threads):
-        rng = rng_of(cfg.seed, tid)
+        rng = thread_rng(cfg.seed, tid)
         streams[tid] = [draw_op(rng, cfg.insert_pct, cfg.delete_pct, cfg.key_range)
                         for _ in range(cfg.ops_per_thread)]
     return streams
 
 
-class EdgeRandom(random.Random):
-    """A generator whose ``random()`` lands exactly on one of ``edges`` on
-    about a third of its calls, so that a mix threshold compared with the
-    wrong operator changes the stream."""
-
-    edges: tuple[float, ...] = ()
-
-    def random(self):
-        x = super().random()
-        if self.edges and x < 1 / 3:
-            return self.edges[int(x * 3 * len(self.edges))]
-        return x
+def run_in_turn(body, threads, *_args, **_kwargs):
+    """A thread-free stand-in for run_threads: each worker's body runs to its
+    end in turn, on the calling thread."""
+    for tid in range(threads):
+        body(tid, 0)
+    return []
 
 
-def edge_rng_of(cfg):
-    """A ``thread_rng`` stand-in whose generators land on ``cfg``'s mix
-    thresholds: roll * 100.0 equals insert_pct, or insert_pct + delete_pct."""
-    thresholds = (cfg.insert_pct, cfg.insert_pct + cfg.delete_pct)
-    edges = tuple(t / 100 for t in thresholds if t < 100)
-    assert all(e * 100.0 in thresholds for e in edges)
+def observing(note):
+    """A new_tree stand-in whose trees call ``note(op, key)`` before each
+    operation."""
+    def make(variant):
+        tree = new_tree(variant)
+        for op in OpKind:
+            name = op.value.lower()
 
-    def rng_of(seed, stream):
-        rng = EdgeRandom(seed * 1_000_003 + stream)
-        rng.edges = edges
-        return rng
+            def call(key, op=op, method=getattr(tree, name)):
+                note(op, key)
+                return method(key)
 
-    return rng_of
+            setattr(tree, name, call)
+        return tree
+
+    return make
 
 
 def invoked_streams(history):
@@ -373,35 +371,6 @@ def point_history(rng, n_ops, span, width):
     return make_history(spec), present
 
 
-def random_history(rng, max_ops):
-    """Synthetic well-formed history with random overlap and random results."""
-    n_threads = rng.randint(1, 3)
-    n_ops = rng.randint(1, max_ops)
-    owners = [rng.randrange(n_threads) for _ in range(n_ops)]
-    kinds = [rng.choice((OpKind.SEARCH, OpKind.INSERT, OpKind.DELETE)) for _ in range(n_ops)]
-    keys = [rng.randrange(2) for _ in range(n_ops)]
-    results = [rng.random() < 0.5 for _ in range(n_ops)]
-
-    spec = []
-    open_op: dict[int, tuple[int, int]] = {}  # tid -> (op index, invoke tick)
-    todo = list(range(n_ops))
-    tick = 0
-    while todo or open_op:
-        # Randomly either open the next op on a free thread or close one.
-        closable = list(open_op)
-        startable = [i for i in todo if owners[i] not in open_op]
-        if closable and (not startable or rng.random() < 0.5):
-            tid = rng.choice(closable)
-            i, invoke = open_op.pop(tid)
-            spec.append((tid, kinds[i], keys[i], results[i], invoke, tick))
-        else:
-            i = rng.choice(startable)
-            todo.remove(i)
-            open_op[owners[i]] = (i, tick)
-        tick += 1
-    return make_history(spec)
-
-
 def ops_spec(intervals):
     """(tid, invoke, respond) triples as make_history tuples: searches of
     key 0 that read false."""
@@ -608,38 +577,40 @@ class TestRunStress:
     ], ids=lambda mix: "-".join(map(str, mix)))
     @pytest.mark.parametrize("key_range", [1, 2, 3, 64, 1000, 2**63 - 1])
     def test_streams_run_as_drawn(self, monkeypatch, key_range, mix, record):
-        # run_stress draws by draw_op's rule inline: each thread runs
-        # draw_op's stream on its generator, so a recorded run, an
-        # unrecorded one and draw_op agree. The generators land on the mix
-        # thresholds, and the calls are observed in the tree's methods,
-        # since an unrecorded run leaves no history.
+        # Each worker calls, in order, the tree method of each kind in its
+        # thread's draw_stream stream with its key, recorded or not, so
+        # run_stress runs the streams the controlled runs are planned from.
+        # The workers run in turn on this thread, and the calls are observed
+        # in the tree's methods, since an unrecorded run leaves no history.
+        seen = []
+        monkeypatch.setattr(cbst.verify, "run_threads", run_in_turn)
+        monkeypatch.setattr(cbst.verify, "new_tree", observing(lambda *call: seen.append(call)))
+        cfg = StressConfig(variant="fem", threads=3, key_range=key_range,
+                           insert_pct=mix[0], delete_pct=mix[1], search_pct=mix[2],
+                           seed=5, ops_per_thread=100, record_events=record)
+        h, _ = run_stress(cfg)
+        plan = stress_plan(cfg)
+        assert seen == [call for stream in plan for call in stream]
+        assert invoked_streams(h) == ({tid: list(s) for tid, s in enumerate(plan)}
+                                      if record else {})
+
+    @pytest.mark.parametrize("record", [True, False], ids=["recorded", "unrecorded"])
+    def test_workers_run_the_drawn_streams(self, monkeypatch, record):
+        # On real threads each worker calls the tree with its own thread's
+        # draw_op stream, recorded or not.
         tids, seen = {}, {}
 
         def note_thread(tid):
             tids[threading.current_thread()] = tid
             seen[tid] = []
 
-        def observed_tree(variant):
-            tree = new_tree(variant)
-            for op in OpKind:
-                name = op.value.lower()
-
-                def call(key, op=op, method=getattr(tree, name)):
-                    seen[tids[threading.current_thread()]].append((op, key))
-                    return method(key)
-
-                setattr(tree, name, call)
-            return tree
-
         on_worker_start(monkeypatch, note_thread)
-        monkeypatch.setattr(cbst.verify, "new_tree", observed_tree)
-        cfg = StressConfig(variant="fem", threads=3, key_range=key_range,
-                           insert_pct=mix[0], delete_pct=mix[1], search_pct=mix[2],
-                           seed=5, ops_per_thread=100, record_events=record)
-        rng_of = edge_rng_of(cfg)
-        monkeypatch.setattr(cbst.verify, "thread_rng", rng_of)
+        monkeypatch.setattr(cbst.verify, "new_tree", observing(
+            lambda *call: seen[tids[threading.current_thread()]].append(call)))
+        cfg = StressConfig(variant="fem", threads=3, key_range=64, seed=5,
+                           ops_per_thread=100, record_events=record)
         h, _ = run_stress(cfg)
-        drawn = drawn_streams(cfg, rng_of=rng_of)
+        drawn = drawn_streams(cfg)
         assert seen == drawn
         assert invoked_streams(h) == (drawn if record else {})
 
@@ -813,21 +784,12 @@ class TestRunStress:
         def note_thread(tid):
             workers[tid] = threading.current_thread()
 
-        def hung_tree(variant):
-            tree = new_tree(variant)
-            for name in ("insert", "delete", "search"):
-                method = getattr(tree, name)
-
-                def op(key, method=method):
-                    if threading.current_thread() is workers.get(1):
-                        gate.wait(60)
-                    return method(key)
-
-                setattr(tree, name, op)
-            return tree
+        def hang_worker_1(op, key):
+            if threading.current_thread() is workers.get(1):
+                gate.wait(60)
 
         on_worker_start(monkeypatch, note_thread)
-        monkeypatch.setattr(cbst.verify, "new_tree", hung_tree)
+        monkeypatch.setattr(cbst.verify, "new_tree", observing(hang_worker_1))
         cfg = StressConfig(variant="fem", threads=2, key_range=64, seed=0,
                            ops_per_thread=1000, timeout_s=0.5)
         try:
@@ -840,12 +802,3 @@ class TestRunStress:
         finally:
             gate.set()
             workers[1].join(10)
-
-    def test_structure_and_balance_after_stress(self):
-        cfg = StressConfig(variant="fe", threads=4, key_range=12,
-                           insert_pct=40, delete_pct=30, search_pct=30,
-                           seed=77, ops_per_thread=2000, timeout_s=60)
-        history, tree = run_stress(cfg)
-        assert check_structure(tree).ok
-        assert check_balance(history, tree.collect_leaf_keys()) == []
-
