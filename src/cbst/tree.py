@@ -90,17 +90,17 @@ takes no lock and moves no version, so tn's prefilled routers start at
 version 0 rather than at the number of commits the inserts would have made
 on them.
 
-Nodes unlinked by a delete are never recycled in place: fn leaves the
-retired pred locked, fem leaves pred marked, its old lock still held, and
-curr locked, and tn leaves the retired pred locked with its version frozen,
-so a stale operation that still points at them fails its lock or validation
-step and retries from the root. fe releases them; its re-traversal never
-finds them again. fem's delete marks pred only once its checks have passed,
-so a mark is set once, by the delete that retires the router, and never
-cleared. Every failed pass of every variant therefore stores nothing, and
-its one rollback is ``_abort``, a plain release of the locks it took. The
-unlinked nodes themselves stay readable for as long as any in-flight
-traversal can reach them; reclamation is left to reference counting.
+Nodes unlinked by a delete are never recycled in place, and a delete keeps
+the locks of the nodes it retires held for good: fn and tn keep pred (tn's
+version frozen), fe keeps pred and curr, and fem marks pred and keeps curr.
+So a stale operation that still points at them fails its lock or
+validation step and retries, and no reachable node of a quiescent tree is
+locked. fem's delete marks pred only once its checks have passed, so a mark
+is set once, by the delete that retires the router, and never cleared.
+Every failed pass of every variant therefore stores nothing, and its one
+rollback is ``_abort``, a plain release of the locks it took. The unlinked
+nodes themselves stay readable for as long as any in-flight traversal can
+reach them; reclamation is left to reference counting.
 """
 
 from __future__ import annotations
@@ -599,8 +599,6 @@ class FnTree(TreeBase):
             return _abort(plock, glock)
         _link(ppred, key >= ppred.key, pred.left if right else pred.right)
         glock.release()
-        # pred leaves the tree still locked, so any operation still
-        # pointing at it fails its acquire and retries.
         return True
 
 
@@ -608,12 +606,13 @@ class FeTree(TreeBase):
     """Per-node locks on the edges above the reached leaf, no marks.
 
     Like fem, insert locks only the leaf and delete locks parent plus leaf,
-    then locks the sibling for the splice itself. Without marks a retired
-    node that stays locked would look the same as a busy one, so after
-    locking, an operation validates by descending again from the root and
-    comparing the fresh snapshot node-for-node with the locked one; any
-    splice that moved the locked path produces a mismatch because retired
-    nodes never reappear on a fresh descent. Locks are released on success.
+    then locks the sibling for the splice itself. An insert releases its
+    leaf; a delete keeps its parent and leaf locked for good. Without marks
+    a retired node looks the same as a busy one, so after locking, an
+    operation validates by descending again from the root and comparing the
+    fresh snapshot node-for-node with the locked one: a splice that moved
+    the locked path shows as a mismatch, as retired nodes never reappear on
+    a fresh descent.
     """
 
     variant = "fe"
@@ -645,8 +644,8 @@ class FeTree(TreeBase):
         clock = curr.lock
         if not clock.acquire(False):
             return _abort(plock)
-        # The loop takes no step when the tree was emptied since the descent.
-        fppred = None
+        # A retired pred is never released, so this one is live and has an
+        # application leaf below it: the loop takes a step and binds fppred.
         fpred = self.root
         fcurr = fpred.left
         while fcurr.left is not None:
@@ -656,8 +655,6 @@ class FeTree(TreeBase):
         if fppred is not ppred or fpred is not pred or fcurr is not curr:
             return _abort(clock, plock)
         _link_locked_sibling(ppred, key >= ppred.key, pred, key >= pred.key)
-        clock.release()
-        plock.release()
         return True
 
 
@@ -744,9 +741,6 @@ class FemTree(TreeBase):
         # workload (0.955 to 0.910, 6 pairs).
         pred.lock = _RETIRED
         _link_settled_sibling(ppred, key >= ppred.key, pred, right)
-        # pred stays marked, and plock and curr's lock stay held forever: the
-        # mark makes pred's retirement visible, and every later acquire of
-        # pred's lock, old or new, or of curr's fails.
         return True
 
 
@@ -820,9 +814,6 @@ class TnTree(TreeBase):
             return _abort(plock, glock)
         _link(ppred, key >= ppred.key, pred.left if right else pred.right)
         glock.release()
-        # pred's lock is never released and its version never moves again:
-        # the retired node stays locked so any operation that still points
-        # at it fails and retries.
         return True
 
 

@@ -20,7 +20,8 @@ entry points run it:
   deletes, with the final leaf set as the terminal presence.
 
 :func:`check_structure` walks a quiescent tree and validates the external
-BST shape, key order, and the immortal sentinel structure.
+BST shape, key order, the immortal sentinels and that no reachable node
+is locked.
 :func:`count_overlapping` counts the operations of a history that overlap
 another thread's; a history where none do tested no race.
 
@@ -334,13 +335,14 @@ class InvariantReport:
 
 
 def check_structure(tree: TreeBase) -> InvariantReport:
-    """Validate a quiescent tree: external shape, key order, sentinels.
+    """Validate a quiescent tree: external shape, key order, sentinels, locks.
 
     Every internal node must have two children; every router's left subtree
     holds keys strictly below its key and its right subtree keys at or above
     it; leaf keys are strictly increasing left to right; and the immortal
     frame (positive-sentinel root, negative-sentinel leftmost leaf,
-    positive-sentinel rightmost leaf) is intact.
+    positive-sentinel rightmost leaf) is intact. No reachable node may be
+    locked: only retired nodes stay locked, and fem's mark is a held lock.
     """
     rep = InvariantReport()
     root = tree.root
@@ -360,6 +362,9 @@ def check_structure(tree: TreeBase) -> InvariantReport:
             rep.violations.append(f"key {key} at {where} below its lower bound {low}")
         if high is not None and key >= high:
             rep.violations.append(f"key {key} at {where} at or above its upper bound {high}")
+        lock = getattr(node, "lock", None)
+        if lock is not None and lock.locked():
+            rep.violations.append(f"node {key} at {where} is still locked")
         left, right = node.left, node.right
         if (left is None) != (right is None):
             rep.violations.append(f"internal node {key} at {where} has exactly one child")

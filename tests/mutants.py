@@ -15,7 +15,7 @@ import textwrap
 
 import cbst.tree
 from cbst.tree import FemTree, FeTree, FnTree, TnTree
-from schedule import GRID_A, GRID_B, GRID_E
+from schedule import GRID_A, GRID_B
 
 
 def rebuilt(name, function, snippet, replacement):
@@ -52,7 +52,7 @@ def mutant(name, base, method, snippet, replacement):
 # The necessity audit: one row per step left in a control phase of fn, fe,
 # fem and tn, (name, base, method, snippet, replacement, grid). Each mutant
 # drops that one step, a dropped lock becoming a fresh private one, and must
-# be caught at bound 1 on its grid, the first of A, B and E that catches it.
+# be caught at bound 1 on its grid, the first of A and B that catches it.
 # The delete's lock or mark check on ppred needs grid B, where a delete's
 # ppred can be a router that another delete retires. The steps since
 # dropped, fn's leaf locks and ppred->pred re-check, fem's leaf mark, its
@@ -148,20 +148,22 @@ STEPS = [
 ]
 
 # Rollbacks that drop one release and so keep a lock of a failed pass held.
-# A run that then hangs is caught.
+# Each is caught on grid A: by ``check_structure`` when the run ends with the
+# leaked lock on a reachable node, or as a hang when a later operation waits
+# on it first.
 ROLLBACKS = [
-    ("FnInsertKeepsPredOnMovedLink", FnTree, "_insert", "_abort(plock)", "_abort()", GRID_E),
+    ("FnInsertKeepsPredOnMovedLink", FnTree, "_insert", "_abort(plock)", "_abort()", GRID_A),
     ("FnDeleteKeepsPpredOnBusyPred", FnTree, "_delete", "_abort(glock)", "_abort()", GRID_A),
     ("FnDeleteKeepsPredOnMovedLink", FnTree, "_delete", "_abort(plock, glock)",
      "_abort(glock)", GRID_A),
     ("FnDeleteKeepsPpredOnMovedLink", FnTree, "_delete", "_abort(plock, glock)",
-     "_abort(plock)", GRID_E),
+     "_abort(plock)", GRID_A),
     ("FeInsertKeepsLeafOnMovedPath", FeTree, "_insert", "_abort(clock)", "_abort()", GRID_A),
     ("FeDeleteKeepsPredOnBusyLeaf", FeTree, "_delete", "_abort(plock)", "_abort()", GRID_A),
     ("FeDeleteKeepsLeafOnMovedPath", FeTree, "_delete", "_abort(clock, plock)",
      "_abort(plock)", GRID_A),
     ("FeDeleteKeepsPredOnMovedPath", FeTree, "_delete", "_abort(clock, plock)",
-     "_abort(clock)", GRID_B),
+     "_abort(clock)", GRID_A),
     ("FemInsertKeepsLeafOnStalePred", FemTree, "_insert", "_abort(clock)", "_abort()",
      GRID_A),
     ("FemDeleteKeepsPredOnMarkedPpredOrBusyLeaf", FemTree, "_delete", "_abort(plock)",
@@ -169,8 +171,8 @@ ROLLBACKS = [
     ("FemDeleteKeepsLeafOnMovedLink", FemTree, "_delete", "_abort(clock, plock)",
      "_abort(plock)", GRID_A),
     ("FemDeleteKeepsPredOnMovedLink", FemTree, "_delete", "_abort(clock, plock)",
-     "_abort(clock)", GRID_E),
-    ("TnInsertKeepsPredOnMovedStamp", TnTree, "_insert", "_abort(plock)", "_abort()", GRID_B),
+     "_abort(clock)", GRID_A),
+    ("TnInsertKeepsPredOnMovedStamp", TnTree, "_insert", "_abort(plock)", "_abort()", GRID_A),
     ("TnDeleteKeepsPpredOnBusyPred", TnTree, "_delete", "_abort(glock)", "_abort()", GRID_A),
     ("TnDeleteKeepsPredOnMovedStamp", TnTree, "_delete", "_abort(plock, glock)",
      "_abort(glock)", GRID_A),

@@ -49,18 +49,6 @@ def reachable(tree):
             stack.extend((node.left, node.right))
 
 
-def is_held(node):
-    """Whether ``node``'s lock is held. A node with no lock (every seq and
-    coarse node, every fn and tn leaf) cannot be held."""
-    lock = getattr(node, "lock", None)
-    return lock is not None and lock.locked()
-
-
-def is_marked(node):
-    """Whether fem marked ``node`` retired: its lock is ``_RETIRED``."""
-    return getattr(node, "lock", None) is _RETIRED
-
-
 def control_args(tree, op, key):
     """The arguments that ``tree``'s ``op`` ("insert" or "delete") of
     ``key`` hands its control phase now; the key must be absent (insert) or
@@ -80,21 +68,6 @@ def control_args(tree, op, key):
         delattr(tree, name)
     (args,) = seen
     return args
-
-
-def leaked_locks(tree):
-    """(key, held, marked) of every reachable node still held or marked.
-
-    Retired nodes may stay locked (and, for fem, marked) but are
-    unreachable, so a reachable node that is still held or marked was
-    leaked."""
-    leaked = []
-    for node in reachable(tree):
-        held = is_held(node)
-        marked = is_marked(node)
-        if held or marked:
-            leaked.append((node.key, held, marked))
-    return leaked
 
 
 class TestInitialStructure:
@@ -476,7 +449,7 @@ class TestRetryPause:
         assert getattr(t, op)(key) is True
         assert t.retry_count() == 1
         assert calls == [True]
-        assert leaked_locks(t) == []
+        assert check_structure(t).ok
 
     def test_count_is_exact_and_takes_no_lock(self, monkeypatch):
         # At a 1 us switch interval, switches fall inside _count_retry. A
@@ -520,7 +493,8 @@ STALE_PASSES = [
     # lock, fails the pass; a commit inside the pass moves pred's stamp
     # (TestTnStamps)
     ("tn", "delete", 10, (15,), None),
-    # the tree was emptied: the re-traversal starts at a leaf
+    # the tree was emptied, retiring every snapshot node: fe's pass fails its
+    # first acquire, as fn's, fem's and tn's do on a retired node
     ("fe", "insert", 25, (-10, -30), None),
     ("fe", "delete", 10, (-10, -30), None),
     # fem's delete fails its acquire of curr, its check of ppred's mark, and
@@ -563,26 +537,30 @@ def store_offsets(code):
 class TestRollbackSites:
     """Passes on stale snapshots: every pass's validation step, which
     threaded runs seldom reach. Each pass must fail, store nothing, and
-    leave no reachable node held or marked but the one an update in flight
-    holds."""
+    leave no reachable node locked but the one an update in flight holds."""
 
     @pytest.mark.parametrize("variant, op, key, moves, busy", STALE_PASSES)
     def test_stale_pass_rolls_back(self, variant, op, key, moves, busy):
         t, snap, stale = stale_pass(variant, op, key, moves, busy)
-        names = ("ppred", "pred", "curr")
 
-        def held():
-            nodes = [getattr(snap, n) for n in names]
-            return [is_held(node) or is_marked(node) for node in nodes]
+        def lock_states():
+            # The snapshot's nodes may have left the tree, so they are read
+            # here and not only through check_structure.
+            locks = [getattr(getattr(snap, n), "lock", None) for n in ("ppred", "pred", "curr")]
+            return [None if lock is None else (lock, lock.locked()) for lock in locks]
 
-        assert held() == [n == busy for n in names]
+        before = lock_states()
         # Only the snapshot handed to the control phase is stale; fe's
         # re-traversal descends the tree as it is now.
         assert getattr(t, "_" + op)(*stale) is _RETRY
-        # The snapshot's nodes may have left the tree, so check them too.
-        assert held() == [n == busy for n in names]
-        inflight = [] if busy is None else [getattr(snap, busy)]
-        assert leaked_locks(t) == [(n.key, True, is_marked(n)) for n in inflight]
+        assert lock_states() == before
+        locked = check_structure(t).violations
+        if busy is None:
+            assert locked == []
+        else:
+            [violation] = locked
+            assert violation.startswith(f"node {getattr(snap, busy).key} at ")
+            assert violation.endswith("is still locked")
 
     @pytest.mark.parametrize("variant, op, key, moves, busy", STALE_PASSES)
     def test_failed_pass_stores_nothing(self, variant, op, key, moves, busy):
@@ -628,53 +606,29 @@ class TestRollbackSites:
         assert t._delete(*stale) is True
         assert check_structure(t).ok
         assert t.collect_leaf_keys() == [5, 30]
-        assert leaked_locks(t) == []
 
 
 class TestRetirementBookkeeping:
-    def test_fem_delete_leaves_marked_locked_nodes(self):
-        t = new_tree("fem")
+    @pytest.mark.parametrize("variant", ["fn", "fe", "fem", "tn"])
+    def test_delete_keeps_retired_nodes_locked(self, variant):
+        t = new_tree(variant)
         t.insert(5)
         s = t.find(5)
         pred, curr = s.pred, s.curr
-        plock, clock = pred.lock, curr.lock
+        plock = pred.lock
+        # fn and tn lock only routers, so their leaves have no lock to hold.
+        clock = getattr(curr, "lock", None)
+        assert (clock is None) == (type(curr) is Leaf) == (variant in ("fn", "tn"))
         assert t.delete(5)
-        # The retired parent stays marked forever, its old lock held, and
-        # the leaf keeps its own lock, held. No code tests a leaf's mark, so
-        # delete never sets it.
-        assert pred.lock is _RETIRED
-        assert curr.lock is clock
+        # Every lock of the retired nodes stays held for good. fem also marks
+        # pred, storing _RETIRED over its old lock; no code tests a leaf's
+        # mark, so curr keeps its own lock.
+        assert (pred.lock is _RETIRED) == (variant == "fem")
+        assert getattr(curr, "lock", None) is clock
         for lock in (plock, pred.lock, clock):
-            assert lock.locked() is True
-            assert lock.acquire(False) is False
-
-    def test_fn_delete_keeps_flags_held(self):
-        # The retired router stays locked; the leaf has no lock to hold.
-        t = new_tree("fn")
-        t.insert(5)
-        s = t.find(5)
-        pred, curr = s.pred, s.curr
-        assert t.delete(5)
-        assert pred.lock.locked()
-        assert pred.lock.acquire(False) is False
-        assert type(curr) is Leaf and not hasattr(curr, "lock")
-
-    def test_fe_delete_releases_flags(self):
-        t = new_tree("fe")
-        t.insert(5)
-        s = t.find(5)
-        pred, curr = s.pred, s.curr
-        assert t.delete(5)
-        assert not pred.lock.locked() and not curr.lock.locked()
-
-    def test_tn_delete_retires_parent_ticket(self):
-        t = new_tree("tn")
-        t.insert(5)
-        s = t.find(5)
-        pred = s.pred
-        assert t.delete(5)
-        assert pred.lock.locked()
-        assert pred.lock.acquire(False) is False
+            assert lock is None or lock.acquire(False) is False
+        # The retired nodes are unreachable, so no reachable node is locked.
+        assert check_structure(t).ok
 
     def test_live_nodes_stay_lockable(self):
         t = new_tree("fem")
@@ -685,18 +639,14 @@ class TestRetirementBookkeeping:
         assert s.curr.lock.acquire(False) is True
         s.curr.lock.release()
 
-    def test_stale_operation_on_retired_nodes_retries(self):
+    @pytest.mark.parametrize("variant", ["fn", "fe", "fem", "tn"])
+    def test_stale_operation_on_retired_nodes_retries(self, variant):
         # A deleter retires a parent and leaf; a second delete that had already
         # descended to them must fail its pass, and a fresh one report absence.
-        tree = new_tree("fem")
+        tree = new_tree(variant)
         tree.insert(5)
         snap = tree.find(5)
-        plock = snap.pred.lock
         assert tree.delete(5) is True
-        # The retired parent is marked, its old lock still held; the retired
-        # leaf keeps its own lock, held.
-        assert snap.pred.lock is _RETIRED and plock.locked()
-        assert snap.curr.lock.locked() and snap.curr.lock is not _RETIRED
         assert tree._delete(5, snap.ppred, snap.pred, snap.curr) is _RETRY
         assert tree.delete(5) is False
         assert check_structure(tree).ok
@@ -1148,7 +1098,7 @@ class TestTnStamps:
             pred.lock = SimpleNamespace(acquire=commit_first, release=lock.release)
             assert getattr(t, "_" + op)(*stale) is _RETRY, op
             assert pred.lock is lock and pred.version == version + 1
-            assert leaked_locks(t) == []
+            assert check_structure(t).ok
             assert t.collect_leaf_keys() == sorted(keys + [other])
 
 

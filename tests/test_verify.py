@@ -9,7 +9,7 @@ import pytest
 
 import cbst.verify
 from cbst.core import OpKind, draw_op, thread_rng
-from cbst.tree import VARIANT_NAMES, new_tree
+from cbst.tree import _RETIRED, VARIANT_NAMES, new_tree
 from cbst.verify import (
     DeadlockSuspectedError,
     History,
@@ -453,6 +453,39 @@ class TestCheckerAgainstBruteForce:
         # at the wrong contents.
         assert outcomes.count((True, True)) > 10 and outcomes.count((False, False)) > 10
         assert outcomes.count((True, False)) > 10
+
+
+class TestCheckStructureLocks:
+    """A quiescent tree has no reachable locked node: retired nodes stay
+    locked, and only retired nodes may."""
+
+    def _tree(self, variant):
+        # Router 9 sits at LR, above leaves 5 and 9.
+        t = new_tree(variant)
+        t.insert(5)
+        t.insert(9)
+        return t
+
+    def test_held_router_reported_with_key_and_path(self):
+        t = self._tree("fn")
+        router = t.root.left.right
+        assert router.lock.acquire(False)
+        assert check_structure(t).violations == ["node 9 at LR is still locked"]
+        router.lock.release()
+        assert check_structure(t).ok
+
+    def test_marked_router_reported(self):
+        t = self._tree("fem")
+        t.root.left.right.lock = _RETIRED
+        assert check_structure(t).violations == ["node 9 at LR is still locked"]
+
+    @pytest.mark.parametrize("variant", ["fn", "fe", "fem", "tn"])
+    def test_retired_locked_nodes_pass(self, variant):
+        t = self._tree(variant)
+        retired = t.find(9).pred
+        assert t.delete(9)
+        assert retired.lock.locked()
+        assert check_structure(t).ok
 
 
 class TestCheckBalance:
